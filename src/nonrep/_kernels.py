@@ -1,14 +1,23 @@
-"""Hot numeric kernels shared by the graph engine and the Sudoku solver.
+"""Hot kernels shared by the graph engine and the Sudoku generator.
 
-Every kernel is written as a plain function over numpy arrays.  When numba is
-importable and the ``NONREP_NO_NUMBA`` environment variable is unset, the
-functions are compiled with ``@njit``; otherwise the uncompiled Python
-versions run.  The uncompiled version of every kernel stays reachable under a
-``_py`` suffix so the two paths can be compared (see ``benchmarks/``).
+The graph and matching kernels are plain functions over numpy arrays.  When
+numba is importable and the ``NONREP_NO_NUMBA`` environment variable is
+unset, they are compiled with ``@njit``; otherwise the uncompiled Python
+versions run.  The uncompiled version of each of them stays reachable under
+a ``_py`` suffix so the two paths can be compared (see ``benchmarks/``).
+Graphs are CSR (``indptr``/``indices`` int64 arrays).
 
-Conventions: graphs are CSR (``indptr``/``indices`` int64 arrays); Sudoku
-digit sets are int64 bitmasks (bit d = digit d+1), which caps kernel support
-at B <= 7.  Pure-Python board code is not bound by that cap.
+The Sudoku kernels, ``count_and_first`` and ``propagate_singles``, are
+written for CPython and never jitted: the grid is a list of ints and digit
+sets are Python-int bitmasks (bit d = digit d+1).
+
+Box-size contract, B <= 7: a digit set of a B-box board takes B^2 bits, so
+B <= 7 keeps every mask within 49 bits of an int64, the bound any compiled
+counter over int64 masks has to respect.  Python ints do not overflow, but
+``count_solutions`` and ``solved_grid``, the entry points to the counter,
+refuse B > 7 all the same, so results never depend on which kind of kernel
+runs; an exhaustive search on a 64 x 64 grid would not finish anyway.
+Pure-Python board code (``Board``, the rules) is not bound by the cap.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ try:
     import numba
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional "jit" extra
     _HAVE_NUMBA = False
 
 USE_NUMBA = _HAVE_NUMBA and not os.environ.get("NONREP_NO_NUMBA")
@@ -408,223 +417,193 @@ def blossom_matching(n, indptr, indices, require_perfect):
 # ---------------------------------------------------------------------------
 # Sudoku kernels
 # ---------------------------------------------------------------------------
+#
+# Plain CPython, not jitted: the grid is a list of ints and the digits used in
+# each group are Python-int bitmasks, indexed by the board's group ids (rows
+# 0..n-1, columns n..2n-1, boxes 2n..3n-1).  The cell-to-group tables come
+# from ``sudoku.board.geometry`` and are built once per box size.
+
+
+def _sudoku_geometry(box):
+    # Imported at call time: the sudoku package imports this module.
+    from .sudoku.board import geometry
+
+    return geometry(box)
+
+
+def _grid_list(values):
+    """A private copy of the grid as a list of Python ints."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+def _group_masks(geo, work):
+    """Digits used per group, or None when two givens share a group."""
+    used = [0] * (3 * geo.n)
+    groups = geo.groups_of_cell
+    for i, d in enumerate(work):
+        if d:
+            bit = 1 << (d - 1)
+            g0, g1, g2 = groups[i]
+            if (used[g0] | used[g1] | used[g2]) & bit:
+                return None
+            used[g0] |= bit
+            used[g1] |= bit
+            used[g2] |= bit
+    return used
 
 
 def count_and_first(box, values, cap):
     """Backtracking completion count (saturating at cap) plus first solution.
 
-    ``values`` holds 0 for empty cells and 1..N for placed digits.  Branches
-    on a minimum-candidate cell, digits in ascending order, so the count and
-    the first solution found are deterministic.
+    ``values`` (a list or an int array, left unchanged) holds 0 for empty
+    cells and 1..N for placed digits.  Branches on a minimum-candidate cell,
+    the lowest index winning ties and the scan stopping at the first cell
+    with one candidate, and tries digits in ascending order, so the count and
+    the first solution found are deterministic.  Returns (count, first) with
+    ``first`` an int64 array, all zeros when there is no solution.
     """
-    n = box * box
-    size = n * n
-    full = (np.int64(1) << n) - 1
-    row_used = np.zeros(n, np.int64)
-    col_used = np.zeros(n, np.int64)
-    box_used = np.zeros(n, np.int64)
-    work = values.copy()
-    first = np.zeros(size, np.int64)
-    for i in range(size):
-        d = work[i]
-        if d == 0:
-            continue
-        bit = np.int64(1) << (d - 1)
-        r = i // n
-        c = i % n
-        b = (r // box) * box + c // box
-        if (row_used[r] | col_used[c] | box_used[b]) & bit:
-            return np.int64(0), first
-        row_used[r] |= bit
-        col_used[c] |= bit
-        box_used[b] |= bit
-    stack_cell = np.empty(size + 1, np.int64)
-    stack_rest = np.empty(size + 1, np.int64)
-    stack_bit = np.empty(size + 1, np.int64)
-    count = np.int64(0)
-    depth = 0
-    descend = True
+    geo = _sudoku_geometry(box)
+    full = (1 << geo.n) - 1
+    groups = geo.groups_of_cell
+    work = _grid_list(values)
+    used = _group_masks(geo, work)
+    if used is None:
+        return 0, np.zeros(geo.size, np.int64)
+    empties = [i for i, d in enumerate(work) if not d]
+    # One frame per branching cell: [cell, its position in empties,
+    # digit bits still to try, bit of the digit in place or 0].
+    stack = []
+    count = 0
+    first = None
     while True:
-        if descend:
-            best = np.int64(-1)
-            best_mask = np.int64(0)
-            best_count = n + 1
-            dead = False
-            for i in range(size):
-                if work[i] != 0:
-                    continue
-                r = i // n
-                c = i % n
-                b = (r // box) * box + c // box
-                mask = full & ~(row_used[r] | col_used[c] | box_used[b])
-                if mask == 0:
-                    dead = True
+        best = -1
+        best_count = geo.n + 1
+        for i in empties:
+            g0, g1, g2 = groups[i]
+            mask = full & ~(used[g0] | used[g1] | used[g2])
+            if not mask:
+                best = -2  # dead end: an empty cell without candidates
+                break
+            cnt = mask.bit_count()
+            if cnt < best_count:
+                best = i
+                best_count = cnt
+                best_mask = mask
+                if cnt == 1:
                     break
-                cnt = 0
-                mm = mask
-                while mm:
-                    mm &= mm - 1
-                    cnt += 1
-                if cnt < best_count:
-                    best_count = cnt
-                    best = i
-                    best_mask = mask
-                    if cnt == 1:
-                        break
-            if dead:
-                descend = False
-            elif best == -1:
-                count += 1
-                if count == 1:
-                    for i in range(size):
-                        first[i] = work[i]
-                if count >= cap:
-                    return count, first
-                descend = False
-            else:
-                stack_cell[depth] = best
-                stack_rest[depth] = best_mask
-                stack_bit[depth] = 0
-                depth += 1
-                descend = False
-                # fall through to try the first digit of the new frame
-        if depth == 0:
-            return count, first
-        frame = depth - 1
-        i = stack_cell[frame]
-        bit = stack_bit[frame]
-        if bit != 0:
-            # undo previous attempt at this frame
-            r = i // n
-            c = i % n
-            b = (r // box) * box + c // box
-            row_used[r] &= ~bit
-            col_used[c] &= ~bit
-            box_used[b] &= ~bit
-            work[i] = 0
-        rest = stack_rest[frame]
-        if rest == 0:
-            stack_bit[frame] = 0
-            depth -= 1
-            descend = False
-            continue
-        bit = rest & -rest
-        stack_rest[frame] = rest ^ bit
-        stack_bit[frame] = bit
-        d = 0
-        bb = bit
-        while bb > 1:
-            bb >>= 1
-            d += 1
-        work[i] = d + 1
-        r = i // n
-        c = i % n
-        b = (r // box) * box + c // box
-        row_used[r] |= bit
-        col_used[c] |= bit
-        box_used[b] |= bit
-        descend = True
+        if best == -1:
+            count += 1
+            if count == 1:
+                first = work[:]
+            if count >= cap:
+                break
+        elif best >= 0:
+            pos = empties.index(best)
+            del empties[pos]
+            stack.append([best, pos, best_mask, 0])
+        # Place the next digit of the innermost open frame, closing the
+        # frames whose digits are exhausted.
+        while stack:
+            frame = stack[-1]
+            i, pos, rest, bit = frame
+            g0, g1, g2 = groups[i]
+            if bit:
+                used[g0] ^= bit
+                used[g1] ^= bit
+                used[g2] ^= bit
+            if not rest:
+                empties.insert(pos, i)
+                stack.pop()
+                continue
+            bit = rest & -rest
+            frame[2] = rest ^ bit
+            frame[3] = bit
+            work[i] = bit.bit_length()
+            used[g0] |= bit
+            used[g1] |= bit
+            used[g2] |= bit
+            break
+        else:
+            break
+    if first is None:
+        return count, np.zeros(geo.size, np.int64)
+    return count, np.array(first, np.int64)
 
 
 def propagate_singles(box, values):
     """Fill naked and hidden singles in place until a fixed point.
 
+    Each sweep places naked singles in cell order, then hidden singles group
+    by group (rows, columns, boxes), digits ascending within a group.
     Returns 1 if the grid completed, 0 if it stalled, -1 on contradiction
     (an empty cell with no candidates, a digit with no remaining home in
-    some group, or conflicting givens).
+    some group, or conflicting givens); the singles placed before a
+    contradiction stay in ``values``.
     """
-    n = box * box
-    size = n * n
-    full = (np.int64(1) << n) - 1
-    row_used = np.zeros(n, np.int64)
-    col_used = np.zeros(n, np.int64)
-    box_used = np.zeros(n, np.int64)
-    for i in range(size):
-        d = values[i]
-        if d == 0:
-            continue
-        bit = np.int64(1) << (d - 1)
-        r = i // n
-        c = i % n
-        b = (r // box) * box + c // box
-        if (row_used[r] | col_used[c] | box_used[b]) & bit:
-            return -1
-        row_used[r] |= bit
-        col_used[c] |= bit
-        box_used[b] |= bit
+    geo = _sudoku_geometry(box)
+    work = _grid_list(values)
+    used = _group_masks(geo, work)
+    if used is None:
+        return -1
+    status = _fill_singles(geo, work, used)
+    values[:] = work
+    return status
+
+
+def _fill_singles(geo, work, used):
+    """The sweeps of ``propagate_singles`` on a private grid; returns its status."""
+    full = (1 << geo.n) - 1
+    groups = geo.groups_of_cell
     changed = True
     while changed:
         changed = False
-        for i in range(size):
-            if values[i] != 0:
+        for i in range(geo.size):
+            if work[i]:
                 continue
-            r = i // n
-            c = i % n
-            b = (r // box) * box + c // box
-            mask = full & ~(row_used[r] | col_used[c] | box_used[b])
-            if mask == 0:
+            g0, g1, g2 = groups[i]
+            mask = full & ~(used[g0] | used[g1] | used[g2])
+            if not mask:
                 return -1
-            if mask & (mask - 1) == 0:
-                d = 0
-                mm = mask
-                while mm > 1:
-                    mm >>= 1
-                    d += 1
-                values[i] = d + 1
-                row_used[r] |= mask
-                col_used[c] |= mask
-                box_used[b] |= mask
+            if not mask & (mask - 1):
+                work[i] = mask.bit_length()
+                used[g0] |= mask
+                used[g1] |= mask
+                used[g2] |= mask
                 changed = True
-        for kind in range(3):
-            for g in range(n):
-                placed = np.int64(0)
-                for j in range(n):
-                    if kind == 0:
-                        i = g * n + j
-                    elif kind == 1:
-                        i = j * n + g
-                    else:
-                        i = ((g // box) * box + j // box) * n + (g % box) * box + j % box
-                    if values[i] != 0:
-                        placed |= np.int64(1) << (values[i] - 1)
-                for d in range(n):
-                    bit = np.int64(1) << d
-                    if placed & bit:
-                        continue
-                    home = np.int64(-1)
-                    nhomes = 0
-                    for j in range(n):
-                        if kind == 0:
-                            i = g * n + j
-                        elif kind == 1:
-                            i = j * n + g
-                        else:
-                            i = ((g // box) * box + j // box) * n + (g % box) * box + j % box
-                        if values[i] != 0:
-                            continue
-                        r = i // n
-                        c = i % n
-                        b = (r // box) * box + c // box
-                        if not (row_used[r] | col_used[c] | box_used[b]) & bit:
-                            nhomes += 1
-                            home = i
-                            if nhomes > 1:
-                                break
-                    if nhomes == 0:
-                        return -1
-                    if nhomes == 1:
-                        values[home] = d + 1
-                        r = home // n
-                        c = home % n
-                        b = (r // box) * box + c // box
-                        row_used[r] |= bit
-                        col_used[c] |= bit
-                        box_used[b] |= bit
-                        changed = True
-    for i in range(size):
-        if values[i] == 0:
-            return 0
-    return 1
+        for g, cells in enumerate(geo.group_cells):
+            # ``done``: digits placed in the group, and in this sweep every
+            # digit up to the last hidden single placed here, so the group is
+            # read digit by digit in ascending order as one scan would.
+            done = used[g]
+            while done != full:
+                once = twice = 0
+                for i in cells:
+                    if not work[i]:
+                        g0, g1, g2 = groups[i]
+                        free = full & ~(used[g0] | used[g1] | used[g2])
+                        twice |= once & free
+                        once |= free
+                todo = full & ~done
+                homeless = todo & ~once
+                single = todo & once & ~twice
+                events = homeless | single
+                if not events:
+                    break
+                bit = events & -events
+                if bit & homeless:
+                    return -1
+                for i in cells:
+                    if not work[i]:
+                        g0, g1, g2 = groups[i]
+                        if not (used[g0] | used[g1] | used[g2]) & bit:
+                            break
+                work[i] = bit.bit_length()
+                used[g0] |= bit
+                used[g1] |= bit
+                used[g2] |= bit
+                changed = True
+                done = used[g] | ((bit << 1) - 1)
+    return 0 if 0 in work else 1
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +617,6 @@ bfs01_py = bfs01
 kuhn_bipartite_py = kuhn_bipartite
 bipartite_forbidden_py = bipartite_forbidden
 blossom_matching_py = blossom_matching
-count_and_first_py = count_and_first
-propagate_singles_py = propagate_singles
 
 if USE_NUMBA:
     _jit = numba.njit(cache=True)
@@ -650,8 +627,6 @@ if USE_NUMBA:
     kuhn_bipartite = _jit(kuhn_bipartite)
     bipartite_forbidden = _jit(bipartite_forbidden)
     blossom_matching = _jit(blossom_matching)
-    count_and_first = _jit(count_and_first)
-    propagate_singles = _jit(propagate_singles)
 
 PURE_KERNELS = {
     "scc_csr": scc_csr_py,
@@ -661,8 +636,6 @@ PURE_KERNELS = {
     "kuhn_bipartite": kuhn_bipartite_py,
     "bipartite_forbidden": bipartite_forbidden_py,
     "blossom_matching": blossom_matching_py,
-    "count_and_first": count_and_first_py,
-    "propagate_singles": propagate_singles_py,
 }
 
 ACTIVE_KERNELS = {
@@ -673,6 +646,4 @@ ACTIVE_KERNELS = {
     "kuhn_bipartite": kuhn_bipartite,
     "bipartite_forbidden": bipartite_forbidden,
     "blossom_matching": blossom_matching,
-    "count_and_first": count_and_first,
-    "propagate_singles": propagate_singles,
 }

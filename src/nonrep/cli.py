@@ -56,6 +56,19 @@ def _load_board(path: str):
         raise _CliError(f"board parse error: {exc}") from exc
 
 
+def _require_vertices(g: FlagLabeledGraph, *tokens) -> None:
+    for token in tokens:
+        if not g.has_vertex(token):
+            raise _CliError(f"unknown vertex {token!r}")
+
+
+def _expansion(g: FlagLabeledGraph) -> LabelSwitchDigraph:
+    try:
+        return LabelSwitchDigraph(g)
+    except ValueError as exc:  # self-loops have no switch gadget
+        raise _CliError(f"unsupported graph: {exc}") from exc
+
+
 def _edge_line(g: FlagLabeledGraph, edge_id: int, tail, head, far_label) -> str:
     return f"edge {edge_id}: {tail} -> {head} label {far_label}"
 
@@ -65,7 +78,7 @@ def _edge_line(g: FlagLabeledGraph, edge_id: int, tail, head, far_label) -> str:
 
 def _cmd_graph_cycles(args) -> int:
     g = _load_graph(args.file)
-    expansion = LabelSwitchDigraph(g)
+    expansion = _expansion(g)
     for re in expansion.cycle_directions():
         print(_edge_line(g, re.edge_id, re.tail, re.head, re.far_label))
     return 0
@@ -73,7 +86,8 @@ def _cmd_graph_cycles(args) -> int:
 
 def _cmd_graph_reach(args) -> int:
     g = _load_graph(args.file)
-    expansion = LabelSwitchDigraph(g)
+    _require_vertices(g, args.start)
+    expansion = _expansion(g)
     reach = expansion.reachable_from(args.start, args.label)
     for re in reach.edges:
         print(_edge_line(g, re.edge_id, re.tail, re.head, re.far_label))
@@ -82,7 +96,8 @@ def _cmd_graph_reach(args) -> int:
 
 def _cmd_graph_shortest(args) -> int:
     g = _load_graph(args.file)
-    path = LabelSwitchDigraph(g).shortest_path(args.src, args.dst)
+    _require_vertices(g, args.src, args.dst)
+    path = _expansion(g).shortest_path(args.src, args.dst)
     if path is None:
         print("no nonrepetitive path", file=sys.stderr)
         return 1
@@ -106,6 +121,7 @@ def _cmd_graph_simple_path(args) -> int:
     g = _load_graph(args.file)
     if g.directed:
         return _refuse_directed()
+    _require_vertices(g, args.src, args.dst)
     witness = nonrepetitive_simple_path(g, args.src, args.dst)
     if witness is None:
         print("no simple nonrepetitive path", file=sys.stderr)

@@ -224,7 +224,8 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
             nxt = b
         else:
             # The matched orbit contains the mirror arc leaving the current node.
-            assert sig[b] == cur, "matched edge does not continue the path"
+            if sig[b] != cur:
+                raise RuntimeError("matched edge does not continue the path")
             nxt = sig[a]
         path.append(arc_idx)
         if nxt == t:

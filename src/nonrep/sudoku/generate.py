@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
 
-import numpy as np
-
 from .. import _kernels
-from .board import Board, cell_name
+from .board import Board, cell_name, geometry
 from .rules import TIER_BILOCATION, TIER_BIVALUE, TIER_MATCHING, solve
 
 
@@ -34,20 +32,23 @@ def count_solutions(board: Board, cap: int) -> int:
     """Number of completions of the board, saturating at ``cap``."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    if board.box > 7:
-        raise ValueError("solution counting supports box sizes up to 7")
-    values = np.array(board.values, dtype=np.int64)
-    count, _ = _kernels.count_and_first(board.box, values, cap)
-    return int(count)
+    _check_box(board)
+    count, _ = _kernels.count_and_first(board.box, board.values, cap)
+    return count
 
 
 def solved_grid(board: Board) -> Optional[Board]:
     """First completion found by the backtracking search, or None."""
-    values = np.array(board.values, dtype=np.int64)
-    count, first = _kernels.count_and_first(board.box, values, 1)
+    _check_box(board)
+    count, first = _kernels.count_and_first(board.box, board.values, 1)
     if count == 0:
         return None
-    return Board(board.box, [int(v) for v in first])
+    return Board(board.box, first.tolist())
+
+
+def _check_box(board: Board) -> None:
+    if board.box > 7:
+        raise ValueError("solution counting supports box sizes up to 7")
 
 
 @dataclass
@@ -101,7 +102,7 @@ def generate(box: int = 3, seed: int = 0, symmetric: bool = True) -> GenReport:
     while True:
         if restarts > _RESTART_LIMIT:
             raise GenerationError(f"no fill found after {_RESTART_LIMIT} restarts")
-        values = np.zeros(size, dtype=np.int64)
+        values = [0] * size
         clues: list[tuple[tuple[int, int], ...]] = []
         failed = False
         while True:
@@ -124,7 +125,7 @@ def generate(box: int = 3, seed: int = 0, symmetric: bool = True) -> GenReport:
                         break
                     digit = rng.choice(digits)
                     values[target] = digit
-                pair_clues.append((target, int(values[target])))
+                pair_clues.append((target, values[target]))
             if not ok:
                 failed = True
                 break
@@ -144,15 +145,14 @@ def generate(box: int = 3, seed: int = 0, symmetric: bool = True) -> GenReport:
         if not trial:
             continue
         trial_values = [trial.get(c, 0) for c in range(size)]
-        count, _ = _kernels.count_and_first(
-            box, np.array(trial_values, dtype=np.int64), 2
-        )
+        count, _ = _kernels.count_and_first(box, trial_values, 2)
         if count == 1:
             kept = trial
 
     puzzle = Board(box, [kept.get(c, 0) for c in range(size)])
     solution = solved_grid(puzzle)
-    assert solution is not None
+    if solution is None:
+        raise GenerationError("the minimized puzzle has no solution")
     inserted_pairs = tuple(
         (pair[0][0], pair[-1][0]) for pair in clues
     )
@@ -168,20 +168,14 @@ def generate(box: int = 3, seed: int = 0, symmetric: bool = True) -> GenReport:
     )
 
 
-def _available_digits(box: int, values: np.ndarray, cell: int) -> list[int]:
-    n = box * box
-    r, c = divmod(cell, n)
-    b = (r // box) * box + c // box
+def _available_digits(box: int, values: list[int], cell: int) -> list[int]:
+    geo = geometry(box)
     used = 0
-    for i in range(n * n):
-        d = values[i]
-        if d == 0:
-            continue
-        ri, ci = divmod(i, n)
-        bi = (ri // box) * box + ci // box
-        if ri == r or ci == c or bi == b:
-            used |= 1 << (d - 1)
-    return [d for d in range(1, n + 1) if not used >> (d - 1) & 1]
+    for g in geo.groups_of_cell[cell]:
+        for i in geo.group_cells[g]:
+            if values[i]:
+                used |= 1 << (values[i] - 1)
+    return [d for d in range(1, geo.n + 1) if not used >> (d - 1) & 1]
 
 
 def grade(board: Board):

@@ -2,7 +2,9 @@
 
 Everything here favors obviousness over speed: explicit state graphs with
 networkx strong connectivity, exhaustive DFS enumeration, and subset search
-for matchings.  None of it shares code with the package's algorithms.
+for matchings.  None of it shares code with the package's algorithms.  The
+Sudoku kernels at the end are the numpy-scalar versions the package's
+Python-int kernels replaced, kept as the reference those must equal.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from random import Random
 
 import networkx as nx
+import numpy as np
 
 from nonrep.labeled_graph import FlagLabeledGraph
 
@@ -300,3 +303,227 @@ def is_simple_nonrep_path(g: FlagLabeledGraph, edge_ids, p, q) -> bool:
         prev_label = far
         current = nxt
     return current == target
+
+
+# ---------------------------------------------------------------------------
+# Sudoku kernels over numpy int64 scalars, kept verbatim from the version the
+# Python-int kernels in ``nonrep._kernels`` replaced; the equality tests run
+# both on the same boards.
+# ---------------------------------------------------------------------------
+
+
+def count_and_first(box, values, cap):
+    """Backtracking completion count (saturating at cap) plus first solution.
+
+    ``values`` holds 0 for empty cells and 1..N for placed digits.  Branches
+    on a minimum-candidate cell, digits in ascending order, so the count and
+    the first solution found are deterministic.
+    """
+    n = box * box
+    size = n * n
+    full = (np.int64(1) << n) - 1
+    row_used = np.zeros(n, np.int64)
+    col_used = np.zeros(n, np.int64)
+    box_used = np.zeros(n, np.int64)
+    work = values.copy()
+    first = np.zeros(size, np.int64)
+    for i in range(size):
+        d = work[i]
+        if d == 0:
+            continue
+        bit = np.int64(1) << (d - 1)
+        r = i // n
+        c = i % n
+        b = (r // box) * box + c // box
+        if (row_used[r] | col_used[c] | box_used[b]) & bit:
+            return np.int64(0), first
+        row_used[r] |= bit
+        col_used[c] |= bit
+        box_used[b] |= bit
+    stack_cell = np.empty(size + 1, np.int64)
+    stack_rest = np.empty(size + 1, np.int64)
+    stack_bit = np.empty(size + 1, np.int64)
+    count = np.int64(0)
+    depth = 0
+    descend = True
+    while True:
+        if descend:
+            best = np.int64(-1)
+            best_mask = np.int64(0)
+            best_count = n + 1
+            dead = False
+            for i in range(size):
+                if work[i] != 0:
+                    continue
+                r = i // n
+                c = i % n
+                b = (r // box) * box + c // box
+                mask = full & ~(row_used[r] | col_used[c] | box_used[b])
+                if mask == 0:
+                    dead = True
+                    break
+                cnt = 0
+                mm = mask
+                while mm:
+                    mm &= mm - 1
+                    cnt += 1
+                if cnt < best_count:
+                    best_count = cnt
+                    best = i
+                    best_mask = mask
+                    if cnt == 1:
+                        break
+            if dead:
+                descend = False
+            elif best == -1:
+                count += 1
+                if count == 1:
+                    for i in range(size):
+                        first[i] = work[i]
+                if count >= cap:
+                    return count, first
+                descend = False
+            else:
+                stack_cell[depth] = best
+                stack_rest[depth] = best_mask
+                stack_bit[depth] = 0
+                depth += 1
+                descend = False
+                # fall through to try the first digit of the new frame
+        if depth == 0:
+            return count, first
+        frame = depth - 1
+        i = stack_cell[frame]
+        bit = stack_bit[frame]
+        if bit != 0:
+            # undo previous attempt at this frame
+            r = i // n
+            c = i % n
+            b = (r // box) * box + c // box
+            row_used[r] &= ~bit
+            col_used[c] &= ~bit
+            box_used[b] &= ~bit
+            work[i] = 0
+        rest = stack_rest[frame]
+        if rest == 0:
+            stack_bit[frame] = 0
+            depth -= 1
+            descend = False
+            continue
+        bit = rest & -rest
+        stack_rest[frame] = rest ^ bit
+        stack_bit[frame] = bit
+        d = 0
+        bb = bit
+        while bb > 1:
+            bb >>= 1
+            d += 1
+        work[i] = d + 1
+        r = i // n
+        c = i % n
+        b = (r // box) * box + c // box
+        row_used[r] |= bit
+        col_used[c] |= bit
+        box_used[b] |= bit
+        descend = True
+
+
+def propagate_singles(box, values):
+    """Fill naked and hidden singles in place until a fixed point.
+
+    Returns 1 if the grid completed, 0 if it stalled, -1 on contradiction
+    (an empty cell with no candidates, a digit with no remaining home in
+    some group, or conflicting givens).
+    """
+    n = box * box
+    size = n * n
+    full = (np.int64(1) << n) - 1
+    row_used = np.zeros(n, np.int64)
+    col_used = np.zeros(n, np.int64)
+    box_used = np.zeros(n, np.int64)
+    for i in range(size):
+        d = values[i]
+        if d == 0:
+            continue
+        bit = np.int64(1) << (d - 1)
+        r = i // n
+        c = i % n
+        b = (r // box) * box + c // box
+        if (row_used[r] | col_used[c] | box_used[b]) & bit:
+            return -1
+        row_used[r] |= bit
+        col_used[c] |= bit
+        box_used[b] |= bit
+    changed = True
+    while changed:
+        changed = False
+        for i in range(size):
+            if values[i] != 0:
+                continue
+            r = i // n
+            c = i % n
+            b = (r // box) * box + c // box
+            mask = full & ~(row_used[r] | col_used[c] | box_used[b])
+            if mask == 0:
+                return -1
+            if mask & (mask - 1) == 0:
+                d = 0
+                mm = mask
+                while mm > 1:
+                    mm >>= 1
+                    d += 1
+                values[i] = d + 1
+                row_used[r] |= mask
+                col_used[c] |= mask
+                box_used[b] |= mask
+                changed = True
+        for kind in range(3):
+            for g in range(n):
+                placed = np.int64(0)
+                for j in range(n):
+                    if kind == 0:
+                        i = g * n + j
+                    elif kind == 1:
+                        i = j * n + g
+                    else:
+                        i = ((g // box) * box + j // box) * n + (g % box) * box + j % box
+                    if values[i] != 0:
+                        placed |= np.int64(1) << (values[i] - 1)
+                for d in range(n):
+                    bit = np.int64(1) << d
+                    if placed & bit:
+                        continue
+                    home = np.int64(-1)
+                    nhomes = 0
+                    for j in range(n):
+                        if kind == 0:
+                            i = g * n + j
+                        elif kind == 1:
+                            i = j * n + g
+                        else:
+                            i = ((g // box) * box + j // box) * n + (g % box) * box + j % box
+                        if values[i] != 0:
+                            continue
+                        r = i // n
+                        c = i % n
+                        b = (r // box) * box + c // box
+                        if not (row_used[r] | col_used[c] | box_used[b]) & bit:
+                            nhomes += 1
+                            home = i
+                            if nhomes > 1:
+                                break
+                    if nhomes == 0:
+                        return -1
+                    if nhomes == 1:
+                        values[home] = d + 1
+                        r = home // n
+                        c = home % n
+                        b = (r // box) * box + c // box
+                        row_used[r] |= bit
+                        col_used[c] |= bit
+                        box_used[b] |= bit
+                        changed = True
+    for i in range(size):
+        if values[i] == 0:
+            return 0
+    return 1

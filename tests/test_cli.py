@@ -63,6 +63,39 @@ def test_graph_shortest_negative_exit():
     assert "no nonrepetitive path" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "shortest", "--from", "a", "--to", "zz", "-"],
+        ["graph", "reach", "--start", "zz", "--label", "1", "-"],
+        ["graph", "simple-path", "--from", "zz", "--to", "a", "-"],
+    ],
+)
+def test_graph_unknown_vertex_exits_2(argv):
+    text = "graph undirected\nedge a b 1\nedge b c 2\n"
+    code, out, err = _run(argv, stdin=text)
+    assert code == 2
+    assert out == ""
+    assert err == "unknown vertex 'zz'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "cycles", "-"],
+        ["graph", "reach", "--start", "a", "--label", "y", "-"],
+        ["graph", "shortest", "--from", "a", "--to", "b", "-"],
+    ],
+)
+def test_graph_self_loop_exits_2(argv):
+    text = "graph undirected\nedge a a x\nedge a b y\n"
+    code, out, err = _run(argv, stdin=text)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "self-loops" in err
+
+
 def test_graph_simple_path_and_refusals():
     text = "graph undirected\nedge p r 1\nedge r q 2\n"
     code, out, _ = _run(

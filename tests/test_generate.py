@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import nonrep._kernels as K
 from nonrep.sudoku.board import Board, parse_board
 from nonrep.sudoku.generate import (
     BatchStats,
+    GenerationError,
     batch_stats,
     count_solutions,
     dense_bivalue_fixture,
@@ -40,6 +42,22 @@ def test_count_solutions_dead_cell():
     board = Board(3, values)
     assert board.first_empty_candidate_violation() == 8
     assert count_solutions(board, 10) == 0
+
+
+def test_counting_refuses_boxes_above_7():
+    board = Board(8)
+    with pytest.raises(ValueError, match="up to 7"):
+        count_solutions(board, 1)
+    with pytest.raises(ValueError, match="up to 7"):
+        solved_grid(board)
+
+
+def test_generate_raises_when_minimized_puzzle_has_no_solution(monkeypatch):
+    # ``nonrep.sudoku.generate`` is also a function name in the package.
+    gen = importlib.import_module("nonrep.sudoku.generate")
+    monkeypatch.setattr(gen, "solved_grid", lambda board: None)
+    with pytest.raises(GenerationError, match="no solution"):
+        generate(2, 0)
 
 
 def test_generated_puzzles_are_unique_and_symmetric():

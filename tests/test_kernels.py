@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import nonrep._kernels as K
+import oracles
 from oracles import brute_general_max
+from nonrep.sudoku.board import Board
+from nonrep.sudoku.generate import solved_grid
 
 
 def _random_csr(rng: Random, n_max=30, m_max=80):
@@ -288,13 +291,56 @@ def test_pure_and_jitted_kernels_agree():
         vis_a, par_a = K.reach_csr(indptr, indices, start)
         vis_b, par_b = K.reach_csr_py(indptr, indices, start)
         assert (vis_a == vis_b).all() and (par_a == par_b).all()
-    values = np.zeros(16, dtype=np.int64)
-    assert (
-        K.count_and_first(2, values, 300)[0]
-        == K.count_and_first_py(2, values, 300)[0]
-    )
-    v1 = np.zeros(16, dtype=np.int64)
-    v2 = np.zeros(16, dtype=np.int64)
-    s1 = K.propagate_singles(2, v1)
-    s2 = K.propagate_singles_py(2, v2)
-    assert s1 == s2 and (v1 == v2).all()
+
+
+def _random_partial_board(rng: Random, box: int) -> list[int]:
+    """A partial board: a relabelled solution with some cells shown, now and
+    then a wrong digit among them, or (one board in three) random givens,
+    which often clash."""
+    n = box * box
+    size = n * n
+    if rng.random() < 1 / 3:
+        values = [0] * size
+        for cell in rng.sample(range(size), rng.randint(0, size // 3)):
+            values[cell] = rng.randint(1, n)
+        return values
+    base = oracles.count_and_first(box, np.zeros(size, np.int64), 1)[1].tolist()
+    relabel = list(range(1, n + 1))
+    rng.shuffle(relabel)
+    shown = rng.randint(size // 4 if box == 2 else 22, size)
+    values = [0] * size
+    for cell in rng.sample(range(size), shown):
+        values[cell] = relabel[base[cell] - 1]
+    if rng.random() < 0.3:
+        values[rng.randrange(size)] = rng.randint(1, n)
+    return values
+
+
+def test_sudoku_kernels_equal_numpy_reference():
+    rng = Random(81)
+    for trial in range(320):
+        box = 2 if trial % 2 else 3
+        values = _random_partial_board(rng, box)
+        given = list(values)
+        for cap in (1, 2, 50):
+            want_count, want_first = oracles.count_and_first(
+                box, np.array(values, np.int64), cap
+            )
+            got_count, got_first = K.count_and_first(box, values, cap)
+            assert got_count == want_count
+            assert got_first.dtype == np.int64
+            assert got_first.tolist() == want_first.tolist()
+        assert values == given
+        want = np.array(values, np.int64)
+        want_status = oracles.propagate_singles(box, want)
+        got = list(values)
+        assert K.propagate_singles(box, got) == want_status
+        assert got == want.tolist()
+        as_array = np.array(values, np.int64)
+        assert K.propagate_singles(box, as_array) == want_status
+        assert (as_array == want).all()
+
+
+def test_solved_grid_of_empty_board_unchanged():
+    want = oracles.count_and_first(3, np.zeros(81, np.int64), 1)[1].tolist()
+    assert solved_grid(Board(3)).values == want
