@@ -1,9 +1,10 @@
 """Benchmark the jitted kernels against their pure-Python sources.
 
-Runs every jitted leaf kernel on representative workloads and prints a table
-of timings plus speedups.  The Sudoku kernels are plain Python and are not
-listed.  The jitted column disappears when numba is disabled
-(NONREP_NO_NUMBA=1) or unavailable.
+Runs the two jittable matchers, ``kuhn_bipartite`` and ``blossom_matching``,
+on representative workloads and prints a table of timings plus speedups.
+The traversal and Sudoku kernels are plain Python and are not listed.  The
+jitted column disappears when numba is disabled (NONREP_NO_NUMBA=1) or
+unavailable.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5]
@@ -20,20 +21,8 @@ import numpy as np
 import nonrep._kernels as K
 
 
-def _random_digraph(rng: Random, n: int, m: int):
-    tails = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-    heads = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-    indptr, indices, _ = K.build_csr(n, tails, heads)
-    return indptr, indices
-
-
 def build_workloads(seed: int = 12345):
     rng = Random(seed)
-    indptr, indices = _random_digraph(rng, 2000, 8000)
-    small_ptr, small_idx = _random_digraph(rng, 200, 700)
-    unit = np.array([rng.randint(0, 1) for _ in range(len(indices))], dtype=np.uint8)
-    starts = np.array(sorted(rng.sample(range(2000), 50)), dtype=np.int64)
-
     n_blossom = 300
     pool = [(u, v) for u in range(n_blossom) for v in range(u + 1, n_blossom)]
     rng.shuffle(pool)
@@ -55,10 +44,6 @@ def build_workloads(seed: int = 12345):
     k_idx = np.array(flat, dtype=np.int64)
 
     return {
-        "scc_csr": (indptr, indices),
-        "reach_csr": (indptr, indices, np.int64(0)),
-        "reach_many": (small_ptr, small_idx, starts % 200),
-        "bfs01": (indptr, indices, unit, starts),
         "kuhn_bipartite": (nl, nl, adj, k_idx),
         "blossom_matching": (n_blossom, b_ptr, b_idx, np.int64(0)),
     }

@@ -1,11 +1,23 @@
 """Hot kernels shared by the graph engine and the Sudoku generator.
 
-The graph and matching kernels are plain functions over numpy arrays.  When
-numba is importable and the ``NONREP_NO_NUMBA`` environment variable is
-unset, they are compiled with ``@njit``; otherwise the uncompiled Python
-versions run.  The uncompiled version of each of them stays reachable under
-a ``_py`` suffix so the two paths can be compared (see ``benchmarks/``).
-Graphs are CSR (``indptr``/``indices`` int64 arrays).
+Graphs are CSR (``indptr``/``indices`` int64 arrays); ``build_csr`` makes
+them with one stable sort, so arcs with equal tails keep their input order.
+
+The traversal kernels, ``scc_csr``, ``reach_csr`` and ``bfs01``, and the
+matching-viability kernel ``bipartite_forbidden`` are written for CPython and
+never jitted: they take numpy arrays, convert them once with ``tolist()``,
+walk Python lists, and return numpy arrays.  Their scan orders are fixed
+(arcs in CSR order, the DFS stack and the 0/1 deque disciplines documented
+on each), so component ids, parents and distances are deterministic.  The
+graph expansion that feeds them (``engine.LabelSwitchDigraph``) is built with
+array operations and one switch-gadget template per label count.
+
+The two matchers, ``kuhn_bipartite`` and ``blossom_matching``, are plain
+functions over numpy arrays.  When numba is importable and the
+``NONREP_NO_NUMBA`` environment variable is unset, they are compiled with
+``@njit``; otherwise the uncompiled Python versions run.  The uncompiled
+version of each stays reachable under a ``_py`` suffix so the two paths can
+be compared (see ``benchmarks/``).
 
 The Sudoku kernels, ``count_and_first`` and ``propagate_singles``, are
 written for CPython and never jitted: the grid is a list of ints and digit
@@ -23,6 +35,7 @@ Pure-Python board code (``Board``, the rules) is not bound by the cap.
 from __future__ import annotations
 
 import os
+from collections import deque
 
 import numpy as np
 
@@ -35,7 +48,7 @@ except ImportError:  # numba is the optional "jit" extra
 
 USE_NUMBA = _HAVE_NUMBA and not os.environ.get("NONREP_NO_NUMBA")
 
-_UNREACHED = np.int64(2**62)
+_UNREACHED = 2**62
 
 
 def build_csr(num_nodes: int, tails: np.ndarray, heads: np.ndarray):
@@ -63,143 +76,139 @@ def build_csr(num_nodes: int, tails: np.ndarray, heads: np.ndarray):
 
 
 def scc_csr(indptr, indices):
-    """Strongly connected components; ids in reverse topological order."""
-    n = indptr.shape[0] - 1
-    disc = np.full(n, -1, np.int64)
-    low = np.zeros(n, np.int64)
-    comp = np.full(n, -1, np.int64)
-    on_stack = np.zeros(n, np.uint8)
-    stack = np.empty(n, np.int64)
-    dfs_v = np.empty(n + 1, np.int64)
-    dfs_e = np.empty(n + 1, np.int64)
-    sp = 0
+    """Strongly connected components; ids in reverse topological order.
+
+    Iterative Tarjan: arcs are scanned in CSR order and a component gets its
+    id when its root finishes.  A node whose component is known gets a
+    discovery index of ``n``, which no low-link can exceed, so arcs into
+    finished components need no separate on-stack test.
+    """
+    ip = indptr.tolist()
+    ix = indices.tolist()
+    n = len(ip) - 1
+    done = n
+    disc = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack = []
+    path_v = []  # the DFS path above the current node,
+    path_e = []  # and the arc each of them resumes at
     counter = 0
     ncomp = 0
     for root in range(n):
         if disc[root] != -1:
             continue
-        top = 0
-        dfs_v[0] = root
-        dfs_e[0] = indptr[root]
-        disc[root] = counter
-        low[root] = counter
+        disc[root] = lv = counter
         counter += 1
-        stack[sp] = root
-        sp += 1
-        on_stack[root] = 1
-        while top >= 0:
-            v = dfs_v[top]
-            e = dfs_e[top]
-            if e < indptr[v + 1]:
-                dfs_e[top] = e + 1
-                w = indices[e]
-                if disc[w] == -1:
-                    disc[w] = counter
-                    low[w] = counter
-                    counter += 1
-                    stack[sp] = w
-                    sp += 1
-                    on_stack[w] = 1
-                    top += 1
-                    dfs_v[top] = w
-                    dfs_e[top] = indptr[w]
-                elif on_stack[w] and disc[w] < low[v]:
-                    low[v] = disc[w]
+        stack.append(root)
+        v = root
+        e = ip[root]
+        end = ip[root + 1]
+        while True:
+            # Scan v's arcs from e, keeping its low-link in lv, until an
+            # undiscovered node turns up.
+            while e < end:
+                w = ix[e]
+                e += 1
+                dw = disc[w]
+                if dw < 0:
+                    break
+                if dw < lv:
+                    lv = dw
             else:
-                if low[v] == disc[v]:
+                # v is finished: close its component and hand its low-link up.
+                if lv == disc[v]:
                     while True:
-                        w = stack[sp - 1]
-                        sp -= 1
-                        on_stack[w] = 0
+                        w = stack.pop()
+                        disc[w] = done
                         comp[w] = ncomp
                         if w == v:
                             break
                     ncomp += 1
-                top -= 1
-                if top >= 0 and low[v] < low[dfs_v[top]]:
-                    low[dfs_v[top]] = low[v]
-    return comp
+                if not path_v:
+                    break
+                child = lv
+                v = path_v.pop()
+                e = path_e.pop()
+                end = ip[v + 1]
+                lv = low[v]
+                if child < lv:
+                    lv = child
+                continue
+            low[v] = lv
+            path_v.append(v)
+            path_e.append(e)
+            disc[w] = lv = counter
+            counter += 1
+            stack.append(w)
+            v = w
+            e = ip[w]
+            end = ip[w + 1]
+    return np.array(comp, np.int64)
 
 
 def reach_csr(indptr, indices, start):
-    """DFS reachability; returns (visited uint8, parent CSR arc position)."""
-    n = indptr.shape[0] - 1
-    visited = np.zeros(n, np.uint8)
-    parent_arc = np.full(n, -1, np.int64)
-    stack = np.empty(n, np.int64)
+    """DFS reachability; returns (visited uint8, parent CSR arc position).
+
+    A popped node marks and pushes all its unvisited successors in arc order,
+    so ``parent`` holds the arc that first discovered each node.
+    """
+    ip = indptr.tolist()
+    ix = indices.tolist()
+    n = len(ip) - 1
+    visited = bytearray(n)
+    parent_arc = [-1] * n
     visited[start] = 1
-    stack[0] = start
-    top = 1
-    while top > 0:
-        top -= 1
-        v = stack[top]
-        for e in range(indptr[v], indptr[v + 1]):
-            w = indices[e]
+    stack = [start]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        v = pop()
+        for e in range(ip[v], ip[v + 1]):
+            w = ix[e]
             if not visited[w]:
                 visited[w] = 1
                 parent_arc[w] = e
-                stack[top] = w
-                top += 1
-    return visited, parent_arc
-
-
-def reach_many(indptr, indices, starts):
-    """Reachability from several start nodes; row i is the set for starts[i]."""
-    n = indptr.shape[0] - 1
-    out = np.zeros((starts.shape[0], n), np.uint8)
-    stack = np.empty(n, np.int64)
-    for i in range(starts.shape[0]):
-        visited = out[i]
-        visited[starts[i]] = 1
-        stack[0] = starts[i]
-        top = 1
-        while top > 0:
-            top -= 1
-            v = stack[top]
-            for e in range(indptr[v], indptr[v + 1]):
-                w = indices[e]
-                if not visited[w]:
-                    visited[w] = 1
-                    stack[top] = w
-                    top += 1
-    return out
+                push(w)
+    return np.frombuffer(visited, np.uint8), np.array(parent_arc, np.int64)
 
 
 def bfs01(indptr, indices, unit, sources):
     """0/1-weighted BFS (``unit[arc]`` is the arc cost, 0 or 1).
 
-    Returns (dist, parent CSR arc position); unreached nodes keep a distance
-    of 2**62.
+    A node whose distance improves goes to the front of the deque over a
+    0-arc and to the back over a 1-arc.  Returns (dist, parent CSR arc
+    position); unreached nodes keep a distance of 2**62.
     """
-    n = indptr.shape[0] - 1
-    m = indices.shape[0]
-    dist = np.full(n, _UNREACHED, np.int64)
-    parent_arc = np.full(n, -1, np.int64)
-    size = 2 * (n + m) + 2
-    deque = np.empty(size, np.int64)
-    head = n + m + 1
-    tail = n + m + 1
-    for i in range(sources.shape[0]):
-        s = sources[i]
+    ip = indptr.tolist()
+    ix = indices.tolist()
+    cost = unit.tolist()
+    n = len(ip) - 1
+    dist = [_UNREACHED] * n
+    parent_arc = [-1] * n
+    queue = deque()
+    for s in sources.tolist():
         dist[s] = 0
-        deque[tail] = s
-        tail += 1
-    while head < tail:
-        v = deque[head]
-        head += 1
-        for e in range(indptr[v], indptr[v + 1]):
-            w = indices[e]
-            nd = dist[v] + unit[e]
-            if nd < dist[w]:
-                dist[w] = nd
+        queue.append(s)
+    popleft = queue.popleft
+    while queue:
+        v = popleft()
+        dv = dist[v]
+        e = ip[v]
+        end = ip[v + 1]
+        while e < end:
+            w = ix[e]
+            if cost[e]:
+                if dv + 1 < dist[w]:
+                    dist[w] = dv + 1
+                    parent_arc[w] = e
+                    queue.append(w)
+            elif dv < dist[w]:
+                dist[w] = dv
                 parent_arc[w] = e
-                if unit[e] == 0:
-                    head -= 1
-                    deque[head] = w
-                else:
-                    deque[tail] = w
-                    tail += 1
-    return dist, parent_arc
+                queue.appendleft(w)
+            e += 1
+    return np.array(dist, np.int64), np.array(parent_arc, np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -267,42 +276,30 @@ def bipartite_forbidden(num_left, num_right, indptr, indices):
     right->left and comparing strongly connected components.
     """
     mate_l, mate_r = kuhn_bipartite(num_left, num_right, indptr, indices)
-    size = np.int64(0)
-    for l in range(num_left):
-        if mate_l[l] != -1:
-            size += 1
-    m = indices.shape[0]
-    forbidden = np.zeros(m, np.uint8)
+    mate = mate_l.tolist()
+    size = len(mate) - mate.count(-1)
+    forbidden = np.zeros(indices.shape[0], np.uint8)
     if size != num_left or num_left != num_right:
         return size, mate_l, mate_r, forbidden
-    n = num_left + num_right
-    deg = np.zeros(n, np.int64)
+    ip = indptr.tolist()
+    ix = indices.tolist()
+    tails = []
+    heads = []
     for l in range(num_left):
-        for e in range(indptr[l], indptr[l + 1]):
-            r = indices[e]
-            if mate_l[l] == r:
-                deg[l] += 1
+        for e in range(ip[l], ip[l + 1]):
+            r = ix[e]
+            if mate[l] == r:
+                tails.append(l)
+                heads.append(num_left + r)
             else:
-                deg[num_left + r] += 1
-    o_indptr = np.zeros(n + 1, np.int64)
-    for v in range(n):
-        o_indptr[v + 1] = o_indptr[v] + deg[v]
-    fill = o_indptr[:-1].copy()
-    o_indices = np.empty(m, np.int64)
+                tails.append(num_left + r)
+                heads.append(l)
+    o_indptr, o_indices, _ = build_csr(num_left + num_right, tails, heads)
+    comp = scc_csr(o_indptr, o_indices).tolist()
     for l in range(num_left):
-        for e in range(indptr[l], indptr[l + 1]):
-            r = indices[e]
-            if mate_l[l] == r:
-                o_indices[fill[l]] = num_left + r
-                fill[l] += 1
-            else:
-                o_indices[fill[num_left + r]] = l
-                fill[num_left + r] += 1
-    comp = scc_csr(o_indptr, o_indices)
-    for l in range(num_left):
-        for e in range(indptr[l], indptr[l + 1]):
-            r = indices[e]
-            if mate_l[l] != r and comp[l] != comp[num_left + r]:
+        for e in range(ip[l], ip[l + 1]):
+            r = ix[e]
+            if mate[l] != r and comp[l] != comp[num_left + r]:
                 forbidden[e] = 1
     return size, mate_l, mate_r, forbidden
 
@@ -610,40 +607,20 @@ def _fill_singles(geo, work, used):
 # jit wiring
 # ---------------------------------------------------------------------------
 
-scc_csr_py = scc_csr
-reach_csr_py = reach_csr
-reach_many_py = reach_many
-bfs01_py = bfs01
 kuhn_bipartite_py = kuhn_bipartite
-bipartite_forbidden_py = bipartite_forbidden
 blossom_matching_py = blossom_matching
 
 if USE_NUMBA:
     _jit = numba.njit(cache=True)
-    scc_csr = _jit(scc_csr)
-    reach_csr = _jit(reach_csr)
-    reach_many = _jit(reach_many)
-    bfs01 = _jit(bfs01)
     kuhn_bipartite = _jit(kuhn_bipartite)
-    bipartite_forbidden = _jit(bipartite_forbidden)
     blossom_matching = _jit(blossom_matching)
 
 PURE_KERNELS = {
-    "scc_csr": scc_csr_py,
-    "reach_csr": reach_csr_py,
-    "reach_many": reach_many_py,
-    "bfs01": bfs01_py,
     "kuhn_bipartite": kuhn_bipartite_py,
-    "bipartite_forbidden": bipartite_forbidden_py,
     "blossom_matching": blossom_matching_py,
 }
 
 ACTIVE_KERNELS = {
-    "scc_csr": scc_csr,
-    "reach_csr": reach_csr,
-    "reach_many": reach_many,
-    "bfs01": bfs01,
     "kuhn_bipartite": kuhn_bipartite,
-    "bipartite_forbidden": bipartite_forbidden,
     "blossom_matching": blossom_matching,
 }

@@ -69,8 +69,15 @@ def _expansion(g: FlagLabeledGraph) -> LabelSwitchDigraph:
         raise _CliError(f"unsupported graph: {exc}") from exc
 
 
-def _edge_line(g: FlagLabeledGraph, edge_id: int, tail, head, far_label) -> str:
-    return f"edge {edge_id}: {tail} -> {head} label {far_label}"
+def _write_traversals(edges) -> None:
+    """One ``edge <id>: <tail> -> <head> label <far label>`` line per
+    traversal, written to stdout at once."""
+    sys.stdout.write(
+        "".join(
+            f"edge {e.edge_id}: {e.tail} -> {e.head} label {e.far_label}\n"
+            for e in edges
+        )
+    )
 
 
 # -- graph subcommands ---------------------------------------------------------
@@ -78,9 +85,7 @@ def _edge_line(g: FlagLabeledGraph, edge_id: int, tail, head, far_label) -> str:
 
 def _cmd_graph_cycles(args) -> int:
     g = _load_graph(args.file)
-    expansion = _expansion(g)
-    for re in expansion.cycle_directions():
-        print(_edge_line(g, re.edge_id, re.tail, re.head, re.far_label))
+    _write_traversals(_expansion(g).cycle_directions())
     return 0
 
 
@@ -88,9 +93,7 @@ def _cmd_graph_reach(args) -> int:
     g = _load_graph(args.file)
     _require_vertices(g, args.start)
     expansion = _expansion(g)
-    reach = expansion.reachable_from(args.start, args.label)
-    for re in reach.edges:
-        print(_edge_line(g, re.edge_id, re.tail, re.head, re.far_label))
+    _write_traversals(expansion.reachable_from(args.start, args.label).edges)
     return 0
 
 
@@ -101,8 +104,7 @@ def _cmd_graph_shortest(args) -> int:
     if path is None:
         print("no nonrepetitive path", file=sys.stderr)
         return 1
-    for re in path:
-        print(_edge_line(g, re.edge_id, re.tail, re.head, re.far_label))
+    _write_traversals(path)
     return 0
 
 

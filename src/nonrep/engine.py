@@ -4,8 +4,16 @@ Replacing every vertex of a flag-labeled graph by a switch gadget (see
 ``gadget``) and joining gadgets with one connector arc per edge traversal
 direction yields an unlabeled digraph whose paths correspond exactly to the
 walks of the input in which consecutive edges never repeat a flag label at
-their shared vertex.  The expansion has O(m) nodes and arcs and is built in
-O(m) time given the per-vertex label grouping.
+their shared vertex.  The expansion has O(m) nodes and arcs.
+
+It is built with array operations, without a Python loop over vertices or
+edges: the distinct (vertex, flag label) pairs, ordered by vertex and then by
+first occurrence, become each vertex's label slots; one gadget is built per
+distinct label count and its arc template is offset to every vertex with that
+count; connector arcs follow all gadget arcs, one row per edge.  Per-vertex
+slot arrays (``vp_ptr``, ``slot_label``, ``slot_entry``, ``slot_exit``) map
+slots to gadget nodes.  Query answers are selected with array masks over the
+connector positions, and result objects are made only for the hits.
 
 Queries answered here:
 
@@ -52,78 +60,98 @@ class LabelSwitchDigraph:
         build = build_dense_gadget if dense else build_switch_gadget
         n = graph.num_vertices
         m = graph.num_edges
+        ends = np.array(graph.edges, dtype=np.int64).reshape(m, 4)
 
-        entry_node: dict[tuple[int, int], int] = {}
-        exit_node: dict[tuple[int, int], int] = {}
-        node_origin: list[tuple[int, Optional[int], str]] = []
-        tails: list[int] = []
-        heads: list[int] = []
-        self._vertex_label_count = [0] * n
+        # Flag 2*eid + end sits at vertex ends[eid, end] with label
+        # ends[eid, 2 + end].  A vertex's slots are its distinct flag labels
+        # in first-occurrence order over its flags (edge id order), which is
+        # the order of ``graph.vertex_label_ids``.
+        flag_vertex = ends[:, :2].ravel()
+        flag_label = ends[:, 2:].ravel()
+        width = int(flag_label.max()) + 1 if m else 1
+        keys, first, slot_of_key = np.unique(
+            flag_vertex * width + flag_label, return_index=True, return_inverse=True
+        )
+        by_slot = np.lexsort((first, keys // width))
+        slot_vertex = keys[by_slot] // width
+        slot_label = keys[by_slot] % width
+        slot_of_flag = np.empty(len(keys), dtype=np.int64)
+        slot_of_flag[by_slot] = np.arange(len(keys), dtype=np.int64)
+        slot_of_flag = slot_of_flag[slot_of_key]
 
-        num_nodes = 0
-        for v in range(n):
-            labels = graph.vertex_label_ids(v)
-            self._vertex_label_count[v] = len(labels)
-            if not labels:
-                continue
-            gadget = build(len(labels))
-            off = num_nodes
-            num_nodes += gadget.num_nodes
-            node_origin.extend((v, None, "internal") for _ in range(gadget.num_nodes))
-            for slot, lab in enumerate(labels):
-                entry = off + gadget.entry[slot]
-                exit_ = off + gadget.exit[slot]
-                entry_node[(v, lab)] = entry
-                exit_node[(v, lab)] = exit_
-                node_origin[entry] = (v, lab, "entry")
-                node_origin[exit_] = (v, lab, "exit")
-            for a, b in gadget.arcs:
-                tails.append(off + a)
-                heads.append(off + b)
+        label_count = np.bincount(slot_vertex, minlength=n)
+        vp_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(label_count, out=vp_ptr[1:])
+        rank = np.arange(len(keys), dtype=np.int64) - vp_ptr[slot_vertex]
 
-        internal_arcs = len(tails)
-        # Connector arcs: one per traversal direction of each edge.  A walk
-        # leaves the near vertex through the exit node of the near flag label
-        # and enters the far vertex at the entry node of the far flag label.
-        conn_arc_index = np.full((m, 2), -1, dtype=np.int64)
-        for eid, (u, v, lu, lv) in enumerate(graph.edges):
-            conn_arc_index[eid, 0] = len(tails)
-            tails.append(exit_node[(u, lu)])
-            heads.append(entry_node[(v, lv)])
-            if not graph.directed:
-                conn_arc_index[eid, 1] = len(tails)
-                tails.append(exit_node[(v, lv)])
-                heads.append(entry_node[(u, lu)])
+        # One gadget per distinct label count; vertex v's gadget occupies
+        # nodes off[v] .. off[v] + size - 1, vertices in id order.
+        gadgets = {k: build(k) for k in sorted(set(label_count.tolist())) if k}
+        gadget_size = np.zeros(int(label_count.max()) + 1 if n else 1, dtype=np.int64)
+        for k, gadget in gadgets.items():
+            gadget_size[k] = gadget.num_nodes
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(gadget_size[label_count], out=off[1:])
+        num_nodes = int(off[-1])
+
+        slot_entry = np.empty(len(keys), dtype=np.int64)
+        slot_exit = np.empty(len(keys), dtype=np.int64)
+        tail_blocks = []
+        head_blocks = []
+        slot_k = label_count[slot_vertex]
+        for k, gadget in gadgets.items():
+            at = slot_k == k
+            base = off[slot_vertex[at]]
+            slot_entry[at] = base + np.array(gadget.entry, dtype=np.int64)[rank[at]]
+            slot_exit[at] = base + np.array(gadget.exit, dtype=np.int64)[rank[at]]
+            if gadget.arcs:
+                template = np.array(gadget.arcs, dtype=np.int64)
+                bases = off[:-1][label_count == k][:, None]
+                tail_blocks.append((bases + template[:, 0]).ravel())
+                head_blocks.append((bases + template[:, 1]).ravel())
+        internal_arcs = sum(len(block) for block in tail_blocks)
+
+        # Connector arcs, one row per edge after all gadget arcs: a walk
+        # leaves the near vertex through the exit node of the near flag
+        # label and enters the far vertex at the entry node of the far flag
+        # label.  Column 0 runs u -> v, column 1 (undirected only) v -> u.
+        flag_slot = slot_of_flag.reshape(m, 2)
+        if graph.directed:
+            conn_tails = slot_exit[flag_slot[:, :1]]
+            conn_heads = slot_entry[flag_slot[:, 1:]]
+        else:
+            conn_tails = slot_exit[flag_slot]
+            conn_heads = slot_entry[flag_slot[:, ::-1]]
+        tails = np.concatenate(tail_blocks + [conn_tails.ravel()])
+        heads = np.concatenate(head_blocks + [conn_heads.ravel()])
 
         self.num_nodes = num_nodes
         self.num_arcs = len(tails)
-        self.entry_node = entry_node
-        self.exit_node = exit_node
-        self.node_origin = node_origin
-        indptr, indices, pos_of_arc = _kernels.build_csr(
-            num_nodes, np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
-        )
+        # Slots of vertex v are vp_ptr[v] .. vp_ptr[v + 1] - 1.
+        self.vp_ptr = vp_ptr
+        self.slot_label = slot_label
+        self.slot_entry = slot_entry
+        self.slot_exit = slot_exit
+        indptr, indices, pos_of_arc = _kernels.build_csr(num_nodes, tails, heads)
         self.indptr = indptr
         self.indices = indices
-        self._tail_of_pos = np.array(tails, dtype=np.int64)[np.argsort(pos_of_arc)]
+        self._tail_of_pos = np.repeat(
+            np.arange(num_nodes, dtype=np.int64), np.diff(indptr)
+        )
+        conn = pos_of_arc[internal_arcs:].reshape(conn_tails.shape)
         self.is_connector = np.zeros(self.num_arcs, dtype=np.uint8)
-        self.is_connector[pos_of_arc[internal_arcs:]] = 1
-        self.conn_pos = np.where(conn_arc_index >= 0, pos_of_arc[conn_arc_index], -1)
+        self.is_connector[conn] = 1
+        self.conn_pos = np.full((m, 2), -1, dtype=np.int64)
+        self.conn_pos[:, : conn.shape[1]] = conn
+        self._conn = self.conn_pos[:, : conn.shape[1]]  # the directions that exist
         # (edge, direction) owning each CSR position, -1 for gadget arcs
         self._pos_edge = np.full(self.num_arcs, -1, dtype=np.int64)
         self._pos_dir = np.full(self.num_arcs, -1, dtype=np.int64)
-        for eid in range(m):
-            for d in range(2):
-                pos = self.conn_pos[eid, d]
-                if pos >= 0:
-                    self._pos_edge[pos] = eid
-                    self._pos_dir[pos] = d
+        self._pos_edge[conn] = np.arange(m, dtype=np.int64)[:, None]
+        self._pos_dir[conn] = np.arange(conn.shape[1], dtype=np.int64)
         self._scc: Optional[np.ndarray] = None
 
     # -- helpers -------------------------------------------------------------
-
-    def _directions(self, eid: int):
-        return (0,) if self.graph.directed else (0, 1)
 
     def _oriented(self, eid: int, direction: int) -> ReachedEdge:
         u, v = self.graph.endpoints(eid)
@@ -131,6 +159,16 @@ class LabelSwitchDigraph:
         if direction == 0:
             return ReachedEdge(eid, u, v, lv)
         return ReachedEdge(eid, v, u, lu)
+
+    def _traversals(self, hit: np.ndarray) -> list[ReachedEdge]:
+        """``ReachedEdge``s of the connector arcs ``hit`` selects, in edge
+        order, then direction; ``hit`` is a mask over ``_conn``."""
+        eids, dirs = np.nonzero(hit)
+        oriented = self._oriented
+        return [oriented(e, d) for e, d in zip(eids.tolist(), dirs.tolist())]
+
+    def _slots(self, vid: int) -> slice:
+        return slice(int(self.vp_ptr[vid]), int(self.vp_ptr[vid + 1]))
 
     @property
     def scc(self) -> np.ndarray:
@@ -144,13 +182,8 @@ class LabelSwitchDigraph:
     def cycle_directions(self) -> list[ReachedEdge]:
         """Edge traversals that lie on some nonrepetitive closed walk."""
         comp = self.scc
-        out = []
-        for eid in range(self.graph.num_edges):
-            for d in self._directions(eid):
-                pos = self.conn_pos[eid, d]
-                if comp[self._tail_of_pos[pos]] == comp[self.indices[pos]]:
-                    out.append(self._oriented(eid, d))
-        return out
+        pos = self._conn
+        return self._traversals(comp[self._tail_of_pos[pos]] == comp[self.indices[pos]])
 
     def cycle_edge_ids(self) -> set[int]:
         return {edge.edge_id for edge in self.cycle_directions()}
@@ -163,38 +196,29 @@ class LabelSwitchDigraph:
         node of y share a strong component: the gadget supplies the entry
         -> exit hop and the component supplies the return path.
         """
-        vid = self.graph.vertex_id(vertex)
+        slots = self._slots(self.graph.vertex_id(vertex))
         comp = self.scc
-        labels = self.graph.vertex_label_ids(vid)
+        names = [self.graph.label_name(x) for x in self.slot_label[slots].tolist()]
+        enter = comp[self.slot_entry[slots]].tolist()
+        leave = comp[self.slot_exit[slots]].tolist()
         pairs: set[frozenset] = set()
-        for x in labels:
-            enter = self.entry_node[(vid, x)]
-            for y in labels:
-                if x == y:
-                    continue
-                if comp[enter] == comp[self.exit_node[(vid, y)]]:
-                    pairs.add(
-                        frozenset(
-                            (self.graph.label_name(x), self.graph.label_name(y))
-                        )
-                    )
+        for i, x in enumerate(names):
+            for j, y in enumerate(names):
+                if i != j and enter[i] == leave[j]:
+                    pairs.add(frozenset((x, y)))
         return pairs
 
     def reachable_from(self, vertex: Any, label: Any) -> "ReachResult":
         """Edges on nonrepetitive walks starting at ``vertex`` with first
         edge flag label ``label``; empty when no such incident edge exists."""
-        vid = self.graph.vertex_id(vertex)
+        slots = self._slots(self.graph.vertex_id(vertex))
         lid = self.graph.label_id(label)
-        start = self.exit_node.get((vid, lid)) if lid is not None else None
-        if start is None:
+        starts = () if lid is None else self.slot_exit[slots][self.slot_label[slots] == lid]
+        if not len(starts):
             return ReachResult(self, None, None, [])
+        start = int(starts[0])
         visited, parent = _kernels.reach_csr(self.indptr, self.indices, start)
-        edges = []
-        for eid in range(self.graph.num_edges):
-            for d in self._directions(eid):
-                pos = self.conn_pos[eid, d]
-                if visited[self._tail_of_pos[pos]]:
-                    edges.append(self._oriented(eid, d))
+        edges = self._traversals(visited[self._tail_of_pos[self._conn]] != 0)
         return ReachResult(self, start, parent, edges)
 
     def shortest_path(self, src: Any, dst: Any) -> Optional[list[ReachedEdge]]:
@@ -203,21 +227,14 @@ class LabelSwitchDigraph:
         t = self.graph.vertex_id(dst)
         if s == t:
             return []
-        sources = [
-            node for (v, _lab), node in self.exit_node.items() if v == s
-        ]
-        targets = [
-            node for (v, _lab), node in self.entry_node.items() if v == t
-        ]
-        if not sources or not targets:
+        sources = np.sort(self.slot_exit[self._slots(s)])
+        targets = np.sort(self.slot_entry[self._slots(t)])
+        if not len(sources) or not len(targets):
             return None
         dist, parent = _kernels.bfs01(
-            self.indptr,
-            self.indices,
-            self.is_connector,
-            np.array(sorted(sources), dtype=np.int64),
+            self.indptr, self.indices, self.is_connector, sources
         )
-        best = min(sorted(targets), key=lambda node: (int(dist[node]), node))
+        best = int(targets[np.argmin(dist[targets])])
         if dist[best] >= _kernels._UNREACHED:
             return None
         return self._walk_to_node(parent, best)
@@ -242,7 +259,6 @@ class ReachResult:
         self._start = start
         self._parent = parent
         self.edges = edges
-        self._by_key = {(e.edge_id, e.tail): e for e in edges}
 
     def __iter__(self):
         return iter(self.edges)

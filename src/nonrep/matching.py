@@ -2,12 +2,14 @@
 
 ``classify_edges`` splits the edges of a bipartite instance into those that
 appear in every perfect matching (mandatory), in none (forbidden), and the
-rest (optional).  When a perfect matching exists, forbidden edges are found
-by orienting matched edges left-to-right and unmatched edges right-to-left:
-an unmatched edge is usable iff its endpoints share a strongly connected
-component of that orientation.  Mandatory edges are detected by removing the
-edge and re-solving; instances here are small enough that the O(m) extra
-solves are irrelevant.
+rest (optional).  When a perfect matching exists, one strong-component pass
+decides every edge: orient matched edges left-to-right and unmatched edges
+right-to-left; an edge lies on an alternating cycle iff its endpoints share a
+strongly connected component of that orientation.  Such a matched edge can
+be swapped out (optional, else mandatory) and such an unmatched edge can be
+swapped in (optional, else forbidden).  Without a perfect matching the
+classification is relative to maximum matchings and found by re-solving per
+edge.
 """
 
 from __future__ import annotations
@@ -57,24 +59,45 @@ class EdgeClassification:
 
 
 def _kuhn(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
-    """Deterministic augmenting-path matching; left vertices in index order."""
-    adj = inst.adjacency
+    """Deterministic augmenting-path matching; left vertices in index order.
+
+    Each left vertex starts a depth-first search for an augmenting path that
+    tries its rights in edge order and shares one visited set of rights.  The
+    search keeps its path on explicit stacks, so path length is not bounded
+    by the recursion limit.
+    """
+    adj = [[r for r, _ in row] for row in inst.adjacency]
     mate_l = [-1] * inst.left_size
     mate_r = [-1] * inst.right_size
-
-    def try_augment(l: int, visited: set[int]) -> bool:
-        for r, _ in adj[l]:
-            if r in visited:
+    for root in range(inst.left_size):
+        visited: set[int] = set()
+        path_l = [root]  # lefts on the search path
+        path_r: list[int] = []  # path_r[i] is the right path_l[i] went to
+        cursor = [0]  # next adjacency index per path entry
+        while path_l:
+            row = adj[path_l[-1]]
+            i = cursor[-1]
+            while i < len(row) and row[i] in visited:
+                i += 1
+            if i == len(row):
+                # Dead end: back up to the previous left, which tries its
+                # next right.
+                path_l.pop()
+                cursor.pop()
+                if path_r:
+                    path_r.pop()
                 continue
+            r = row[i]
             visited.add(r)
-            if mate_r[r] == -1 or try_augment(mate_r[r], visited):
-                mate_l[l] = r
-                mate_r[r] = l
-                return True
-        return False
-
-    for l in range(inst.left_size):
-        try_augment(l, set())
+            cursor[-1] = i + 1
+            path_r.append(r)
+            if mate_r[r] == -1:
+                for l, rr in zip(path_l, path_r):
+                    mate_l[l] = rr
+                    mate_r[rr] = l
+                break
+            path_l.append(mate_r[r])
+            cursor.append(0)
     return mate_l, mate_r
 
 
@@ -94,52 +117,6 @@ def matching_size(inst: BipartiteInstance) -> int:
     return sum(1 for r in mate_l if r >= 0)
 
 
-def _scc(num: int, adj: list[list[int]]) -> list[int]:
-    """Tiny iterative Tarjan for the orientation graph."""
-    disc = [-1] * num
-    low = [0] * num
-    comp = [-1] * num
-    on_stack = [False] * num
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(num):
-        if disc[root] != -1:
-            continue
-        work = [(root, 0)]
-        disc[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, i = work[-1]
-            if i < len(adj[v]):
-                work[-1] = (v, i + 1)
-                w = adj[v][i]
-                if disc[w] == -1:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], disc[w])
-            else:
-                work.pop()
-                if low[v] == disc[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-    return comp
-
-
 def classify_edges(inst: BipartiteInstance) -> EdgeClassification:
     """Mandatory / forbidden / optional relative to perfect matchings.
 
@@ -155,26 +132,32 @@ def classify_edges(inst: BipartiteInstance) -> EdgeClassification:
 
     if perfect:
         # Orientation: matched l -> r, unmatched r -> l; nodes 0..L-1 then rights.
-        num = inst.left_size + inst.right_size
-        adj: list[list[int]] = [[] for _ in range(num)]
+        left = inst.left_size
+        tails = []
+        heads = []
         for l, r in inst.edges:
             if mate_l[l] == r:
-                adj[l].append(inst.left_size + r)
+                tails.append(l)
+                heads.append(left + r)
             else:
-                adj[inst.left_size + r].append(l)
-        comp = _scc(num, adj)
+                tails.append(left + r)
+                heads.append(l)
+        indptr, indices, _ = _kernels.build_csr(
+            left + inst.right_size,
+            np.array(tails, dtype=np.int64),
+            np.array(heads, dtype=np.int64),
+        )
+        comp = _kernels.scc_csr(indptr, indices).tolist()
         for idx, (l, r) in enumerate(inst.edges):
-            if mate_l[l] != r and comp[l] != comp[inst.left_size + r]:
-                labels[idx] = FORBIDDEN
-    else:
-        for idx, (l, r) in enumerate(inst.edges):
-            rest = tuple(
-                e for e in inst.edges if e != (l, r) and e[0] != l and e[1] != r
-            )
-            forced = BipartiteInstance(inst.left_size, inst.right_size, rest)
-            if matching_size(forced) + 1 < size:
-                labels[idx] = FORBIDDEN
+            if comp[l] != comp[left + r]:
+                labels[idx] = MANDATORY if mate_l[l] == r else FORBIDDEN
+        return EdgeClassification(tuple(labels), perfect)
 
+    for idx, (l, r) in enumerate(inst.edges):
+        rest = tuple(e for e in inst.edges if e != (l, r) and e[0] != l and e[1] != r)
+        forced = BipartiteInstance(inst.left_size, inst.right_size, rest)
+        if matching_size(forced) + 1 < size:
+            labels[idx] = FORBIDDEN
     for idx, (l, r) in enumerate(inst.edges):
         if mate_l[l] != r:
             continue

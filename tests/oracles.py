@@ -2,19 +2,35 @@
 
 Everything here favors obviousness over speed: explicit state graphs with
 networkx strong connectivity, exhaustive DFS enumeration, and subset search
-for matchings.  None of it shares code with the package's algorithms.  The
-Sudoku kernels at the end are the numpy-scalar versions the package's
-Python-int kernels replaced, kept as the reference those must equal.
+for matchings.  None of it shares code with the package's algorithms.
+
+The sections at the end are different: they keep earlier versions of package
+code as the reference its replacements must equal.  They are the numpy-scalar
+Sudoku and graph kernels, the per-vertex-dict expansion builder (which still
+uses the package's ``build_csr`` and gadget builders) and the recursive
+``classify_edges``.
 """
 
 from __future__ import annotations
 
 from random import Random
+from types import SimpleNamespace
+from typing import Any, Optional
 
 import networkx as nx
 import numpy as np
 
+from nonrep._kernels import build_csr
+from nonrep.engine import ReachedEdge
+from nonrep.gadget import build_dense_gadget, build_switch_gadget
 from nonrep.labeled_graph import FlagLabeledGraph
+from nonrep.matching import (
+    FORBIDDEN,
+    MANDATORY,
+    OPTIONAL,
+    BipartiteInstance,
+    EdgeClassification,
+)
 
 
 def _traversals(g: FlagLabeledGraph, vid: int):
@@ -527,3 +543,501 @@ def propagate_singles(box, values):
         if values[i] == 0:
             return 0
     return 1
+
+
+# ---------------------------------------------------------------------------
+# Graph kernels over numpy int64 scalars and the per-vertex-dict expansion
+# builder, kept verbatim from the version the list-based kernels and the
+# array-built ``nonrep.engine.LabelSwitchDigraph`` replaced.  The expansion
+# calls these kernels through ``_kernels`` below, so it runs wholly on the old
+# code; the equality tests compare CSR arrays, kernel outputs and query
+# answers of both.
+# ---------------------------------------------------------------------------
+
+_UNREACHED = np.int64(2**62)
+
+
+def scc_csr(indptr, indices):
+    """Strongly connected components; ids in reverse topological order."""
+    n = indptr.shape[0] - 1
+    disc = np.full(n, -1, np.int64)
+    low = np.zeros(n, np.int64)
+    comp = np.full(n, -1, np.int64)
+    on_stack = np.zeros(n, np.uint8)
+    stack = np.empty(n, np.int64)
+    dfs_v = np.empty(n + 1, np.int64)
+    dfs_e = np.empty(n + 1, np.int64)
+    sp = 0
+    counter = 0
+    ncomp = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        top = 0
+        dfs_v[0] = root
+        dfs_e[0] = indptr[root]
+        disc[root] = counter
+        low[root] = counter
+        counter += 1
+        stack[sp] = root
+        sp += 1
+        on_stack[root] = 1
+        while top >= 0:
+            v = dfs_v[top]
+            e = dfs_e[top]
+            if e < indptr[v + 1]:
+                dfs_e[top] = e + 1
+                w = indices[e]
+                if disc[w] == -1:
+                    disc[w] = counter
+                    low[w] = counter
+                    counter += 1
+                    stack[sp] = w
+                    sp += 1
+                    on_stack[w] = 1
+                    top += 1
+                    dfs_v[top] = w
+                    dfs_e[top] = indptr[w]
+                elif on_stack[w] and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                if low[v] == disc[v]:
+                    while True:
+                        w = stack[sp - 1]
+                        sp -= 1
+                        on_stack[w] = 0
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                top -= 1
+                if top >= 0 and low[v] < low[dfs_v[top]]:
+                    low[dfs_v[top]] = low[v]
+    return comp
+
+
+
+def reach_csr(indptr, indices, start):
+    """DFS reachability; returns (visited uint8, parent CSR arc position)."""
+    n = indptr.shape[0] - 1
+    visited = np.zeros(n, np.uint8)
+    parent_arc = np.full(n, -1, np.int64)
+    stack = np.empty(n, np.int64)
+    visited[start] = 1
+    stack[0] = start
+    top = 1
+    while top > 0:
+        top -= 1
+        v = stack[top]
+        for e in range(indptr[v], indptr[v + 1]):
+            w = indices[e]
+            if not visited[w]:
+                visited[w] = 1
+                parent_arc[w] = e
+                stack[top] = w
+                top += 1
+    return visited, parent_arc
+
+
+
+def bfs01(indptr, indices, unit, sources):
+    """0/1-weighted BFS (``unit[arc]`` is the arc cost, 0 or 1).
+
+    Returns (dist, parent CSR arc position); unreached nodes keep a distance
+    of 2**62.
+    """
+    n = indptr.shape[0] - 1
+    m = indices.shape[0]
+    dist = np.full(n, _UNREACHED, np.int64)
+    parent_arc = np.full(n, -1, np.int64)
+    size = 2 * (n + m) + 2
+    deque = np.empty(size, np.int64)
+    head = n + m + 1
+    tail = n + m + 1
+    for i in range(sources.shape[0]):
+        s = sources[i]
+        dist[s] = 0
+        deque[tail] = s
+        tail += 1
+    while head < tail:
+        v = deque[head]
+        head += 1
+        for e in range(indptr[v], indptr[v + 1]):
+            w = indices[e]
+            nd = dist[v] + unit[e]
+            if nd < dist[w]:
+                dist[w] = nd
+                parent_arc[w] = e
+                if unit[e] == 0:
+                    head -= 1
+                    deque[head] = w
+                else:
+                    deque[tail] = w
+                    tail += 1
+    return dist, parent_arc
+
+
+
+_kernels = SimpleNamespace(
+    build_csr=build_csr,
+    scc_csr=scc_csr,
+    reach_csr=reach_csr,
+    bfs01=bfs01,
+    _UNREACHED=_UNREACHED,
+)
+
+
+class LabelSwitchDigraph:
+    """The expanded digraph plus provenance maps back to the input graph.
+
+    Immutable after construction; all queries are read-only.
+    """
+
+    def __init__(self, graph: FlagLabeledGraph, dense: bool = False):
+        if graph.has_self_loops():
+            raise ValueError("self-loops are not supported by the expansion")
+        self.graph = graph
+        build = build_dense_gadget if dense else build_switch_gadget
+        n = graph.num_vertices
+        m = graph.num_edges
+
+        entry_node: dict[tuple[int, int], int] = {}
+        exit_node: dict[tuple[int, int], int] = {}
+        node_origin: list[tuple[int, Optional[int], str]] = []
+        tails: list[int] = []
+        heads: list[int] = []
+        self._vertex_label_count = [0] * n
+
+        num_nodes = 0
+        for v in range(n):
+            labels = graph.vertex_label_ids(v)
+            self._vertex_label_count[v] = len(labels)
+            if not labels:
+                continue
+            gadget = build(len(labels))
+            off = num_nodes
+            num_nodes += gadget.num_nodes
+            node_origin.extend((v, None, "internal") for _ in range(gadget.num_nodes))
+            for slot, lab in enumerate(labels):
+                entry = off + gadget.entry[slot]
+                exit_ = off + gadget.exit[slot]
+                entry_node[(v, lab)] = entry
+                exit_node[(v, lab)] = exit_
+                node_origin[entry] = (v, lab, "entry")
+                node_origin[exit_] = (v, lab, "exit")
+            for a, b in gadget.arcs:
+                tails.append(off + a)
+                heads.append(off + b)
+
+        internal_arcs = len(tails)
+        # Connector arcs: one per traversal direction of each edge.  A walk
+        # leaves the near vertex through the exit node of the near flag label
+        # and enters the far vertex at the entry node of the far flag label.
+        conn_arc_index = np.full((m, 2), -1, dtype=np.int64)
+        for eid, (u, v, lu, lv) in enumerate(graph.edges):
+            conn_arc_index[eid, 0] = len(tails)
+            tails.append(exit_node[(u, lu)])
+            heads.append(entry_node[(v, lv)])
+            if not graph.directed:
+                conn_arc_index[eid, 1] = len(tails)
+                tails.append(exit_node[(v, lv)])
+                heads.append(entry_node[(u, lu)])
+
+        self.num_nodes = num_nodes
+        self.num_arcs = len(tails)
+        self.entry_node = entry_node
+        self.exit_node = exit_node
+        self.node_origin = node_origin
+        indptr, indices, pos_of_arc = _kernels.build_csr(
+            num_nodes, np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
+        )
+        self.indptr = indptr
+        self.indices = indices
+        self._tail_of_pos = np.array(tails, dtype=np.int64)[np.argsort(pos_of_arc)]
+        self.is_connector = np.zeros(self.num_arcs, dtype=np.uint8)
+        self.is_connector[pos_of_arc[internal_arcs:]] = 1
+        self.conn_pos = np.where(conn_arc_index >= 0, pos_of_arc[conn_arc_index], -1)
+        # (edge, direction) owning each CSR position, -1 for gadget arcs
+        self._pos_edge = np.full(self.num_arcs, -1, dtype=np.int64)
+        self._pos_dir = np.full(self.num_arcs, -1, dtype=np.int64)
+        for eid in range(m):
+            for d in range(2):
+                pos = self.conn_pos[eid, d]
+                if pos >= 0:
+                    self._pos_edge[pos] = eid
+                    self._pos_dir[pos] = d
+        self._scc: Optional[np.ndarray] = None
+
+    # -- helpers -------------------------------------------------------------
+
+    def _directions(self, eid: int):
+        return (0,) if self.graph.directed else (0, 1)
+
+    def _oriented(self, eid: int, direction: int) -> ReachedEdge:
+        u, v = self.graph.endpoints(eid)
+        lu, lv = self.graph.edge_labels(eid)
+        if direction == 0:
+            return ReachedEdge(eid, u, v, lv)
+        return ReachedEdge(eid, v, u, lu)
+
+    @property
+    def scc(self) -> np.ndarray:
+        """Component id per node, in reverse topological order."""
+        if self._scc is None:
+            self._scc = _kernels.scc_csr(self.indptr, self.indices)
+        return self._scc
+
+    # -- queries --------------------------------------------------------------
+
+    def cycle_directions(self) -> list[ReachedEdge]:
+        """Edge traversals that lie on some nonrepetitive closed walk."""
+        comp = self.scc
+        out = []
+        for eid in range(self.graph.num_edges):
+            for d in self._directions(eid):
+                pos = self.conn_pos[eid, d]
+                if comp[self._tail_of_pos[pos]] == comp[self.indices[pos]]:
+                    out.append(self._oriented(eid, d))
+        return out
+
+    def cycle_edge_ids(self) -> set[int]:
+        return {edge.edge_id for edge in self.cycle_directions()}
+
+    def cycle_transit_pairs(self, vertex: Any) -> set[frozenset]:
+        """Label pairs {x, y} of consecutive edges some nonrepetitive closed
+        walk uses at this vertex (entering on one, leaving on the other).
+
+        The pair is realized exactly when the entry node of x and the exit
+        node of y share a strong component: the gadget supplies the entry
+        -> exit hop and the component supplies the return path.
+        """
+        vid = self.graph.vertex_id(vertex)
+        comp = self.scc
+        labels = self.graph.vertex_label_ids(vid)
+        pairs: set[frozenset] = set()
+        for x in labels:
+            enter = self.entry_node[(vid, x)]
+            for y in labels:
+                if x == y:
+                    continue
+                if comp[enter] == comp[self.exit_node[(vid, y)]]:
+                    pairs.add(
+                        frozenset(
+                            (self.graph.label_name(x), self.graph.label_name(y))
+                        )
+                    )
+        return pairs
+
+    def reachable_from(self, vertex: Any, label: Any) -> "ReachResult":
+        """Edges on nonrepetitive walks starting at ``vertex`` with first
+        edge flag label ``label``; empty when no such incident edge exists."""
+        vid = self.graph.vertex_id(vertex)
+        lid = self.graph.label_id(label)
+        start = self.exit_node.get((vid, lid)) if lid is not None else None
+        if start is None:
+            return ReachResult(self, None, None, [])
+        visited, parent = _kernels.reach_csr(self.indptr, self.indices, start)
+        edges = []
+        for eid in range(self.graph.num_edges):
+            for d in self._directions(eid):
+                pos = self.conn_pos[eid, d]
+                if visited[self._tail_of_pos[pos]]:
+                    edges.append(self._oriented(eid, d))
+        return ReachResult(self, start, parent, edges)
+
+    def shortest_path(self, src: Any, dst: Any) -> Optional[list[ReachedEdge]]:
+        """Minimum-edge-count nonrepetitive walk from src to dst, or None."""
+        s = self.graph.vertex_id(src)
+        t = self.graph.vertex_id(dst)
+        if s == t:
+            return []
+        sources = [
+            node for (v, _lab), node in self.exit_node.items() if v == s
+        ]
+        targets = [
+            node for (v, _lab), node in self.entry_node.items() if v == t
+        ]
+        if not sources or not targets:
+            return None
+        dist, parent = _kernels.bfs01(
+            self.indptr,
+            self.indices,
+            self.is_connector,
+            np.array(sorted(sources), dtype=np.int64),
+        )
+        best = min(sorted(targets), key=lambda node: (int(dist[node]), node))
+        if dist[best] >= _kernels._UNREACHED:
+            return None
+        return self._walk_to_node(parent, best)
+
+    def _walk_to_node(self, parent: np.ndarray, node: int) -> list[ReachedEdge]:
+        steps = []
+        while parent[node] != -1:
+            pos = parent[node]
+            eid = self._pos_edge[pos]
+            if eid != -1:
+                steps.append(self._oriented(int(eid), int(self._pos_dir[pos])))
+            node = int(self._tail_of_pos[pos])
+        steps.reverse()
+        return steps
+
+
+
+class ReachResult:
+    """Result of :meth:`LabelSwitchDigraph.reachable_from` plus witness walks."""
+
+    def __init__(self, expansion, start, parent, edges: list[ReachedEdge]):
+        self._expansion = expansion
+        self._start = start
+        self._parent = parent
+        self.edges = edges
+        self._by_key = {(e.edge_id, e.tail): e for e in edges}
+
+    def __iter__(self):
+        return iter(self.edges)
+
+    def __len__(self):
+        return len(self.edges)
+
+    def edge_ids(self) -> set[int]:
+        return {e.edge_id for e in self.edges}
+
+    def walk_to(self, reached: ReachedEdge) -> list[ReachedEdge]:
+        """A nonrepetitive walk from the start ending with ``reached``."""
+        if self._parent is None:
+            raise ValueError("empty reach result has no walks")
+        ex = self._expansion
+        direction = 0 if reached.tail == ex.graph.endpoints(reached.edge_id)[0] else 1
+        pos = ex.conn_pos[reached.edge_id, direction]
+        steps = ex._walk_to_node(self._parent, int(ex._tail_of_pos[pos]))
+        steps.append(reached)
+        return steps
+
+
+
+# ---------------------------------------------------------------------------
+# Bipartite matching and edge classification with a recursive Kuhn search,
+# O(m) re-solves for mandatory edges and a private Tarjan, kept verbatim from
+# the version ``nonrep.matching`` replaced.
+# ---------------------------------------------------------------------------
+
+
+def _kuhn(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
+    """Deterministic augmenting-path matching; left vertices in index order."""
+    adj = inst.adjacency
+    mate_l = [-1] * inst.left_size
+    mate_r = [-1] * inst.right_size
+
+    def try_augment(l: int, visited: set[int]) -> bool:
+        for r, _ in adj[l]:
+            if r in visited:
+                continue
+            visited.add(r)
+            if mate_r[r] == -1 or try_augment(mate_r[r], visited):
+                mate_l[l] = r
+                mate_r[r] = l
+                return True
+        return False
+
+    for l in range(inst.left_size):
+        try_augment(l, set())
+    return mate_l, mate_r
+
+
+
+def matching_size(inst: BipartiteInstance) -> int:
+    mate_l, _ = _kuhn(inst)
+    return sum(1 for r in mate_l if r >= 0)
+
+
+
+def _scc(num: int, adj: list[list[int]]) -> list[int]:
+    """Tiny iterative Tarjan for the orientation graph."""
+    disc = [-1] * num
+    low = [0] * num
+    comp = [-1] * num
+    on_stack = [False] * num
+    stack: list[int] = []
+    counter = 0
+    ncomp = 0
+    for root in range(num):
+        if disc[root] != -1:
+            continue
+        work = [(root, 0)]
+        disc[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, i = work[-1]
+            if i < len(adj[v]):
+                work[-1] = (v, i + 1)
+                w = adj[v][i]
+                if disc[w] == -1:
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], disc[w])
+            else:
+                work.pop()
+                if low[v] == disc[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+    return comp
+
+
+
+def classify_edges(inst: BipartiteInstance) -> EdgeClassification:
+    """Mandatory / forbidden / optional relative to perfect matchings.
+
+    Without a perfect matching the classification is made relative to
+    maximum matchings instead and the result is flagged ``perfect=False``.
+    """
+    if inst.left_size == 0 or inst.right_size == 0:
+        raise ValueError("empty instance")
+    mate_l, mate_r = _kuhn(inst)
+    size = sum(1 for r in mate_l if r >= 0)
+    perfect = size == inst.left_size == inst.right_size
+    labels = [OPTIONAL] * len(inst.edges)
+
+    if perfect:
+        # Orientation: matched l -> r, unmatched r -> l; nodes 0..L-1 then rights.
+        num = inst.left_size + inst.right_size
+        adj: list[list[int]] = [[] for _ in range(num)]
+        for l, r in inst.edges:
+            if mate_l[l] == r:
+                adj[l].append(inst.left_size + r)
+            else:
+                adj[inst.left_size + r].append(l)
+        comp = _scc(num, adj)
+        for idx, (l, r) in enumerate(inst.edges):
+            if mate_l[l] != r and comp[l] != comp[inst.left_size + r]:
+                labels[idx] = FORBIDDEN
+    else:
+        for idx, (l, r) in enumerate(inst.edges):
+            rest = tuple(
+                e for e in inst.edges if e != (l, r) and e[0] != l and e[1] != r
+            )
+            forced = BipartiteInstance(inst.left_size, inst.right_size, rest)
+            if matching_size(forced) + 1 < size:
+                labels[idx] = FORBIDDEN
+
+    for idx, (l, r) in enumerate(inst.edges):
+        if mate_l[l] != r:
+            continue
+        rest = tuple(e for i, e in enumerate(inst.edges) if i != idx)
+        if matching_size(BipartiteInstance(inst.left_size, inst.right_size, rest)) < size:
+            labels[idx] = MANDATORY
+    return EdgeClassification(tuple(labels), perfect)
+

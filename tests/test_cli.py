@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
+import oracles
 from nonrep.cli import run
+from nonrep.labeled_graph import parse_labeled_graph, serialize_labeled_graph
 
 TRIANGLE = "graph directed\nedge a b L1\nedge b c L2\nedge c a L3\n"
 
@@ -211,3 +214,37 @@ def test_help_texts_exist():
         with pytest.raises(SystemExit) as err:
             run(argv + ["--help"])
         assert err.value.code == 0
+
+
+def test_graph_walk_commands_print_what_the_replaced_engine_printed():
+    """``graph cycles|reach|shortest`` stdout and exit codes equal what the
+    per-vertex-dict expansion and one ``print`` per line gave."""
+
+    def lines(edges):
+        return "".join(
+            f"edge {e.edge_id}: {e.tail} -> {e.head} label {e.far_label}\n" for e in edges
+        )
+
+    rng = Random(2718)
+    for trial in range(12):
+        text = serialize_labeled_graph(
+            oracles.random_flag_graph(
+                rng, max_vertices=30, max_labels=5, flag_labeled=trial % 2 == 1, max_edges=90
+            )
+        )
+        g = parse_labeled_graph(text)
+        old = oracles.LabelSwitchDigraph(g)
+        names = [g.vertex_name(v) for v in range(g.num_vertices)]
+        assert _run(["graph", "cycles", "-"], stdin=text) == (
+            0, lines(old.cycle_directions()), ""
+        )
+        vertex = rng.choice(names)
+        label = g.label_name(rng.choice(g.vertex_label_ids(g.vertex_id(vertex))))
+        assert _run(["graph", "reach", "--start", vertex, "--label", label, "-"], stdin=text) == (
+            0, lines(old.reachable_from(vertex, label).edges), ""
+        )
+        for _ in range(3):
+            src, dst = rng.sample(names, 2)
+            path = old.shortest_path(src, dst)
+            want = (1, "", "no nonrepetitive path\n") if path is None else (0, lines(path), "")
+            assert _run(["graph", "shortest", "--from", src, "--to", dst, "-"], stdin=text) == want

@@ -12,6 +12,7 @@ from nonrep.engine import (
     reachable_edges,
     shortest_nonrepetitive_path,
 )
+import oracles
 from oracles import (
     oracle_cyclic_edges,
     oracle_reachable,
@@ -216,3 +217,75 @@ def test_no_reversal_random_matches_oracle():
         g = random_flag_graph(rng, directed=False)
         view = no_reversal_view(g)
         assert cyclic_edges(view) == oracle_cyclic_edges(view)
+
+
+def _varied_graph(rng: Random, trial: int) -> FlagLabeledGraph:
+    """Directed or undirected, edge or flag labels, parallel edges, isolated
+    vertices, and now and then a hub vertex meeting up to 70 labels."""
+    if trial == 0:
+        return FlagLabeledGraph(False, [])
+    if trial == 1:
+        return FlagLabeledGraph(True, [], vertices=["a", "b"])
+    directed = trial % 2 == 0
+    flag_labeled = trial % 4 >= 2
+    n = rng.randint(2, 12)
+    labels = [f"L{i}" for i in range(rng.choice((1, 2, 3, 8, 75)))]
+
+    def edge(u, v, label):
+        far = rng.choice(labels) if flag_labeled else label
+        return (f"v{u}", f"v{v}", label, far)
+
+    edges = []
+    if len(labels) == 75:
+        for label in rng.sample(labels, rng.randint(1, 70)):
+            other = rng.randrange(1, n)
+            edges.append(edge(0, other, label) if rng.random() < 0.5 else edge(other, 0, label))
+    for _ in range(rng.randint(1, 3 * n)):
+        if edges and rng.random() < 0.15:
+            edges.append(rng.choice(edges))  # a parallel edge
+            continue
+        u, v = rng.sample(range(n), 2)
+        edges.append(edge(u, v, rng.choice(labels)))
+    rng.shuffle(edges)
+    vertices = [f"v{i}" for i in range(n)] + [f"iso{i}" for i in range(rng.randint(0, 2))]
+    rng.shuffle(vertices)
+    return FlagLabeledGraph(directed, edges, vertices=vertices)
+
+
+def test_expansion_equals_per_vertex_dict_builder():
+    """The array-built expansion has the CSR, connector maps and answers of
+    the per-vertex-dict builder it replaced, witnesses included."""
+    rng = Random(4711)
+    hubs = 0
+    for trial in range(320):
+        g = _varied_graph(rng, trial)
+        hubs += any(len(g.vertex_label_ids(v)) > 20 for v in range(g.num_vertices))
+        dense = trial % 10 == 5
+        new = LabelSwitchDigraph(g, dense=dense)
+        old = oracles.LabelSwitchDigraph(g, dense=dense)
+        assert (new.num_nodes, new.num_arcs) == (old.num_nodes, old.num_arcs)
+        for name in ("indptr", "indices", "conn_pos", "is_connector", "_tail_of_pos"):
+            got, want = getattr(new, name), getattr(old, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert (got == want).all(), name
+        assert new.scc.tolist() == old.scc.tolist()
+        assert new.cycle_directions() == old.cycle_directions()
+        names = [g.vertex_name(v) for v in range(g.num_vertices)]
+        for vertex in names:
+            assert new.cycle_transit_pairs(vertex) == old.cycle_transit_pairs(vertex)
+        flags = _all_start_flags(g)
+        starts = rng.sample(flags, min(len(flags), 6))
+        if names:
+            starts.append((names[0], "no such label"))
+        for vertex, label in starts:
+            got = new.reachable_from(vertex, label)
+            want = old.reachable_from(vertex, label)
+            assert got.edges == want.edges
+            if want._parent is not None:
+                assert got._parent.tolist() == want._parent.tolist()
+                for hit in want.edges:
+                    assert got.walk_to(hit) == want.walk_to(hit)
+        for _ in range(8 if names else 0):
+            src, dst = rng.choice(names), rng.choice(names)
+            assert new.shortest_path(src, dst) == old.shortest_path(src, dst)
+    assert hubs >= 20

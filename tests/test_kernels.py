@@ -1,5 +1,6 @@
-"""Cross-checks of the jitted kernels against their pure-Python sources and
-against independent references (networkx strong components, brute force)."""
+"""Cross-checks of the kernels against independent references (networkx
+strong components, Dijkstra, brute force), against the numpy-scalar versions
+they replaced, and of the jitted matchers against their pure-Python sources."""
 
 from __future__ import annotations
 
@@ -74,8 +75,6 @@ def test_reach_matches_networkx():
         g.add_edges_from(zip(tails.tolist(), heads.tolist()))
         want = nx.descendants(g, start) | {start}
         assert {v for v in range(n) if visited[v]} == want
-        many = K.reach_many(indptr, indices, np.array([start], dtype=np.int64))
-        assert (many[0] == visited).all()
 
 
 def test_bfs01_matches_dijkstra():
@@ -281,16 +280,61 @@ def test_propagate_singles_detects_contradictions():
     assert K.propagate_singles(2, values2) == -1
 
 
+def test_graph_kernels_equal_numpy_reference():
+    """The list-based traversal kernels return the arrays, dtypes included,
+    of the numpy-scalar versions they replaced."""
+    rng = Random(91)
+    for trial in range(400):
+        n, tails, heads, indptr, indices = _random_csr(
+            rng, n_max=60 if trial % 4 else 8, m_max=160 if trial % 3 else 12
+        )
+        got = K.scc_csr(indptr, indices)
+        want = oracles.scc_csr(indptr, indices)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        for start in rng.sample(range(n), min(n, 3)):
+            for got, want in zip(
+                K.reach_csr(indptr, indices, start),
+                oracles.reach_csr(indptr, indices, start),
+            ):
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        unit = np.array([rng.randint(0, 1) for _ in range(len(indices))], np.uint8)
+        sources = np.array(
+            sorted({rng.randrange(n) for _ in range(rng.randint(1, 3))}), np.int64
+        )
+        for got, want in zip(
+            K.bfs01(indptr, indices, unit, sources),
+            oracles.bfs01(indptr, indices, unit, sources),
+        ):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 @pytest.mark.skipif(not K.USE_NUMBA, reason="pure mode: single implementation")
 def test_pure_and_jitted_kernels_agree():
     rng = Random(71)
     for _ in range(25):
-        n, tails, heads, indptr, indices = _random_csr(rng, n_max=15, m_max=40)
-        assert (K.scc_csr(indptr, indices) == K.scc_csr_py(indptr, indices)).all()
-        start = rng.randrange(n)
-        vis_a, par_a = K.reach_csr(indptr, indices, start)
-        vis_b, par_b = K.reach_csr_py(indptr, indices, start)
-        assert (vis_a == vis_b).all() and (par_a == par_b).all()
+        n = rng.randint(1, 12)
+        pool = [(u, v) for u in range(n) for v in range(n)]
+        rng.shuffle(pool)
+        edges = sorted(pool[: rng.randint(0, len(pool))])
+        indptr, indices, _ = K.build_csr(
+            n,
+            np.array([u for u, _ in edges], dtype=np.int64),
+            np.array([v for _, v in edges], dtype=np.int64),
+        )
+        for got, want in zip(
+            K.kuhn_bipartite(n, n, indptr, indices),
+            K.kuhn_bipartite_py(n, n, indptr, indices),
+        ):
+            assert (got == want).all()
+        sym_tails = [u for u, v in edges if u != v] + [v for u, v in edges if u != v]
+        sym_heads = [v for u, v in edges if u != v] + [u for u, v in edges if u != v]
+        g_ptr, g_idx, _ = K.build_csr(
+            n, np.array(sym_tails, dtype=np.int64), np.array(sym_heads, dtype=np.int64)
+        )
+        for require_perfect in (0, 1):
+            mate_a, perfect_a = K.blossom_matching(n, g_ptr, g_idx, require_perfect)
+            mate_b, perfect_b = K.blossom_matching_py(n, g_ptr, g_idx, require_perfect)
+            assert (mate_a == mate_b).all() and bool(perfect_a) == bool(perfect_b)
 
 
 def _random_partial_board(rng: Random, box: int) -> list[int]:

@@ -14,6 +14,7 @@ from nonrep.matching import (
     max_bipartite_matching,
     max_general_matching,
 )
+import oracles
 from oracles import brute_bipartite_max, brute_general_max, brute_perfect_matchings
 
 
@@ -148,3 +149,51 @@ def test_general_matching_random_matches_brute_force():
         assert len(used) == len(set(used))
         assert all(tuple(sorted(pair)) in set(edges) for pair in chosen)
         assert len(chosen) == brute_general_max(n, edges)
+
+
+def _chain(n):
+    """Left n-1 reaches only right 0, and left i (i < n-1) prefers right i
+    over right i+1, so the last augmentation walks a path through all n
+    lefts: deeper than the recursion limit for n = 3000."""
+    edges = []
+    for i in range(n - 1):
+        edges += [(i, i), (i, i + 1)]
+    edges.append((n - 1, 0))
+    return BipartiteInstance(n, n, tuple(edges))
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    n = 3000
+    inst = _chain(n)
+    assert matching_size(inst) == n
+    chosen = max_bipartite_matching(inst)
+    # The only perfect matching: left i to right i+1, and left n-1 to right 0.
+    want = {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0)}
+    assert {inst.edges[i] for i in chosen} == want
+    cls = classify_edges(inst)
+    assert cls.perfect
+    for idx, edge in enumerate(inst.edges):
+        assert cls.labels[idx] == (MANDATORY if edge in want else FORBIDDEN)
+
+
+def test_matching_and_classification_equal_recursive_reference():
+    """Same matching as the recursive Kuhn search, and the one-pass strong
+    component labels equal the re-solving classification."""
+    rng = Random(606)
+    perfect = 0
+    for trial in range(600):
+        nl = rng.randint(1, 7)
+        nr = nl if trial % 3 else rng.randint(1, 7)
+        pool = [(l, r) for l in range(nl) for r in range(nr)]
+        rng.shuffle(pool)
+        inst = BipartiteInstance(nl, nr, tuple(pool[: rng.randint(0, len(pool))]))
+        mate_l, _ = oracles._kuhn(inst)
+        want = tuple(
+            i for i, (l, r) in enumerate(inst.edges) if mate_l[l] == r
+        )
+        assert max_bipartite_matching(inst) == want
+        assert matching_size(inst) == oracles.matching_size(inst)
+        got = classify_edges(inst)
+        assert got == oracles.classify_edges(inst)
+        perfect += got.perfect
+    assert perfect > 150
