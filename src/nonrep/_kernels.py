@@ -1,52 +1,34 @@
-"""Hot kernels shared by the graph engine and the Sudoku generator.
+"""Hot kernels shared by the graph engine, the matching layer and the Sudoku
+generator.
+
+Every kernel is plain CPython, and none is jitted: it takes numpy arrays,
+converts them once with ``tolist()``, walks Python lists, and returns numpy
+arrays.  The Sudoku kernels take the grid as a list of ints and keep digit
+sets as Python-int bitmasks (bit d = digit d+1).
 
 Graphs are CSR (``indptr``/``indices`` int64 arrays); ``build_csr`` makes
 them with one stable sort, so arcs with equal tails keep their input order.
-
-The traversal kernels, ``scc_csr``, ``reach_csr`` and ``bfs01``, and the
-matching-viability kernel ``bipartite_forbidden`` are written for CPython and
-never jitted: they take numpy arrays, convert them once with ``tolist()``,
-walk Python lists, and return numpy arrays.  Their scan orders are fixed
-(arcs in CSR order, the DFS stack and the 0/1 deque disciplines documented
-on each), so component ids, parents and distances are deterministic.  The
-graph expansion that feeds them (``engine.LabelSwitchDigraph``) is built with
-array operations and one switch-gadget template per label count.
-
-The two matchers, ``kuhn_bipartite`` and ``blossom_matching``, are plain
-functions over numpy arrays.  When numba is importable and the
-``NONREP_NO_NUMBA`` environment variable is unset, they are compiled with
-``@njit``; otherwise the uncompiled Python versions run.  The uncompiled
-version of each stays reachable under a ``_py`` suffix so the two paths can
-be compared (see ``benchmarks/``).
-
-The Sudoku kernels, ``count_and_first`` and ``propagate_singles``, are
-written for CPython and never jitted: the grid is a list of ints and digit
-sets are Python-int bitmasks (bit d = digit d+1).
+Scan orders are fixed (arcs in CSR order, roots in index order, the stack,
+queue and deque disciplines documented on each kernel), so component ids,
+parents, distances and matchings are deterministic.  The graph expansion
+that feeds the traversal kernels (``engine.LabelSwitchDigraph``) is built
+with array operations and one switch-gadget template per label count.
 
 Box-size contract, B <= 7: a digit set of a B-box board takes B^2 bits, so
-B <= 7 keeps every mask within 49 bits of an int64, the bound any compiled
-counter over int64 masks has to respect.  Python ints do not overflow, but
-``count_solutions`` and ``solved_grid``, the entry points to the counter,
-refuse B > 7 all the same, so results never depend on which kind of kernel
-runs; an exhaustive search on a 64 x 64 grid would not finish anyway.
-Pure-Python board code (``Board``, the rules) is not bound by the cap.
+B <= 7 keeps every mask within 49 bits of an int64.  Python ints do not
+overflow, but ``count_solutions`` and ``solved_grid``, the entry points to
+the counter, refuse B > 7 all the same; an exhaustive search on a 64 x 64
+grid would not finish anyway.  Pure-Python board code (``Board``, the rules)
+is not bound by the cap.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is the optional "jit" extra
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and not os.environ.get("NONREP_NO_NUMBA")
+USE_NUMBA = False  # no kernel is jitted; the benchmark records this flag
 
 _UNREACHED = 2**62
 
@@ -217,72 +199,73 @@ def bfs01(indptr, indices, unit, sources):
 
 
 def kuhn_bipartite(num_left, num_right, indptr, indices):
-    """Maximum bipartite matching via BFS augmentation, left side in order.
+    """Maximum bipartite matching by depth-first augmentation.
 
-    ``indptr``/``indices`` is the left-to-right adjacency.  Returns
+    ``indptr``/``indices`` is the left-to-right adjacency.  Each left vertex,
+    in index order, searches for an augmenting path that tries rights in CSR
+    order and visits each right at most once.  The path lives on explicit
+    stacks, so its length is not bounded by the recursion limit.  Returns
     (mate_left, mate_right) with -1 for unmatched.
     """
-    mate_l = np.full(num_left, -1, np.int64)
-    mate_r = np.full(num_right, -1, np.int64)
-    prev_r = np.empty(num_right, np.int64)
-    queue = np.empty(num_left, np.int64)
-    in_queue = np.zeros(num_left, np.uint8)
-    for l0 in range(num_left):
-        if mate_l[l0] != -1:
-            continue
-        prev_r[:] = -1
-        in_queue[:] = 0
-        queue[0] = l0
-        in_queue[l0] = 1
-        qh = 0
-        qt = 1
-        found = np.int64(-1)
-        while qh < qt and found == -1:
-            l = queue[qh]
-            qh += 1
-            for e in range(indptr[l], indptr[l + 1]):
-                r = indices[e]
-                if prev_r[r] != -1:
-                    continue
-                prev_r[r] = l
-                nxt = mate_r[r]
-                if nxt == -1:
-                    found = r
-                    break
-                if not in_queue[nxt]:
-                    in_queue[nxt] = 1
-                    queue[qt] = nxt
-                    qt += 1
-        if found != -1:
-            r = found
-            while True:
-                l = prev_r[r]
-                old = mate_l[l]
-                mate_l[l] = r
-                mate_r[r] = l
-                if old == -1:
-                    break
-                r = old
-    return mate_l, mate_r
-
-
-def bipartite_forbidden(num_left, num_right, indptr, indices):
-    """Matching plus per-edge viability for square instances.
-
-    Returns (size, mate_l, mate_r, forbidden) where forbidden[pos] is 1 when
-    the CSR edge at ``pos`` lies in no perfect matching.  The flags are only
-    meaningful when size == num_left == num_right (a perfect matching); they
-    come from orienting matched edges left->right and unmatched edges
-    right->left and comparing strongly connected components.
-    """
-    mate_l, mate_r = kuhn_bipartite(num_left, num_right, indptr, indices)
-    mate = mate_l.tolist()
-    size = len(mate) - mate.count(-1)
-    forbidden = np.zeros(indices.shape[0], np.uint8)
-    if size != num_left or num_left != num_right:
-        return size, mate_l, mate_r, forbidden
     ip = indptr.tolist()
     ix = indices.tolist()
+    mate_l = [-1] * num_left
+    mate_r = [-1] * num_right
+    seen = [-1] * num_right  # seen[r] == root: the search from root visited r
+    for root in range(num_left):
+        path_l = [root]  # lefts on the search path
+        path_r = []  # path_r[i] is the right path_l[i] went to
+        resume = []  # resume[i] is the arc path_l[i] tries after path_r[i]
+        e = ip[root]
+        end = ip[root + 1]
+        while True:
+            while e < end:
+                r = ix[e]
+                e += 1
+                if seen[r] != root:
+                    break
+            else:
+                # Dead end: back up to the previous left, which tries its
+                # next right.
+                if not path_r:
+                    break
+                path_l.pop()
+                path_r.pop()
+                e = resume.pop()
+                end = ip[path_l[-1] + 1]
+                continue
+            seen[r] = root
+            path_r.append(r)
+            l = mate_r[r]
+            if l == -1:
+                for l, r in zip(path_l, path_r):
+                    mate_l[l] = r
+                    mate_r[r] = l
+                break
+            resume.append(e)
+            path_l.append(l)
+            e = ip[l]
+            end = ip[l + 1]
+    return np.array(mate_l, np.int64), np.array(mate_r, np.int64)
+
+
+def swappable_edges(num_left, num_right, indptr, indices, mate_l):
+    """Per CSR edge, 1 when some maximum matching contains it and some does not.
+
+    ``mate_l`` is a maximum matching of the left-to-right adjacency
+    ``indptr``/``indices``.  Orient matched edges left to right and the
+    others right to left, over nodes 0..L-1 (lefts) then L..L+R-1 (rights).
+    By the Dulmage-Mendelsohn decomposition an edge is swappable iff it lies
+    on an alternating cycle (its ends share a strong component) or on an
+    even alternating path from a free vertex (its left end is reached
+    against the orientation from a free left, or its right end along it
+    from a free right).  The other edges are in every maximum matching when
+    matched and in none when not.
+    """
+    ip = indptr.tolist()
+    ix = indices.tolist()
+    mate = mate_l.tolist()
+    n = num_left + num_right
     tails = []
     heads = []
     for l in range(num_left):
@@ -294,95 +277,121 @@ def bipartite_forbidden(num_left, num_right, indptr, indices):
             else:
                 tails.append(num_left + r)
                 heads.append(l)
-    o_indptr, o_indices, _ = build_csr(num_left + num_right, tails, heads)
+    o_indptr, o_indices, _ = build_csr(n, tails, heads)
     comp = scc_csr(o_indptr, o_indices).tolist()
+    free_left = [l for l in range(num_left) if mate[l] == -1]
+    matched = set(mate)
+    free_right = [num_left + r for r in range(num_right) if r not in matched]
+    from_left = _reached(n, heads, tails, free_left)  # against the orientation
+    from_right = _reached(n, tails, heads, free_right)
+    swap = [0] * len(ix)
     for l in range(num_left):
         for e in range(ip[l], ip[l + 1]):
-            r = ix[e]
-            if mate[l] != r and comp[l] != comp[num_left + r]:
+            r = num_left + ix[e]
+            if comp[l] == comp[r] or from_left[l] or from_right[r]:
+                swap[e] = 1
+    return np.array(swap, np.uint8)
+
+
+def _reached(n, tails, heads, sources):
+    """Flags of the nodes that arcs ``tails -> heads`` reach from ``sources``."""
+    if not sources:
+        return bytes(n)
+    # One extra root, node n, with an arc to every source.
+    indptr, indices, _ = build_csr(n + 1, tails + [n] * len(sources), heads + sources)
+    return reach_csr(indptr, indices, n)[0].tolist()
+
+
+def bipartite_forbidden(num_left, num_right, indptr, indices):
+    """Matching plus per-edge viability for square instances.
+
+    Returns (size, mate_l, mate_r, forbidden) where forbidden[pos] is 1 when
+    the CSR edge at ``pos`` lies in no perfect matching: it is unmatched and
+    not swappable (see ``swappable_edges``).  The flags are only computed
+    when size == num_left == num_right (a perfect matching) and are all 0
+    otherwise.
+    """
+    mate_l, mate_r = kuhn_bipartite(num_left, num_right, indptr, indices)
+    mate = mate_l.tolist()
+    size = num_left - mate.count(-1)
+    if size != num_left or num_left != num_right:
+        return size, mate_l, mate_r, np.zeros(indices.shape[0], np.uint8)
+    swap = swappable_edges(num_left, num_right, indptr, indices, mate_l).tolist()
+    ip = indptr.tolist()
+    ix = indices.tolist()
+    forbidden = [0] * len(ix)
+    for l in range(num_left):
+        for e in range(ip[l], ip[l + 1]):
+            if not swap[e] and ix[e] != mate[l]:
                 forbidden[e] = 1
-    return size, mate_l, mate_r, forbidden
+    return size, mate_l, mate_r, np.array(forbidden, np.uint8)
 
 
 def blossom_matching(n, indptr, indices, require_perfect):
-    """Maximum matching in a general graph (blossom contraction).
+    """Maximum matching in a general graph (Edmonds' blossom contraction).
 
+    A greedy pass first matches each exposed vertex, in index order, to its
+    first exposed neighbour in CSR order.  Then every vertex still exposed,
+    in index order, roots one breadth-first search for an augmenting path.
     Returns (mate, perfect).  With ``require_perfect`` set, the search stops
     as soon as some exposed vertex admits no augmenting path: such a vertex
     stays exposed in some maximum matching, so no perfect matching exists.
     """
-    mate = np.full(n, -1, np.int64)
+    ip = indptr.tolist()
+    ix = indices.tolist()
+    mate = [-1] * n
     for v in range(n):
         if mate[v] != -1:
             continue
-        for e in range(indptr[v], indptr[v + 1]):
-            u = indices[e]
+        for e in range(ip[v], ip[v + 1]):
+            u = ix[e]
             if u != v and mate[u] == -1:
                 mate[v] = u
                 mate[u] = v
                 break
-    p = np.empty(n, np.int64)
-    base = np.empty(n, np.int64)
-    queue = np.empty(n, np.int64)
-    used = np.zeros(n, np.uint8)
-    in_blossom = np.zeros(n, np.uint8)
-    lca_mark = np.zeros(n, np.uint8)
     for root in range(n):
         if mate[root] != -1:
             continue
-        used[:] = 0
-        p[:] = -1
-        for i in range(n):
-            base[i] = i
-        used[root] = 1
-        queue[0] = root
+        p = [-1] * n
+        base = list(range(n))
+        used = [False] * n
+        used[root] = True
+        queue = [root]
         qh = 0
-        qt = 1
-        finish = np.int64(-1)
-        while qh < qt and finish == -1:
+        finish = -1
+        while qh < len(queue) and finish == -1:
             v = queue[qh]
             qh += 1
-            for e in range(indptr[v], indptr[v + 1]):
-                to = indices[e]
+            for e in range(ip[v], ip[v + 1]):
+                to = ix[e]
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and p[mate[to]] != -1):
                     # Odd cycle: contract the blossom around the tree lca.
-                    lca_mark[:] = 0
+                    above = set()
                     a = base[v]
                     while True:
-                        lca_mark[a] = 1
+                        above.add(a)
                         if mate[a] == -1:
                             break
                         a = base[p[mate[a]]]
-                    b = base[to]
-                    while not lca_mark[b]:
-                        b = base[p[mate[b]]]
-                    curbase = b
-                    in_blossom[:] = 0
-                    x = v
-                    child = to
-                    while base[x] != curbase:
-                        in_blossom[base[x]] = 1
-                        in_blossom[base[mate[x]]] = 1
-                        p[x] = child
-                        child = mate[x]
-                        x = p[mate[x]]
-                    x = to
-                    child = v
-                    while base[x] != curbase:
-                        in_blossom[base[x]] = 1
-                        in_blossom[base[mate[x]]] = 1
-                        p[x] = child
-                        child = mate[x]
-                        x = p[mate[x]]
+                    lca = base[to]
+                    while lca not in above:
+                        lca = base[p[mate[lca]]]
+                    in_blossom = set()
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != lca:
+                            in_blossom.add(base[x])
+                            in_blossom.add(base[mate[x]])
+                            p[x] = child
+                            child = mate[x]
+                            x = p[child]
                     for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = curbase
+                        if base[i] in in_blossom:
+                            base[i] = lca
                             if not used[i]:
-                                used[i] = 1
-                                queue[qt] = i
-                                qt += 1
+                                used[i] = True
+                                queue.append(i)
                 elif p[to] == -1:
                     p[to] = v
                     if mate[to] == -1:
@@ -390,12 +399,11 @@ def blossom_matching(n, indptr, indices, require_perfect):
                         break
                     nxt = mate[to]
                     if not used[nxt]:
-                        used[nxt] = 1
-                        queue[qt] = nxt
-                        qt += 1
+                        used[nxt] = True
+                        queue.append(nxt)
         if finish == -1:
             if require_perfect:
-                return mate, np.uint8(0)
+                return np.array(mate, np.int64), False
         else:
             v = finish
             while v != -1:
@@ -404,12 +412,7 @@ def blossom_matching(n, indptr, indices, require_perfect):
                 mate[v] = pv
                 mate[pv] = v
                 v = nxt
-    perfect = np.uint8(1)
-    for v in range(n):
-        if mate[v] == -1:
-            perfect = np.uint8(0)
-    return mate, perfect
-
+    return np.array(mate, np.int64), -1 not in mate
 
 # ---------------------------------------------------------------------------
 # Sudoku kernels
@@ -601,26 +604,3 @@ def _fill_singles(geo, work, used):
                 changed = True
                 done = used[g] | ((bit << 1) - 1)
     return 0 if 0 in work else 1
-
-
-# ---------------------------------------------------------------------------
-# jit wiring
-# ---------------------------------------------------------------------------
-
-kuhn_bipartite_py = kuhn_bipartite
-blossom_matching_py = blossom_matching
-
-if USE_NUMBA:
-    _jit = numba.njit(cache=True)
-    kuhn_bipartite = _jit(kuhn_bipartite)
-    blossom_matching = _jit(blossom_matching)
-
-PURE_KERNELS = {
-    "kuhn_bipartite": kuhn_bipartite_py,
-    "blossom_matching": blossom_matching_py,
-}
-
-ACTIVE_KERNELS = {
-    "kuhn_bipartite": kuhn_bipartite,
-    "blossom_matching": blossom_matching,
-}

@@ -199,6 +199,8 @@ def _cmd_sudoku_grade(args) -> int:
 
 
 def _cmd_sudoku_stats(args) -> int:
+    if args.count < 1:
+        raise _CliError("--count must be positive")
     stats = batch_stats(args.count, args.seed, box=args.box, jobs=args.jobs)
     print(stats.to_text(), end="")
     return 0

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .. import _kernels
 from ..engine import LabelSwitchDigraph, ReachedEdge
 from ..labeled_graph import FlagLabeledGraph
@@ -232,21 +230,16 @@ def hidden_pairs(board: Board) -> list[Deduction]:
 
 def _forbidden_edges(num: int, adjacency: list[list[int]]):
     """(perfect, [(l, r) forbidden...]) for a square bipartite instance."""
-    indptr = np.zeros(num + 1, dtype=np.int64)
-    flat: list[int] = []
-    for l in range(num):
-        flat.extend(adjacency[l])
-        indptr[l + 1] = len(flat)
-    indices = np.array(flat, dtype=np.int64)
+    tails = [l for l in range(num) for _ in adjacency[l]]
+    heads = [r for row in adjacency for r in row]
+    # The tails are sorted, so edge i keeps CSR position i.
+    indptr, indices, _ = _kernels.build_csr(num, tails, heads)
     size, _, _, forbidden = _kernels.bipartite_forbidden(num, num, indptr, indices)
     if size != num:
         return False, []
-    bad = []
-    for l in range(num):
-        for pos in range(indptr[l], indptr[l + 1]):
-            if forbidden[pos]:
-                bad.append((l, int(indices[pos])))
-    return True, bad
+    return True, [
+        (tails[pos], heads[pos]) for pos, bad in enumerate(forbidden.tolist()) if bad
+    ]
 
 
 def digit_grid_matching(board: Board) -> list[Deduction]:

@@ -7,8 +7,8 @@ for matchings.  None of it shares code with the package's algorithms.
 The sections at the end are different: they keep earlier versions of package
 code as the reference its replacements must equal.  They are the numpy-scalar
 Sudoku and graph kernels, the per-vertex-dict expansion builder (which still
-uses the package's ``build_csr`` and gadget builders) and the recursive
-``classify_edges``.
+uses the package's ``build_csr`` and gadget builders), the recursive
+``classify_edges`` and the numpy-scalar matchers.
 """
 
 from __future__ import annotations
@@ -924,7 +924,10 @@ class ReachResult:
 
 def _kuhn(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
     """Deterministic augmenting-path matching; left vertices in index order."""
-    adj = inst.adjacency
+    # The body of the deleted ``BipartiteInstance.adjacency`` property.
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.left_size)]
+    for idx, (l, r) in enumerate(inst.edges):
+        adj[l].append((r, idx))
     mate_l = [-1] * inst.left_size
     mate_r = [-1] * inst.right_size
 
@@ -1041,3 +1044,207 @@ def classify_edges(inst: BipartiteInstance) -> EdgeClassification:
             labels[idx] = MANDATORY
     return EdgeClassification(tuple(labels), perfect)
 
+
+
+# ---------------------------------------------------------------------------
+# Matching kernels over numpy int64 scalars, kept verbatim from the version
+# the list-based kernels in ``nonrep._kernels`` replaced: the breadth-first
+# ``kuhn_bipartite``, the ``bipartite_forbidden`` built on it (here it runs on
+# the numpy-scalar ``scc_csr`` above, which gives the same component ids) and
+# ``blossom_matching``.
+# ---------------------------------------------------------------------------
+
+
+def kuhn_bipartite(num_left, num_right, indptr, indices):
+    """Maximum bipartite matching via BFS augmentation, left side in order.
+
+    ``indptr``/``indices`` is the left-to-right adjacency.  Returns
+    (mate_left, mate_right) with -1 for unmatched.
+    """
+    mate_l = np.full(num_left, -1, np.int64)
+    mate_r = np.full(num_right, -1, np.int64)
+    prev_r = np.empty(num_right, np.int64)
+    queue = np.empty(num_left, np.int64)
+    in_queue = np.zeros(num_left, np.uint8)
+    for l0 in range(num_left):
+        if mate_l[l0] != -1:
+            continue
+        prev_r[:] = -1
+        in_queue[:] = 0
+        queue[0] = l0
+        in_queue[l0] = 1
+        qh = 0
+        qt = 1
+        found = np.int64(-1)
+        while qh < qt and found == -1:
+            l = queue[qh]
+            qh += 1
+            for e in range(indptr[l], indptr[l + 1]):
+                r = indices[e]
+                if prev_r[r] != -1:
+                    continue
+                prev_r[r] = l
+                nxt = mate_r[r]
+                if nxt == -1:
+                    found = r
+                    break
+                if not in_queue[nxt]:
+                    in_queue[nxt] = 1
+                    queue[qt] = nxt
+                    qt += 1
+        if found != -1:
+            r = found
+            while True:
+                l = prev_r[r]
+                old = mate_l[l]
+                mate_l[l] = r
+                mate_r[r] = l
+                if old == -1:
+                    break
+                r = old
+    return mate_l, mate_r
+
+
+def bipartite_forbidden(num_left, num_right, indptr, indices):
+    """Matching plus per-edge viability for square instances.
+
+    Returns (size, mate_l, mate_r, forbidden) where forbidden[pos] is 1 when
+    the CSR edge at ``pos`` lies in no perfect matching.  The flags are only
+    meaningful when size == num_left == num_right (a perfect matching); they
+    come from orienting matched edges left->right and unmatched edges
+    right->left and comparing strongly connected components.
+    """
+    mate_l, mate_r = kuhn_bipartite(num_left, num_right, indptr, indices)
+    mate = mate_l.tolist()
+    size = len(mate) - mate.count(-1)
+    forbidden = np.zeros(indices.shape[0], np.uint8)
+    if size != num_left or num_left != num_right:
+        return size, mate_l, mate_r, forbidden
+    ip = indptr.tolist()
+    ix = indices.tolist()
+    tails = []
+    heads = []
+    for l in range(num_left):
+        for e in range(ip[l], ip[l + 1]):
+            r = ix[e]
+            if mate[l] == r:
+                tails.append(l)
+                heads.append(num_left + r)
+            else:
+                tails.append(num_left + r)
+                heads.append(l)
+    o_indptr, o_indices, _ = build_csr(num_left + num_right, tails, heads)
+    comp = scc_csr(o_indptr, o_indices).tolist()
+    for l in range(num_left):
+        for e in range(ip[l], ip[l + 1]):
+            r = ix[e]
+            if mate[l] != r and comp[l] != comp[num_left + r]:
+                forbidden[e] = 1
+    return size, mate_l, mate_r, forbidden
+
+
+def blossom_matching(n, indptr, indices, require_perfect):
+    """Maximum matching in a general graph (blossom contraction).
+
+    Returns (mate, perfect).  With ``require_perfect`` set, the search stops
+    as soon as some exposed vertex admits no augmenting path: such a vertex
+    stays exposed in some maximum matching, so no perfect matching exists.
+    """
+    mate = np.full(n, -1, np.int64)
+    for v in range(n):
+        if mate[v] != -1:
+            continue
+        for e in range(indptr[v], indptr[v + 1]):
+            u = indices[e]
+            if u != v and mate[u] == -1:
+                mate[v] = u
+                mate[u] = v
+                break
+    p = np.empty(n, np.int64)
+    base = np.empty(n, np.int64)
+    queue = np.empty(n, np.int64)
+    used = np.zeros(n, np.uint8)
+    in_blossom = np.zeros(n, np.uint8)
+    lca_mark = np.zeros(n, np.uint8)
+    for root in range(n):
+        if mate[root] != -1:
+            continue
+        used[:] = 0
+        p[:] = -1
+        for i in range(n):
+            base[i] = i
+        used[root] = 1
+        queue[0] = root
+        qh = 0
+        qt = 1
+        finish = np.int64(-1)
+        while qh < qt and finish == -1:
+            v = queue[qh]
+            qh += 1
+            for e in range(indptr[v], indptr[v + 1]):
+                to = indices[e]
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and p[mate[to]] != -1):
+                    # Odd cycle: contract the blossom around the tree lca.
+                    lca_mark[:] = 0
+                    a = base[v]
+                    while True:
+                        lca_mark[a] = 1
+                        if mate[a] == -1:
+                            break
+                        a = base[p[mate[a]]]
+                    b = base[to]
+                    while not lca_mark[b]:
+                        b = base[p[mate[b]]]
+                    curbase = b
+                    in_blossom[:] = 0
+                    x = v
+                    child = to
+                    while base[x] != curbase:
+                        in_blossom[base[x]] = 1
+                        in_blossom[base[mate[x]]] = 1
+                        p[x] = child
+                        child = mate[x]
+                        x = p[mate[x]]
+                    x = to
+                    child = v
+                    while base[x] != curbase:
+                        in_blossom[base[x]] = 1
+                        in_blossom[base[mate[x]]] = 1
+                        p[x] = child
+                        child = mate[x]
+                        x = p[mate[x]]
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = 1
+                                queue[qt] = i
+                                qt += 1
+                elif p[to] == -1:
+                    p[to] = v
+                    if mate[to] == -1:
+                        finish = to
+                        break
+                    nxt = mate[to]
+                    if not used[nxt]:
+                        used[nxt] = 1
+                        queue[qt] = nxt
+                        qt += 1
+        if finish == -1:
+            if require_perfect:
+                return mate, np.uint8(0)
+        else:
+            v = finish
+            while v != -1:
+                pv = p[v]
+                nxt = mate[pv]
+                mate[v] = pv
+                mate[pv] = v
+                v = nxt
+    perfect = np.uint8(1)
+    for v in range(n):
+        if mate[v] == -1:
+            perfect = np.uint8(0)
+    return mate, perfect

@@ -195,6 +195,14 @@ def test_sudoku_stats_text():
     assert "reference 4.4" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sudoku_stats_rejects_nonpositive_count(count):
+    code, out, err = _run(["sudoku", "stats", "--count", count])
+    assert code == 2
+    assert out == ""
+    assert err == "--count must be positive\n"
+
+
 def test_sudoku_fixture():
     code, out, _ = _run(["sudoku", "fixture", "--box", "2"])
     assert code == 0

@@ -1,6 +1,6 @@
 """Cross-checks of the kernels against independent references (networkx
-strong components, Dijkstra, brute force), against the numpy-scalar versions
-they replaced, and of the jitted matchers against their pure-Python sources."""
+strong components, Dijkstra, brute force) and against the numpy-scalar
+versions they replaced."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from random import Random
 
 import networkx as nx
 import numpy as np
-import pytest
 
 import nonrep._kernels as K
 import oracles
@@ -308,33 +307,53 @@ def test_graph_kernels_equal_numpy_reference():
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
-@pytest.mark.skipif(not K.USE_NUMBA, reason="pure mode: single implementation")
-def test_pure_and_jitted_kernels_agree():
-    rng = Random(71)
-    for _ in range(25):
-        n = rng.randint(1, 12)
-        pool = [(u, v) for u in range(n) for v in range(n)]
+def test_matchers_equal_numpy_reference():
+    """The list-based depth-first ``kuhn_bipartite`` finds the matching of the
+    recursive Kuhn search, ``bipartite_forbidden`` gives the size and flags of
+    its breadth-first numpy-scalar version, and ``blossom_matching`` the
+    mates and perfect flag of its numpy-scalar version."""
+    from nonrep.matching import BipartiteInstance
+
+    rng = Random(91)
+    perfect = 0
+    for trial in range(360):
+        nl = rng.randint(1, 8)
+        nr = nl if trial % 3 else rng.randint(1, 8)
+        pool = [(l, r) for l in range(nl) for r in range(nr)]
         rng.shuffle(pool)
-        edges = sorted(pool[: rng.randint(0, len(pool))])
+        edges = pool[: rng.randint(0, len(pool))]
         indptr, indices, _ = K.build_csr(
-            n,
-            np.array([u for u, _ in edges], dtype=np.int64),
-            np.array([v for _, v in edges], dtype=np.int64),
+            nl, [l for l, _ in edges], [r for _, r in edges]
         )
-        for got, want in zip(
-            K.kuhn_bipartite(n, n, indptr, indices),
-            K.kuhn_bipartite_py(n, n, indptr, indices),
-        ):
-            assert (got == want).all()
-        sym_tails = [u for u, v in edges if u != v] + [v for u, v in edges if u != v]
-        sym_heads = [v for u, v in edges if u != v] + [u for u, v in edges if u != v]
-        g_ptr, g_idx, _ = K.build_csr(
-            n, np.array(sym_tails, dtype=np.int64), np.array(sym_heads, dtype=np.int64)
+        mate_l, mate_r = K.kuhn_bipartite(nl, nr, indptr, indices)
+        want_l, want_r = oracles._kuhn(BipartiteInstance(nl, nr, tuple(edges)))
+        assert mate_l.tolist() == want_l and mate_r.tolist() == want_r
+        size, _, _, forbidden = K.bipartite_forbidden(nl, nr, indptr, indices)
+        want_size, _, _, want_forbidden = oracles.bipartite_forbidden(
+            nl, nr, indptr, indices
         )
+        assert size == want_size
+        assert forbidden.dtype == want_forbidden.dtype
+        assert forbidden.tolist() == want_forbidden.tolist()
+        perfect += size == nl == nr
+    assert perfect > 100
+
+    for _ in range(320):
+        n = rng.randint(1, 14)
+        tails, heads = [], []
+        for _ in range(rng.randint(0, 3 * n)):
+            # Loops and parallel arcs included.
+            u, v = rng.randrange(n), rng.randrange(n)
+            tails += (u, v)
+            heads += (v, u)
+        indptr, indices, _ = K.build_csr(n, tails, heads)
         for require_perfect in (0, 1):
-            mate_a, perfect_a = K.blossom_matching(n, g_ptr, g_idx, require_perfect)
-            mate_b, perfect_b = K.blossom_matching_py(n, g_ptr, g_idx, require_perfect)
-            assert (mate_a == mate_b).all() and bool(perfect_a) == bool(perfect_b)
+            mate, got_perfect = K.blossom_matching(n, indptr, indices, require_perfect)
+            want, want_perfect = oracles.blossom_matching(
+                n, indptr, indices, require_perfect
+            )
+            assert mate.dtype == want.dtype and mate.tolist() == want.tolist()
+            assert bool(got_perfect) == bool(want_perfect)
 
 
 def _random_partial_board(rng: Random, box: int) -> list[int]:

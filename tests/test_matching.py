@@ -151,15 +151,19 @@ def test_general_matching_random_matches_brute_force():
         assert len(chosen) == brute_general_max(n, edges)
 
 
-def _chain(n):
+def _chain(n, extra_left=False):
     """Left n-1 reaches only right 0, and left i (i < n-1) prefers right i
     over right i+1, so the last augmentation walks a path through all n
-    lefts: deeper than the recursion limit for n = 3000."""
+    lefts: deeper than the recursion limit for n = 3000.  ``extra_left``
+    adds left n, which also reaches only right 0: its search walks the same
+    path and fails, so no perfect matching exists."""
     edges = []
     for i in range(n - 1):
         edges += [(i, i), (i, i + 1)]
     edges.append((n - 1, 0))
-    return BipartiteInstance(n, n, tuple(edges))
+    if extra_left:
+        edges.append((n, 0))
+    return BipartiteInstance(n + extra_left, n, tuple(edges))
 
 
 def test_long_augmenting_path_needs_no_recursion():
@@ -174,6 +178,20 @@ def test_long_augmenting_path_needs_no_recursion():
     assert cls.perfect
     for idx, edge in enumerate(inst.edges):
         assert cls.labels[idx] == (MANDATORY if edge in want else FORBIDDEN)
+
+    inst = _chain(n, extra_left=True)
+    assert matching_size(inst) == n
+    chosen = max_bipartite_matching(inst)
+    assert {inst.edges[i] for i in chosen} == want
+    cls = classify_edges(inst)
+    assert not cls.perfect
+    # Every maximum matching leaves left n-1 or left n out and gives right 0
+    # to the other one, so the lefts i < n-1 keep right i+1.
+    for idx, edge in enumerate(inst.edges):
+        if edge[1] == 0 and edge[0] >= n - 1:
+            assert cls.labels[idx] == OPTIONAL
+        else:
+            assert cls.labels[idx] == (MANDATORY if edge in want else FORBIDDEN)
 
 
 def test_matching_and_classification_equal_recursive_reference():
