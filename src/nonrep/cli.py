@@ -173,6 +173,8 @@ def _cmd_sudoku_solve(args) -> int:
 
 
 def _cmd_sudoku_generate(args) -> int:
+    if args.count < 1:
+        raise _CliError("--count must be positive")
     for i in range(args.count):
         seed = args.seed + i
         report = generate(args.box, seed=seed, symmetric=not args.no_symmetric)

@@ -21,6 +21,14 @@ a group and a digit; a start cell *holding* the edge label pulls the label
 off its neighbor, whose other candidate labels the next edge.  Both cascades
 are exactly the nonrepetitive walks that the label-switch engine enumerates.
 
+Every rule takes a ``_BoardState``: the board plus what the rules derive from
+it, each piece computed on first use and at most once.  It holds the digit
+homes of every group, the bilocation graph with its label-switch expansion,
+the expansion of the bipartite bivalue graph, the start pairs of both graphs
+and one reach result per (expansion, start vertex, first label).  So the
+rules that run on one board state share these instead of rebuilding them.
+Rules never mutate the state, its board or anything it holds.
+
 ``solve`` applies one deduction of the cheapest firing rule per step and
 rescans from tier 0, so a trace is replayable and the difficulty tier
 reflects the hardest rule actually needed.
@@ -29,10 +37,12 @@ reflects the hardest rule actually needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from itertools import permutations
+from typing import Any, Optional
 
 from .. import _kernels
-from ..engine import LabelSwitchDigraph, ReachedEdge
+from ..engine import LabelSwitchDigraph, ReachedEdge, ReachResult
 from ..labeled_graph import FlagLabeledGraph
 from .board import (
     Board,
@@ -51,14 +61,95 @@ TIER_BILOCATION = 3
 TIER_BIVALUE = 4
 
 
+def _group_homes(board: Board) -> list[list[list[int]]]:
+    """``homes[g][d]``: the cells of group g that admit digit d, in group order."""
+    n, values, cand = board.n, board.values, board.cand
+    table = []
+    for cells in geometry(board.box).group_cells:
+        homes: list[list[int]] = [[] for _ in range(n + 1)]
+        for c in cells:
+            if values[c] == 0:
+                mask = cand[c]
+                while mask:
+                    low = mask & -mask
+                    homes[low.bit_length()].append(c)
+                    mask ^= low
+        table.append(homes)
+    return table
+
+
+def _bivalued_cells(board: Board) -> list[int]:
+    return [c for c in board.empty_cells() if board.candidate_count(c) == 2]
+
+
+class _BoardState:
+    """One board state and what the rules derive from it, built lazily."""
+
+    def __init__(self, board: Board):
+        self.board = board
+        self.geo = geometry(board.box)
+        self._reaches: dict[tuple, ReachResult] = {}
+
+    @cached_property
+    def homes(self) -> list[list[list[int]]]:
+        return _group_homes(self.board)
+
+    @cached_property
+    def bilocation(self) -> BilocationGraph:
+        return build_bilocation_graph(self.board)
+
+    @cached_property
+    def bilocation_starts(self) -> list[tuple[int, int]]:
+        """(cell, digit) at each end of a bilocation edge, sorted; empty when
+        the graph holds a contradiction."""
+        graph = self.bilocation.graph
+        if self.bilocation.contradiction:
+            return []
+        starts = set()
+        for eid in range(graph.num_edges):
+            d = graph.edge_labels(eid)[0]
+            for c in graph.endpoints(eid):
+                starts.add((c, d))
+        return sorted(starts)
+
+    @cached_property
+    def bilocation_expansion(self) -> LabelSwitchDigraph:
+        return LabelSwitchDigraph(self.bilocation.graph)
+
+    @cached_property
+    def bivalue_starts(self) -> list[tuple[int, int, int]]:
+        """(cell, d, e) for each bivalued cell with candidates {d, e}, both
+        ways round, in cell order.  Every bivalued cell carries edges of the
+        bipartite bivalue graph, so that graph is empty exactly when this
+        list is."""
+        board = self.board
+        return [
+            (c, d, e)
+            for c in _bivalued_cells(board)
+            for d, e in permutations(board.candidates(c))
+        ]
+
+    @cached_property
+    def bivalue_expansion(self) -> LabelSwitchDigraph:
+        return LabelSwitchDigraph(build_bivalue_graphs(self.board)[1].graph)
+
+    def reach(self, expansion: LabelSwitchDigraph, vertex: Any, label: Any) -> ReachResult:
+        """``expansion.reachable_from(vertex, label)``, computed once."""
+        key = (expansion, vertex, label)
+        found = self._reaches.get(key)
+        if found is None:
+            found = self._reaches[key] = expansion.reachable_from(vertex, label)
+        return found
+
+
 # ---------------------------------------------------------------------------
 # Local rules (tier 0 and 1)
 # ---------------------------------------------------------------------------
 
 
-def hidden_singles(board: Board) -> list[Deduction]:
+def hidden_singles(state: _BoardState) -> list[Deduction]:
     """A digit with a single remaining home in some group is placed there."""
-    geo = geometry(board.box)
+    board, geo = state.board, state.geo
     out = []
     seen = set()
     for g, cells in enumerate(geo.group_cells):
@@ -66,10 +157,11 @@ def hidden_singles(board: Board) -> list[Deduction]:
         for c in cells:
             if board.values[c]:
                 placed |= 1 << (board.values[c] - 1)
+        homes_of = state.homes[g]
         for d in range(1, board.n + 1):
             if placed >> (d - 1) & 1:
                 continue
-            homes = [c for c in cells if board.admits(c, d)]
+            homes = homes_of[d]
             if len(homes) == 1 and (homes[0], d) not in seen:
                 seen.add((homes[0], d))
                 out.append(
@@ -82,8 +174,9 @@ def hidden_singles(board: Board) -> list[Deduction]:
     return out
 
 
-def naked_singles(board: Board) -> list[Deduction]:
+def naked_singles(state: _BoardState) -> list[Deduction]:
     """A cell with a single candidate receives it."""
+    board = state.board
     out = []
     for cell in range(board.size):
         if board.values[cell] == 0 and board.candidate_count(cell) == 1:
@@ -104,11 +197,11 @@ def _line_box_pairs(board: Board):
                 yield line, bg, inter
 
 
-def intersection_triples(board: Board) -> list[Deduction]:
+def intersection_triples(state: _BoardState) -> list[Deduction]:
     """B digits confined, within a line or a box, to the B cells where the
     line meets the box must fill exactly those cells: other digits leave the
     intersection, and the confined digits leave the rest of both groups."""
-    geo = geometry(board.box)
+    board, geo = state.board, state.geo
     out = []
     for line, bg, inter in _line_box_pairs(board):
         free = [c for c in inter if board.values[c] == 0]
@@ -116,28 +209,20 @@ def intersection_triples(board: Board) -> list[Deduction]:
             continue
         free_set = set(free)
         for src, other in ((line, bg), (bg, line)):
-            cells = geo.group_cells[src]
-            confined = []
-            for d in range(1, board.n + 1):
-                homes = [c for c in cells if board.admits(c, d)]
-                if homes and all(c in free_set for c in homes):
-                    confined.append(d)
+            confined = [
+                d
+                for d, homes in enumerate(state.homes[src])
+                if homes and all(c in free_set for c in homes)
+            ]
             if len(confined) != len(free):
                 continue
-            elims = []
-            for c in free:
-                for d in board.candidates(c):
-                    if d not in confined:
-                        elims.append((c, d))
+            elims = [(c, d) for c in free for d in board.candidates(c) if d not in confined]
             # The confined digits are locked inside the intersection, so they
             # vacate the rest of the other containing group (the source group
             # holds no further homes for them by construction).
-            for c in geo.group_cells[other]:
-                if c in free_set or board.values[c]:
-                    continue
-                for d in confined:
-                    if board.admits(c, d):
-                        elims.append((c, d))
+            elims += [
+                (c, d) for d in confined for c in state.homes[other][d] if c not in free_set
+            ]
             if elims:
                 out.append(
                     Deduction(
@@ -150,15 +235,15 @@ def intersection_triples(board: Board) -> list[Deduction]:
     return out
 
 
-def box_line(board: Board) -> list[Deduction]:
+def box_line(state: _BoardState) -> list[Deduction]:
     """Digit homes of a box confined to one line clear the rest of the line,
     and homes of a line confined to one box clear the rest of the box."""
-    geo = geometry(board.box)
+    board, geo = state.board, state.geo
     n = board.n
     out = []
     for g, cells in enumerate(geo.group_cells):
         for d in range(1, n + 1):
-            homes = [c for c in cells if board.admits(c, d)]
+            homes = state.homes[g][d]
             if not homes:
                 continue
             if g < 2 * n:
@@ -176,11 +261,7 @@ def box_line(board: Board) -> list[Deduction]:
                     target = cols.pop()
                 else:
                     continue
-            elims = tuple(
-                (c, d)
-                for c in geo.group_cells[target]
-                if c not in cells and board.admits(c, d)
-            )
+            elims = tuple((c, d) for c in state.homes[target][d] if c not in cells)
             if elims:
                 out.append(
                     Deduction(
@@ -192,31 +273,24 @@ def box_line(board: Board) -> list[Deduction]:
     return out
 
 
-def hidden_pairs(board: Board) -> list[Deduction]:
+def hidden_pairs(state: _BoardState) -> list[Deduction]:
     """Two digits sharing the same two homes in a group own those cells."""
-    geo = geometry(board.box)
+    board, geo = state.board, state.geo
     out = []
-    for g, cells in enumerate(geo.group_cells):
-        homes_of: dict[int, tuple[int, ...]] = {}
-        for d in range(1, board.n + 1):
-            homes = tuple(c for c in cells if board.admits(c, d))
-            if len(homes) == 2:
-                homes_of[d] = homes
-        digits = sorted(homes_of)
+    for g, homes in enumerate(state.homes):
+        digits = [d for d in range(1, board.n + 1) if len(homes[d]) == 2]
         for i, x in enumerate(digits):
             for y in digits[i + 1 :]:
-                if homes_of[x] != homes_of[y]:
+                if homes[x] != homes[y]:
                     continue
-                elims = []
-                for c in homes_of[x]:
-                    for d in board.candidates(c):
-                        if d not in (x, y):
-                            elims.append((c, d))
+                elims = tuple(
+                    (c, d) for c in homes[x] for d in board.candidates(c) if d not in (x, y)
+                )
                 if elims:
                     out.append(
                         Deduction(
                             "hidden_pair",
-                            eliminations=tuple(elims),
+                            eliminations=elims,
                             witness=f"{geo.group_name(g)}[{x},{y}]",
                         )
                     )
@@ -242,9 +316,10 @@ def _forbidden_edges(num: int, adjacency: list[list[int]]):
     ]
 
 
-def digit_grid_matching(board: Board) -> list[Deduction]:
+def digit_grid_matching(state: _BoardState) -> list[Deduction]:
     """Per digit: cover every row and column with one copy, as a row/column
     matching; candidate cells on edges of no perfect matching are cleared."""
+    board = state.board
     n = board.n
     out = []
     for d in range(1, n + 1):
@@ -252,13 +327,12 @@ def digit_grid_matching(board: Board) -> list[Deduction]:
         if not rows:
             continue
         cols = [c for c in range(n) if all(board.values[r * n + c] != d for r in range(n))]
-        row_index = {r: i for i, r in enumerate(rows)}
         col_index = {c: i for i, c in enumerate(cols)}
-        adjacency: list[list[int]] = [[] for _ in rows]
-        for r in rows:
-            for c in cols:
-                if board.admits(r * n + c, d):
-                    adjacency[row_index[r]].append(col_index[c])
+        # Row group r lists its cells in column order.
+        adjacency = [
+            [col_index[c % n] for c in state.homes[r][d] if c % n in col_index]
+            for r in rows
+        ]
         perfect, bad = _forbidden_edges(len(rows), adjacency)
         if not perfect:
             out.append(
@@ -275,10 +349,10 @@ def digit_grid_matching(board: Board) -> list[Deduction]:
     return out
 
 
-def group_matching(board: Board) -> list[Deduction]:
+def group_matching(state: _BoardState) -> list[Deduction]:
     """Per group: complete it as a digit/cell matching; candidate placements
     on edges of no perfect matching are cleared."""
-    geo = geometry(board.box)
+    board, geo = state.board, state.geo
     out = []
     for g, cells in enumerate(geo.group_cells):
         free = [c for c in cells if board.values[c] == 0]
@@ -287,11 +361,7 @@ def group_matching(board: Board) -> list[Deduction]:
         placed = set(board.values[c] for c in cells if board.values[c])
         digits = [d for d in range(1, board.n + 1) if d not in placed]
         cell_index = {c: i for i, c in enumerate(free)}
-        adjacency: list[list[int]] = [[] for _ in digits]
-        for i, d in enumerate(digits):
-            for c in free:
-                if board.admits(c, d):
-                    adjacency[i].append(cell_index[c])
+        adjacency = [[cell_index[c] for c in state.homes[g][d]] for d in digits]
         perfect, bad = _forbidden_edges(len(digits), adjacency)
         if not perfect:
             out.append(
@@ -355,13 +425,11 @@ def build_bilocation_graph(board: Board) -> BilocationGraph:
     seen: set[tuple[int, int, int]] = set()
     pair_digits: dict[tuple[int, int], list[int]] = {}
     contradiction = None
-    for g, cells in enumerate(geo.group_cells):
+    for cells, homes_of in zip(geo.group_cells, _group_homes(board)):
         placed = set(board.values[c] for c in cells if board.values[c])
         for d in range(1, board.n + 1):
-            if d in placed:
-                continue
-            homes = [c for c in cells if board.admits(c, d)]
-            if len(homes) != 2:
+            homes = homes_of[d]
+            if d in placed or len(homes) != 2:
                 continue
             key = (homes[0], homes[1], d)
             if key in seen:
@@ -382,7 +450,7 @@ def build_bilocation_graph(board: Board) -> BilocationGraph:
 
 def build_bivalue_graphs(board: Board) -> tuple[BivalueGraph, BipartiteBivalueGraph]:
     geo = geometry(board.box)
-    bivalued = [c for c in board.empty_cells() if board.candidate_count(c) == 2]
+    bivalued = _bivalued_cells(board)
     biv_set = set(bivalued)
     edges: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
@@ -423,39 +491,37 @@ def build_bivalue_graphs(board: Board) -> tuple[BivalueGraph, BipartiteBivalueGr
 # ---------------------------------------------------------------------------
 
 
-def _walk_summary(box: int, steps: list[ReachedEdge], bipartite: bool) -> str:
+def _walk_summary(box: int, steps: list[ReachedEdge]) -> str:
     def name(v):
         if isinstance(v, int):
             return cell_name(box, v)
         g, d = v
         return f"g{g}d{d}"
 
-    if not steps:
-        return ""
     parts = [name(steps[0].tail)]
     for s in steps:
-        label = s.far_label[1] if bipartite and isinstance(s.far_label, tuple) else s.far_label
+        # A bipartite bivalue flag is ("d", digit) or ("c", cell).
+        label = s.far_label[1] if isinstance(s.far_label, tuple) else s.far_label
         parts.append(f"{label}>{name(s.head)}")
     return "-".join(str(p) for p in parts)
 
 
-def bilocation_cycle_rule(board: Board) -> list[Deduction]:
+def bilocation_cycle_rule(state: _BoardState) -> list[Deduction]:
     """Each nonrepetitive bilocation cycle through a cell restricts the cell
     to the two labels the cycle uses there; the cell's value must lie in the
     intersection of those label pairs over all cycles, and an empty
     intersection is a contradiction."""
-    bl = build_bilocation_graph(board)
+    bl = state.bilocation
     if bl.contradiction:
         return [
             Deduction("biloc_cycle", contradiction=True, reason=bl.contradiction.reason)
         ]
     if bl.graph.num_edges == 0:
         return []
-    expansion = LabelSwitchDigraph(bl.graph)
+    board = state.board
+    expansion = state.bilocation_expansion
     out = []
-    for cell in sorted(board.empty_cells()):
-        if not bl.graph.has_vertex(cell):
-            continue
+    for cell in board.empty_cells():
         pairs = expansion.cycle_transit_pairs(cell)
         if not pairs:
             continue
@@ -482,15 +548,14 @@ def bilocation_cycle_rule(board: Board) -> list[Deduction]:
     return out
 
 
-def bivalue_cycle_rule(board: Board) -> list[Deduction]:
+def bivalue_cycle_rule(state: _BoardState) -> list[Deduction]:
     """A bivalue cycle through a (group, digit) vertex confines that digit to
     the two member cells the cycle transits; intersecting over all cycles
     leaves the digit's only possible homes in the group."""
-    _, bb = build_bivalue_graphs(board)
-    if bb.graph.num_edges == 0:
+    if not state.bivalue_starts:
         return []
-    geo = geometry(board.box)
-    expansion = LabelSwitchDigraph(bb.graph)
+    board, geo = state.board, state.geo
+    expansion = state.bivalue_expansion
     out = []
     for g in range(len(geo.group_cells)):
         for d in range(1, board.n + 1):
@@ -514,11 +579,7 @@ def bivalue_cycle_rule(board: Board) -> list[Deduction]:
                     )
                 )
                 continue
-            elims = tuple(
-                (c, d)
-                for c in geo.group_cells[g]
-                if c not in cells and board.admits(c, d)
-            )
+            elims = tuple((c, d) for c in state.homes[g][d] if c not in cells)
             if elims:
                 out.append(
                     Deduction("bivalue_cycle", eliminations=elims, witness=witness)
@@ -526,101 +587,74 @@ def bivalue_cycle_rule(board: Board) -> list[Deduction]:
     return out
 
 
-def _bilocation_starts(board: Board, bl: BilocationGraph):
-    starts: dict[int, set[int]] = {}
-    for eid in range(bl.graph.num_edges):
-        c1, c2 = bl.graph.endpoints(eid)
-        d = bl.graph.edge_labels(eid)[0]
-        starts.setdefault(c1, set()).add(d)
-        starts.setdefault(c2, set()).add(d)
-    return starts
-
-
-def bilocation_repeat_rule(board: Board) -> list[Deduction]:
+def bilocation_repeat_rule(state: _BoardState) -> list[Deduction]:
     """A nonrepetitive bilocation walk that starts and ends at the same cell
     with the same label forces that label into the cell."""
-    bl = build_bilocation_graph(board)
-    if bl.contradiction or bl.graph.num_edges == 0:
-        return []
-    expansion = LabelSwitchDigraph(bl.graph)
     out = []
-    for cell, digits in sorted(_bilocation_starts(board, bl).items()):
-        if board.values[cell]:
-            continue
-        for d in sorted(digits):
-            reach = expansion.reachable_from(cell, d)
-            for re in reach.edges:
-                if re.head == cell and re.far_label == d:
-                    walk = reach.walk_to(re)
-                    out.append(
-                        Deduction(
-                            "biloc_repeat",
-                            placements=((cell, d),),
-                            witness=_walk_summary(board.box, walk, False),
-                        )
+    for cell, d in state.bilocation_starts:
+        reach = state.reach(state.bilocation_expansion, cell, d)
+        for re in reach.edges:
+            if re.head == cell and re.far_label == d:
+                walk = reach.walk_to(re)
+                out.append(
+                    Deduction(
+                        "biloc_repeat",
+                        placements=((cell, d),),
+                        witness=_walk_summary(state.board.box, walk),
                     )
-                    break
+                )
+                break
     return out
 
 
-def bivalue_repeat_rule(board: Board) -> list[Deduction]:
+def bivalue_repeat_rule(state: _BoardState) -> list[Deduction]:
     """A bivalue forcing chain from (cell, d) back to the cell ending on d
     rules d out there, placing the cell's other candidate."""
-    _, bb = build_bivalue_graphs(board)
-    if bb.graph.num_edges == 0:
-        return []
-    expansion = LabelSwitchDigraph(bb.graph)
     out = []
-    for cell in sorted(
-        c for c in board.empty_cells() if board.candidate_count(c) == 2
-    ):
-        for d in board.candidates(cell):
-            if not bb.graph.has_vertex(cell):
-                continue
-            reach = expansion.reachable_from(cell, ("d", d))
-            for re in reach.edges:
-                if re.head == cell and re.far_label == ("d", d):
-                    other = next(x for x in board.candidates(cell) if x != d)
-                    walk = reach.walk_to(re)
-                    out.append(
-                        Deduction(
-                            "bivalue_repeat",
-                            placements=((cell, other),),
-                            witness=_walk_summary(board.box, walk, True),
-                        )
+    for cell, d, other in state.bivalue_starts:
+        reach = state.reach(state.bivalue_expansion, cell, ("d", d))
+        for re in reach.edges:
+            if re.head == cell and re.far_label == ("d", d):
+                walk = reach.walk_to(re)
+                out.append(
+                    Deduction(
+                        "bivalue_repeat",
+                        placements=((cell, other),),
+                        witness=_walk_summary(state.board.box, walk),
                     )
-                    break
+                )
+                break
     return out
 
 
-def _forced_by_bilocation(board, expansion, cell, digit):
+def _forced_by_bilocation(state: _BoardState, cell, digit):
     """(cell, digit) pairs forced when ``cell`` does not hold ``digit``:
     far endpoints of reachable edges take their far labels."""
-    reach = expansion.reachable_from(cell, digit)
+    reach = state.reach(state.bilocation_expansion, cell, digit)
     forced: dict[tuple[int, int], ReachedEdge] = {}
     for re in reach.edges:
         forced.setdefault((re.head, re.far_label), re)
     return reach, forced
 
 
-def _forced_by_bivalue(board, expansion, cell, digit):
+def _forced_by_bivalue(state: _BoardState, cell, digit):
     """(cell, digit) pairs forced when ``cell`` holds ``digit``: the far cell
-    of a reached edge loses the far label, keeping its other candidate."""
-    reach = expansion.reachable_from(cell, ("d", digit))
+    of a reached edge loses the far label, keeping its other candidate (far
+    cells are bivalued, so there is exactly one)."""
+    reach = state.reach(state.bivalue_expansion, cell, ("d", digit))
     forced: dict[tuple[int, int], ReachedEdge] = {}
     for re in reach.edges:
         if not isinstance(re.head, int):
             continue
         label = re.far_label[1]
-        others = [x for x in board.candidates(re.head) if x != label]
-        if len(others) != 1:
-            continue
-        forced.setdefault((re.head, others[0]), re)
+        other = next(x for x in state.board.candidates(re.head) if x != label)
+        forced.setdefault((re.head, other), re)
     return reach, forced
 
 
 def _find_conflict(geo, forced_a: dict, forced_b: Optional[dict] = None):
-    """First pair of distinct same-group cells forced to one digit.
+    """The reached edges of the first pair of distinct same-group cells
+    forced to one digit, or None.
 
     With ``forced_b`` the pair must straddle the two maps (cross conflicts
     only); within-map conflicts belong to the pure rules.
@@ -634,65 +668,43 @@ def _find_conflict(geo, forced_a: dict, forced_b: Optional[dict] = None):
         for g in geo.groups_of_cell[cell]:
             hit = first.get((digit, g))
             if hit is not None and hit[0] != cell:
-                return hit[1], re, digit, g
+                return hit[1], re
     return None
 
 
-def bilocation_conflict_rule(board: Board) -> list[Deduction]:
+def _conflict_witness(box: int, reach_a, re_a, reach_b, re_b) -> str:
+    """The two conflicting forcing chains, joined by ``|``."""
+    return (
+        _walk_summary(box, reach_a.walk_to(re_a))
+        + "|"
+        + _walk_summary(box, reach_b.walk_to(re_b))
+    )
+
+
+def bilocation_conflict_rule(state: _BoardState) -> list[Deduction]:
     """Two forcing chains from (cell, d) that push one digit onto two cells
     of a group cannot both hold, so the cell must hold d."""
-    bl = build_bilocation_graph(board)
-    if bl.contradiction or bl.graph.num_edges == 0:
-        return []
-    geo = geometry(board.box)
-    expansion = LabelSwitchDigraph(bl.graph)
     out = []
-    for cell, digits in sorted(_bilocation_starts(board, bl).items()):
-        if board.values[cell]:
-            continue
-        for d in sorted(digits):
-            reach, forced = _forced_by_bilocation(board, expansion, cell, d)
-            hit = _find_conflict(geo, forced)
-            if hit is None:
-                continue
-            re_a, re_b, digit, g = hit
-            witness = (
-                _walk_summary(board.box, reach.walk_to(re_a), False)
-                + "|"
-                + _walk_summary(board.box, reach.walk_to(re_b), False)
-            )
+    for cell, d in state.bilocation_starts:
+        reach, forced = _forced_by_bilocation(state, cell, d)
+        hit = _find_conflict(state.geo, forced)
+        if hit is not None:
+            witness = _conflict_witness(state.board.box, reach, hit[0], reach, hit[1])
             out.append(
                 Deduction("biloc_conflict", placements=((cell, d),), witness=witness)
             )
     return out
 
 
-def bivalue_conflict_rule(board: Board) -> list[Deduction]:
+def bivalue_conflict_rule(state: _BoardState) -> list[Deduction]:
     """Two bivalue chains from (cell, d) forcing one digit onto two cells of
     a group refute the start assumption; the cell takes its other candidate."""
-    _, bb = build_bivalue_graphs(board)
-    if bb.graph.num_edges == 0:
-        return []
-    geo = geometry(board.box)
-    expansion = LabelSwitchDigraph(bb.graph)
     out = []
-    for cell in sorted(
-        c for c in board.empty_cells() if board.candidate_count(c) == 2
-    ):
-        if not bb.graph.has_vertex(cell):
-            continue
-        for d in board.candidates(cell):
-            reach, forced = _forced_by_bivalue(board, expansion, cell, d)
-            hit = _find_conflict(geo, forced)
-            if hit is None:
-                continue
-            re_a, re_b, digit, g = hit
-            other = next(x for x in board.candidates(cell) if x != d)
-            witness = (
-                _walk_summary(board.box, reach.walk_to(re_a), True)
-                + "|"
-                + _walk_summary(board.box, reach.walk_to(re_b), True)
-            )
+    for cell, d, other in state.bivalue_starts:
+        reach, forced = _forced_by_bivalue(state, cell, d)
+        hit = _find_conflict(state.geo, forced)
+        if hit is not None:
+            witness = _conflict_witness(state.board.box, reach, hit[0], reach, hit[1])
             out.append(
                 Deduction(
                     "bivalue_conflict", placements=((cell, other),), witness=witness
@@ -701,40 +713,23 @@ def bivalue_conflict_rule(board: Board) -> list[Deduction]:
     return out
 
 
-def mixed_conflict_rule(board: Board) -> list[Deduction]:
+def mixed_conflict_rule(state: _BoardState) -> list[Deduction]:
     """For a bivalued cell with candidates {d, e}, the assumption "not d"
     drives bilocation chains from (cell, d) and bivalue chains from
     (cell, e) simultaneously; a cross conflict places d."""
-    bl = build_bilocation_graph(board)
-    if bl.contradiction:
+    if not state.bilocation_starts:
         return []
-    _, bb = build_bivalue_graphs(board)
-    if bl.graph.num_edges == 0 or bb.graph.num_edges == 0:
-        return []
-    geo = geometry(board.box)
-    ex_bl = LabelSwitchDigraph(bl.graph)
-    ex_bb = LabelSwitchDigraph(bb.graph)
     out = []
-    for cell in sorted(
-        c for c in board.empty_cells() if board.candidate_count(c) == 2
-    ):
-        for d in board.candidates(cell):
-            e = next(x for x in board.candidates(cell) if x != d)
-            reach_bl, forced_bl = _forced_by_bilocation(board, ex_bl, cell, d)
-            if not forced_bl:
-                continue
-            reach_bb, forced_bb = _forced_by_bivalue(board, ex_bb, cell, e)
-            if not forced_bb:
-                continue
-            hit = _find_conflict(geo, forced_bl, forced_bb)
-            if hit is None:
-                continue
-            re_a, re_b, digit, g = hit
-            witness = (
-                _walk_summary(board.box, reach_bl.walk_to(re_a), False)
-                + "|"
-                + _walk_summary(board.box, reach_bb.walk_to(re_b), True)
-            )
+    for cell, d, e in state.bivalue_starts:
+        reach_bl, forced_bl = _forced_by_bilocation(state, cell, d)
+        if not forced_bl:
+            continue
+        reach_bb, forced_bb = _forced_by_bivalue(state, cell, e)
+        if not forced_bb:
+            continue
+        hit = _find_conflict(state.geo, forced_bl, forced_bb)
+        if hit is not None:
+            witness = _conflict_witness(state.board.box, reach_bl, hit[0], reach_bb, hit[1])
             out.append(
                 Deduction("mixed_conflict", placements=((cell, d),), witness=witness)
             )
@@ -788,7 +783,7 @@ def rule_deductions(board: Board, rule: str) -> list[Deduction]:
         fn = _RULE_FUNCTIONS[rule]
     except KeyError:
         raise ValueError(f"unknown rule {rule!r}") from None
-    return fn(board)
+    return fn(_BoardState(board))
 
 
 def solve(board: Board, max_tier: int = TIER_BIVALUE) -> SolveTrace:
@@ -803,11 +798,12 @@ def solve(board: Board, max_tier: int = TIER_BIVALUE) -> SolveTrace:
         if current.is_complete():
             outcome = "solved"
             break
+        state = _BoardState(current)
         fired = None
         for tier, name in RULES:
             if tier > max_tier:
                 continue
-            found = _RULE_FUNCTIONS[name](current)
+            found = _RULE_FUNCTIONS[name](state)
             if found:
                 fired = (tier, found[0])
                 break

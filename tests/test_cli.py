@@ -195,9 +195,17 @@ def test_sudoku_stats_text():
     assert "reference 4.4" in out
 
 
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_sudoku_stats_rejects_nonpositive_count(count):
-    code, out, err = _run(["sudoku", "stats", "--count", count])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["stats", "--count", "0"], id="0"),
+        pytest.param(["stats", "--count", "-1"], id="-1"),
+        pytest.param(["generate", "--seed", "1", "--count", "0"], id="generate-0"),
+        pytest.param(["generate", "--seed", "1", "--count", "-2"], id="generate--2"),
+    ],
+)
+def test_sudoku_stats_rejects_nonpositive_count(argv):
+    code, out, err = _run(["sudoku", *argv])
     assert code == 2
     assert out == ""
     assert err == "--count must be positive\n"

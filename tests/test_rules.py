@@ -1,23 +1,18 @@
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
+import oracles
 import pytest
 
-from nonrep.sudoku.board import Board, apply_deduction, parse_board
+from nonrep.sudoku import rules
+from nonrep.sudoku.board import Board, apply_deduction, geometry, parse_board
 from nonrep.sudoku.generate import dense_bivalue_fixture, generate, solved_grid
 from nonrep.sudoku.rules import (
     RULES,
-    bilocation_conflict_rule,
-    bilocation_cycle_rule,
-    bilocation_repeat_rule,
     build_bilocation_graph,
     build_bivalue_graphs,
-    digit_grid_matching,
-    group_matching,
-    hidden_singles,
-    naked_singles,
-    box_line,
     rule_deductions,
     solve,
 )
@@ -40,13 +35,13 @@ def test_hidden_single_on_nearly_full_row():
     for c, d in zip(range(8), (1, 2, 3, 4, 5, 6, 8, 9)):
         values[c] = d
     board = Board(3, values)
-    ded = [d for d in hidden_singles(board) if d.placements == ((8, 7),)]
+    ded = [d for d in rule_deductions(board, "hidden_single") if d.placements == ((8, 7),)]
     assert ded, "digit 7 must be placed in the last cell of row 1"
 
 
 def test_naked_single_fires():
     board = board_with_candidates({0: {4}}, default=set(range(1, 10)))
-    deds = naked_singles(board)
+    deds = rule_deductions(board, "naked_single")
     assert deds[0].placements == ((0, 4),)
 
 
@@ -57,7 +52,7 @@ def test_box_line_eliminates_outside_box():
     for c in list(range(3, 9)):
         cand_map[c] = {5, 1, 2, 3}  # row 1 outside the box also admits 5
     board = board_with_candidates(cand_map, default)
-    deds = [d for d in box_line(board) if d.witness == "box 1->row 1[5]"]
+    deds = [d for d in rule_deductions(board, "box_line") if d.witness == "box 1->row 1[5]"]
     assert deds
     assert set(deds[0].eliminations) == {(c, 5) for c in range(3, 9)}
 
@@ -74,7 +69,7 @@ def test_matching_digit_contradiction():
         cand_map[c] = default
     board = board_with_candidates(cand_map, default | {5})
     # rows 1 and 2 admit 5 only in column 1: no system of distinct columns
-    deds = digit_grid_matching(board)
+    deds = rule_deductions(board, "digit_matching")
     assert any(d.contradiction for d in deds)
 
 
@@ -82,7 +77,7 @@ def test_matching_rules_on_unique_group_completion():
     # row 1 has a unique assignment: cell i takes digit i+1
     cand_map = {c: set(range(1, c + 2)) for c in range(9)}
     board = board_with_candidates(cand_map, set(range(1, 10)))
-    deds = group_matching(board)
+    deds = rule_deductions(board, "group_matching")
     row1 = next(d for d in deds if d.witness == "row 1")
     assert set(row1.eliminations) == {
         (c, d) for c in range(9) for d in range(1, c + 1)
@@ -93,8 +88,8 @@ def test_matching_rules_quiet_on_permutation_grid():
     # a fully forced digit pattern generates no eliminations
     solved = solved_grid(Board(3))
     trace_board = solved
-    assert digit_grid_matching(trace_board) == []
-    assert group_matching(trace_board) == []
+    assert rule_deductions(trace_board, "digit_matching") == []
+    assert rule_deductions(trace_board, "group_matching") == []
 
 
 def test_digit_matching_quiet_on_permutation_pattern():
@@ -102,7 +97,7 @@ def test_digit_matching_quiet_on_permutation_pattern():
     # with no unmatched edges, hence nothing to eliminate
     cand_map = {i * 9 + i: {9, 1, 2} for i in range(9)}
     board = board_with_candidates(cand_map, set(range(1, 9)))
-    assert digit_grid_matching(board) == []
+    assert rule_deductions(board, "digit_matching") == []
 
 
 # -- graph builders -----------------------------------------------------------------
@@ -129,7 +124,7 @@ def test_bilocation_three_labels_contradiction():
     board = board_with_candidates(cand_map, default)
     bl = build_bilocation_graph(board)
     assert bl.contradiction is not None
-    deds = bilocation_cycle_rule(board)
+    deds = rule_deductions(board, "biloc_cycle")
     assert deds and deds[0].contradiction
 
 
@@ -170,7 +165,7 @@ def test_bilocation_cycle_restricts_rectangle():
     a, b, c, d = _rectangle_cells()
     cand_map = {a: {5, 6, 9}, b: {5, 6, 8}, c: {5, 6, 9}, d: {5, 6, 8}}
     board = board_with_candidates(cand_map, {1, 2, 3})
-    deds = bilocation_cycle_rule(board)
+    deds = rule_deductions(board, "biloc_cycle")
     got = {ded.eliminations for ded in deds}
     assert ((a, 9),) in got
     assert ((b, 8),) in got
@@ -183,7 +178,7 @@ def test_bilocation_repeat_places_repeated_label():
     # cycle labels 2,5,6,2 reading a->b->c->d->a: the repeated 2 sits at a
     cand_map = {a: {2, 7}, b: {2, 5}, c: {5, 6}, d: {2, 6}}
     board = board_with_candidates(cand_map, {1, 3, 4})
-    deds = bilocation_repeat_rule(board)
+    deds = rule_deductions(board, "biloc_repeat")
     assert [ded.placements for ded in deds] == [((a, 2),)]
     assert "2>" in deds[0].witness
 
@@ -202,7 +197,7 @@ def test_bilocation_conflict_places_start_label():
         w2: {1, 9},
     }
     board = board_with_candidates(cand_map, {3, 5, 6})
-    deds = bilocation_conflict_rule(board)
+    deds = rule_deductions(board, "biloc_conflict")
     assert [ded.placements for ded in deds] == [((c, 2),)]
     assert "|" in deds[0].witness  # two chains recorded
 
@@ -347,3 +342,113 @@ def _bipartite_signatures(graph, depth):
         if isinstance(vertex, int):
             extend(vertex, None, (vertex,))
     return sigs
+
+
+# -- one analysis per board state -----------------------------------------------------
+
+
+def _locally_stuck_traces(count, seed):
+    """Fresh puzzles that singles and local rules cannot finish, with their traces."""
+    rng = Random(seed)
+    found = []
+    while len(found) < count:
+        puzzle = generate(3, rng.randrange(2**32)).puzzle
+        trace = solve(puzzle)
+        if trace.outcome != "solved" or trace.difficulty_tier >= 2:
+            found.append((puzzle, trace))
+    return found
+
+
+def _assert_rules_equal_reference(state, board):
+    for _tier, name in RULES:
+        expected = oracles.RULE_FUNCTIONS[name](board)
+        assert rules._RULE_FUNCTIONS[name](state) == expected, name
+
+
+def test_rules_equal_reference_along_stuck_solve_traces():
+    # One shared state per board, as in solve, so a rule that read something
+    # another rule left in the state would show here.
+    states = 0
+    for puzzle, trace in _locally_stuck_traces(40, 5150):
+        board = puzzle
+        for ded in (None,) + trace.deductions:
+            if ded is not None:
+                board = apply_deduction(board, ded)
+                if not isinstance(board, Board):
+                    break
+            if board.is_complete():
+                break
+            _assert_rules_equal_reference(rules._BoardState(board), board)
+            states += 1
+    assert states > 1500
+
+
+def _stale_candidate_board():
+    # Placed digits put back as candidates of their empty peers.
+    board = generate(3, 11).puzzle
+    geo = geometry(3)
+    for cell in [c for c in range(81) if board.values[c]][:6]:
+        for peer in geo.peers[cell]:
+            if board.values[peer] == 0:
+                board.cand[peer] |= 1 << (board.values[cell] - 1)
+    return board
+
+
+@pytest.mark.parametrize(
+    "make_board",
+    [
+        pytest.param(_stale_candidate_board, id="stale-candidates"),
+        pytest.param(
+            lambda: board_with_candidates(
+                {0: {1, 2, 3, 9}, 1: {1, 2, 3, 9}}, {4, 5, 6, 7, 8, 9}
+            ),
+            id="three-digits-on-one-cell-pair",
+        ),
+        pytest.param(lambda: Board(3), id="empty-bilocation-and-bivalue-graphs"),
+        pytest.param(
+            lambda: board_with_candidates({0: {1, 2}, 40: {1, 2}}, set(range(1, 10))),
+            id="empty-bilocation-graph-with-bivalued-cells",
+        ),
+        pytest.param(lambda: dense_bivalue_fixture(2), id="dense-bivalue-2"),
+        pytest.param(lambda: dense_bivalue_fixture(3), id="dense-bivalue-3"),
+    ],
+)
+def test_rules_equal_reference_on_crafted_boards(make_board):
+    board = make_board()
+    for _tier, name in RULES:
+        assert rule_deductions(board, name) == oracles.RULE_FUNCTIONS[name](board), name
+
+
+def test_each_board_state_builds_graphs_expansions_and_reaches_once(monkeypatch):
+    builds = Counter()
+    expansions = []
+    reaches = Counter()
+
+    def count_builds(name):
+        build = getattr(rules, name)
+
+        def counted(board):
+            builds[name, tuple(board.values), tuple(board.cand)] += 1
+            return build(board)
+
+        monkeypatch.setattr(rules, name, counted)
+
+    class CountingDigraph(rules.LabelSwitchDigraph):
+        def __init__(self, graph):
+            expansions.append(self)  # kept alive, so ids stay distinct
+            super().__init__(graph)
+
+        def reachable_from(self, vertex, label):
+            reaches[id(self), vertex, label] += 1
+            return super().reachable_from(vertex, label)
+
+    count_builds("build_bilocation_graph")
+    count_builds("build_bivalue_graphs")
+    monkeypatch.setattr(rules, "LabelSwitchDigraph", CountingDigraph)
+    trace = solve(generate(3, 3).puzzle)
+    assert {3, 4} <= set(trace.tiers)
+    for name in ("build_bilocation_graph", "build_bivalue_graphs"):
+        per_state = [n for (built, *_), n in builds.items() if built == name]
+        assert per_state and max(per_state) == 1, name
+    assert len({id(ex.graph) for ex in expansions}) == len(expansions)
+    assert reaches and max(reaches.values()) == 1
