@@ -16,10 +16,10 @@ with array operations and one switch-gadget template per label count.
 
 Box-size contract, B <= 7: a digit set of a B-box board takes B^2 bits, so
 B <= 7 keeps every mask within 49 bits of an int64.  Python ints do not
-overflow, but ``count_solutions`` and ``solved_grid``, the entry points to
-the counter, refuse B > 7 all the same; an exhaustive search on a 64 x 64
-grid would not finish anyway.  Pure-Python board code (``Board``, the rules)
-is not bound by the cap.
+overflow, but ``count_and_first`` and ``propagate_singles`` refuse B > 7 all
+the same, once, where they look up the board geometry; an exhaustive search
+on a 64 x 64 grid would not finish anyway.  Pure-Python board code
+(``Board``, the rules) is not bound by the cap.
 """
 
 from __future__ import annotations
@@ -425,6 +425,8 @@ def blossom_matching(n, indptr, indices, require_perfect):
 
 
 def _sudoku_geometry(box):
+    if box > 7:
+        raise ValueError("the Sudoku kernels support box sizes up to 7")
     # Imported at call time: the sudoku package imports this module.
     from .sudoku.board import geometry
 

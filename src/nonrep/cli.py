@@ -92,6 +92,8 @@ def _cmd_graph_cycles(args) -> int:
 def _cmd_graph_reach(args) -> int:
     g = _load_graph(args.file)
     _require_vertices(g, args.start)
+    if g.label_id(args.label) is None:
+        raise _CliError(f"unknown label {args.label!r}")
     expansion = _expansion(g)
     _write_traversals(expansion.reachable_from(args.start, args.label).edges)
     return 0
@@ -203,6 +205,8 @@ def _cmd_sudoku_grade(args) -> int:
 def _cmd_sudoku_stats(args) -> int:
     if args.count < 1:
         raise _CliError("--count must be positive")
+    if args.jobs < 1:
+        raise _CliError("--jobs must be positive")
     stats = batch_stats(args.count, args.seed, box=args.box, jobs=args.jobs)
     print(stats.to_text(), end="")
     return 0

@@ -27,8 +27,7 @@ Queries answered here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,8 +36,7 @@ from .gadget import build_dense_gadget, build_switch_gadget
 from .labeled_graph import FlagLabeledGraph
 
 
-@dataclass(frozen=True)
-class ReachedEdge:
+class ReachedEdge(NamedTuple):
     """One traversal of an input edge: ``tail -> head`` with the head flag label."""
 
     edge_id: int

@@ -11,6 +11,7 @@ array indices.  Graphs are immutable after construction.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 
@@ -42,12 +43,10 @@ class FlagLabeledGraph:
         of edges are declared implicitly.
         """
         self.directed = bool(directed)
-        self._vertex_names: list[Any] = []
-        self._vertex_ids: dict[Any, int] = {}
-        self._label_names: list[Any] = []
-        self._label_ids: dict[Any, int] = {}
+        vertex_ids: dict[Any, int] = {}
+        label_ids: dict[Any, int] = {}
         for v in vertices:
-            self._intern_vertex(v)
+            vertex_ids.setdefault(v, len(vertex_ids))
         edge_list: list[tuple[int, int, int, int]] = []
         for spec in edges:
             if len(spec) == 3:
@@ -59,33 +58,26 @@ class FlagLabeledGraph:
                 raise ValueError(f"edge spec must have 3 or 4 fields, got {spec!r}")
             edge_list.append(
                 (
-                    self._intern_vertex(u),
-                    self._intern_vertex(v),
-                    self._intern_label(lu),
-                    self._intern_label(lv),
+                    vertex_ids.setdefault(u, len(vertex_ids)),
+                    vertex_ids.setdefault(v, len(vertex_ids)),
+                    label_ids.setdefault(lu, len(label_ids)),
+                    label_ids.setdefault(lv, len(label_ids)),
                 )
             )
         self.edges: tuple[tuple[int, int, int, int], ...] = tuple(edge_list)
-        self._incidence: list[list[tuple[int, int]]] = [[] for _ in self._vertex_names]
+        self._vertex_ids = vertex_ids
+        self._label_ids = label_ids
+        self._vertex_names: list[Any] = list(vertex_ids)
+        self._label_names: list[Any] = list(label_ids)
+
+    @cached_property
+    def _incidence(self) -> list[list[tuple[int, int]]]:
+        """Flags per vertex as (edge id, end) pairs, built on first use."""
+        incidence: list[list[tuple[int, int]]] = [[] for _ in self._vertex_names]
         for eid, (u, v, _lu, _lv) in enumerate(self.edges):
-            self._incidence[u].append((eid, 0))
-            self._incidence[v].append((eid, 1))
-
-    def _intern_vertex(self, token: Any) -> int:
-        vid = self._vertex_ids.get(token)
-        if vid is None:
-            vid = len(self._vertex_names)
-            self._vertex_ids[token] = vid
-            self._vertex_names.append(token)
-        return vid
-
-    def _intern_label(self, token: Any) -> int:
-        lid = self._label_ids.get(token)
-        if lid is None:
-            lid = len(self._label_names)
-            self._label_ids[token] = lid
-            self._label_names.append(token)
-        return lid
+            incidence[u].append((eid, 0))
+            incidence[v].append((eid, 1))
+        return incidence
 
     # -- basic accessors ----------------------------------------------------
 

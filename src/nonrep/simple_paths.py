@@ -7,13 +7,16 @@ and endpoint labels then becomes a skew-symmetric reachability question
 (``build_skew_instance``), which is decided by reduction to maximum matching
 in a general graph (``regular_reachable``).
 
-The matching reduction: each sigma-pair of the skew-symmetric graph yields
-two matching nodes (a merged "enter x / leave sigma(x)" port and its
-counterpart) joined by an idle edge, each arc orbit yields one matching edge
-between the ports it connects, and the source pair contributes two endpoint
-nodes without an idle edge.  A perfect matching exists iff a regular
-source-to-mirror path does, and tracing matched edges from the source port
-recovers a witness path.
+The matching reduction runs on a port graph that reuses the skew-symmetric
+graph's node ids: node x stands for "enter x" and for "leave sigma(x)",
+except that the source s stands for "leave s" and its mirror t for "enter
+t".  Arc (a, b) becomes the matching edge {sigma(a), b}, or {s, b} when it
+leaves the source; arcs into s or out of t give none, and an arc away from s
+and t gives the same edge as its mirror.  Each sigma-pair other than {s, t}
+adds the idle edge {x, sigma(x)}.  A perfect matching exists iff a regular
+source-to-mirror path does.  The witness is traced from s: standing at x,
+the mate of port sigma(x) (of s at the start) names the matched arc, which
+leads to the next node.
 
 The directed versions of these questions are NP-complete and deliberately
 not offered.
@@ -165,60 +168,28 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
     sig = ssg.sigma
     s = ssg.source
     t = sig[s]
-    pair_index: dict[int, int] = {}
-    for x in range(ssg.num_nodes):
-        if x in (s, t):
-            continue
-        rep = min(x, sig[x])
-        if rep not in pair_index:
-            pair_index[rep] = len(pair_index)
-    num_pairs = len(pair_index)
-    e1 = 2 * num_pairs
-    e2 = 2 * num_pairs + 1
-
-    def port_out(a: int) -> Optional[int]:
-        # Merged node containing "leave a" (equivalently "enter sigma(a)").
-        if a == s:
-            return e1
-        if a == t:
-            return None
-        rep = min(a, sig[a])
-        idx = pair_index[rep]
-        return 2 * idx + 1 if a == rep else 2 * idx
-
-    def port_in(b: int) -> Optional[int]:
-        if b == t:
-            return e2
-        if b == s:
-            return None
-        rep = min(b, sig[b])
-        idx = pair_index[rep]
-        return 2 * idx if b == rep else 2 * idx + 1
-
     edge_arc: dict[tuple[int, int], int] = {}
     for arc_idx, (a, b) in enumerate(ssg.arcs):
-        if a == b:
+        if a == b or a == t or b == s:
             continue
-        ha = port_out(a)
-        hb = port_in(b)
-        if ha is None or hb is None or ha == hb:
-            continue
-        key = (ha, hb) if ha < hb else (hb, ha)
-        edge_arc.setdefault(key, arc_idx)
+        port = s if a == s else sig[a]
+        if port != b:
+            edge_arc.setdefault((port, b) if port < b else (b, port), arc_idx)
     h_edges = list(edge_arc)
-    h_edges.extend((2 * i, 2 * i + 1) for i in range(num_pairs))
+    h_edges.extend(
+        (x, sig[x]) for x in range(ssg.num_nodes) if x < sig[x] and x not in (s, t)
+    )
 
-    mate, perfect = perfect_matching_mate(2 * num_pairs + 2, h_edges)
+    mate, perfect = perfect_matching_mate(ssg.num_nodes, h_edges)
     if not perfect:
         return None
+    mate = mate.tolist()
 
     path: list[int] = []
-    cur_h = e1
-    cur = s
+    cur = port = s
     while True:
-        mh = int(mate[cur_h])
-        key = (cur_h, mh) if cur_h < mh else (mh, cur_h)
-        arc_idx = edge_arc[key]
+        other = mate[port]
+        arc_idx = edge_arc[(port, other) if port < other else (other, port)]
         a, b = ssg.arcs[arc_idx]
         if a == cur:
             nxt = b
@@ -230,11 +201,8 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
         path.append(arc_idx)
         if nxt == t:
             return path
-        rep = min(nxt, sig[nxt])
-        idx = pair_index[rep]
-        consumed = 2 * idx if nxt == rep else 2 * idx + 1
-        cur_h = 2 * idx + 1 if consumed == 2 * idx else 2 * idx
         cur = nxt
+        port = sig[cur]
 
 
 def path_nodes(ssg: SkewSymmetricGraph, arc_path: list[int]) -> list[int]:

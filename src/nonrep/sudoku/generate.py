@@ -32,23 +32,16 @@ def count_solutions(board: Board, cap: int) -> int:
     """Number of completions of the board, saturating at ``cap``."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    _check_box(board)
     count, _ = _kernels.count_and_first(board.box, board.values, cap)
     return count
 
 
 def solved_grid(board: Board) -> Optional[Board]:
     """First completion found by the backtracking search, or None."""
-    _check_box(board)
     count, first = _kernels.count_and_first(board.box, board.values, 1)
     if count == 0:
         return None
     return Board(board.box, first.tolist())
-
-
-def _check_box(board: Board) -> None:
-    if board.box > 7:
-        raise ValueError("solution counting supports box sizes up to 7")
 
 
 @dataclass

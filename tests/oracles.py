@@ -8,15 +8,17 @@ The sections at the end are different: they keep earlier versions of package
 code as the reference its replacements must equal.  They are the numpy-scalar
 Sudoku and graph kernels, the per-vertex-dict expansion builder (which still
 uses the package's ``build_csr`` and gadget builders), the recursive
-``classify_edges``, the numpy-scalar matchers, and the 14 Sudoku rules as
-they were when each one rebuilt its own digit homes, graphs and reaches.
+``classify_edges``, the numpy-scalar matchers, the 14 Sudoku rules as
+they were when each one rebuilt its own digit homes, graphs and reaches, and
+the pair-indexed port graph of ``regular_reachable`` with the
+method-interning ``FlagLabeledGraph`` constructor.
 """
 
 from __future__ import annotations
 
 from random import Random
 from types import SimpleNamespace
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -33,7 +35,9 @@ from nonrep.matching import (
     OPTIONAL,
     BipartiteInstance,
     EdgeClassification,
+    perfect_matching_mate,
 )
+from nonrep.simple_paths import SkewSymmetricGraph
 from nonrep.sudoku.board import Board, Contradiction, Deduction, cell_name, geometry
 from nonrep.sudoku.rules import BilocationGraph, BipartiteBivalueGraph, BivalueGraph
 
@@ -278,8 +282,6 @@ def random_flag_graph(
 
 def random_skew_symmetric(rng: Random, max_pairs: int = 12):
     """Random involution-closed digraph plus a source node."""
-    from nonrep.simple_paths import SkewSymmetricGraph
-
     pairs = rng.randint(1, max_pairs)
     num = 2 * pairs
     sigma = []
@@ -1924,3 +1926,156 @@ RULE_FUNCTIONS = {
     "bivalue_conflict": bivalue_conflict_rule,
     "mixed_conflict": mixed_conflict_rule,
 }
+
+
+# ---------------------------------------------------------------------------
+# The port-graph matching reduction and the graph constructor, kept verbatim
+# from the version in which ``regular_reachable`` numbered the sigma-pairs
+# through ``pair_index`` and two port closures, and ``FlagLabeledGraph``
+# interned tokens through ``_intern_vertex``/``_intern_label`` and built its
+# incidence lists eagerly.  Its port graph gave the i-th sigma-pair (by
+# smaller node) the ports 2i and 2i+1, and the source and its mirror the
+# ports 2P and 2P+1 after all P pairs.  ``OldFlagLabeledGraph`` differs from
+# the package class only in that constructor; the equality tests compare
+# witnesses, ids, names, edges and incidence of both.
+# ---------------------------------------------------------------------------
+
+
+class OldFlagLabeledGraph(FlagLabeledGraph):
+    def __init__(
+        self,
+        directed: bool,
+        edges: Iterable[Sequence[Any]],
+        vertices: Iterable[Any] = (),
+    ):
+        """Build a graph from edge tuples ``(u, v, label)`` or ``(u, v, label_at_u, label_at_v)``.
+
+        ``vertices`` may declare extra (possibly isolated) vertices; endpoints
+        of edges are declared implicitly.
+        """
+        self.directed = bool(directed)
+        self._vertex_names: list[Any] = []
+        self._vertex_ids: dict[Any, int] = {}
+        self._label_names: list[Any] = []
+        self._label_ids: dict[Any, int] = {}
+        for v in vertices:
+            self._intern_vertex(v)
+        edge_list: list[tuple[int, int, int, int]] = []
+        for spec in edges:
+            if len(spec) == 3:
+                u, v, label = spec
+                lu = lv = label
+            elif len(spec) == 4:
+                u, v, lu, lv = spec
+            else:
+                raise ValueError(f"edge spec must have 3 or 4 fields, got {spec!r}")
+            edge_list.append(
+                (
+                    self._intern_vertex(u),
+                    self._intern_vertex(v),
+                    self._intern_label(lu),
+                    self._intern_label(lv),
+                )
+            )
+        self.edges: tuple[tuple[int, int, int, int], ...] = tuple(edge_list)
+        self._incidence: list[list[tuple[int, int]]] = [[] for _ in self._vertex_names]
+        for eid, (u, v, _lu, _lv) in enumerate(self.edges):
+            self._incidence[u].append((eid, 0))
+            self._incidence[v].append((eid, 1))
+
+    def _intern_vertex(self, token: Any) -> int:
+        vid = self._vertex_ids.get(token)
+        if vid is None:
+            vid = len(self._vertex_names)
+            self._vertex_ids[token] = vid
+            self._vertex_names.append(token)
+        return vid
+
+    def _intern_label(self, token: Any) -> int:
+        lid = self._label_ids.get(token)
+        if lid is None:
+            lid = len(self._label_names)
+            self._label_ids[token] = lid
+            self._label_names.append(token)
+        return lid
+
+
+def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
+    """Arc indices of a source-to-mirror path using one node per sigma-pair.
+
+    Returns None when no such path exists.  Decided via a perfect matching in
+    the port graph described in the module docstring.
+    """
+    sig = ssg.sigma
+    s = ssg.source
+    t = sig[s]
+    pair_index: dict[int, int] = {}
+    for x in range(ssg.num_nodes):
+        if x in (s, t):
+            continue
+        rep = min(x, sig[x])
+        if rep not in pair_index:
+            pair_index[rep] = len(pair_index)
+    num_pairs = len(pair_index)
+    e1 = 2 * num_pairs
+    e2 = 2 * num_pairs + 1
+
+    def port_out(a: int) -> Optional[int]:
+        # Merged node containing "leave a" (equivalently "enter sigma(a)").
+        if a == s:
+            return e1
+        if a == t:
+            return None
+        rep = min(a, sig[a])
+        idx = pair_index[rep]
+        return 2 * idx + 1 if a == rep else 2 * idx
+
+    def port_in(b: int) -> Optional[int]:
+        if b == t:
+            return e2
+        if b == s:
+            return None
+        rep = min(b, sig[b])
+        idx = pair_index[rep]
+        return 2 * idx if b == rep else 2 * idx + 1
+
+    edge_arc: dict[tuple[int, int], int] = {}
+    for arc_idx, (a, b) in enumerate(ssg.arcs):
+        if a == b:
+            continue
+        ha = port_out(a)
+        hb = port_in(b)
+        if ha is None or hb is None or ha == hb:
+            continue
+        key = (ha, hb) if ha < hb else (hb, ha)
+        edge_arc.setdefault(key, arc_idx)
+    h_edges = list(edge_arc)
+    h_edges.extend((2 * i, 2 * i + 1) for i in range(num_pairs))
+
+    mate, perfect = perfect_matching_mate(2 * num_pairs + 2, h_edges)
+    if not perfect:
+        return None
+
+    path: list[int] = []
+    cur_h = e1
+    cur = s
+    while True:
+        mh = int(mate[cur_h])
+        key = (cur_h, mh) if cur_h < mh else (mh, cur_h)
+        arc_idx = edge_arc[key]
+        a, b = ssg.arcs[arc_idx]
+        if a == cur:
+            nxt = b
+        else:
+            # The matched orbit contains the mirror arc leaving the current node.
+            if sig[b] != cur:
+                raise RuntimeError("matched edge does not continue the path")
+            nxt = sig[a]
+        path.append(arc_idx)
+        if nxt == t:
+            return path
+        rep = min(nxt, sig[nxt])
+        idx = pair_index[rep]
+        consumed = 2 * idx if nxt == rep else 2 * idx + 1
+        cur_h = 2 * idx + 1 if consumed == 2 * idx else 2 * idx
+        cur = nxt

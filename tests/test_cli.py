@@ -5,6 +5,8 @@ import sys
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nonrep.cli import run
@@ -80,6 +82,19 @@ def test_graph_unknown_vertex_exits_2(argv):
     assert code == 2
     assert out == ""
     assert err == "unknown vertex 'zz'\n"
+
+
+def test_graph_reach_unknown_label_exits_2():
+    text = "graph undirected\nedge a b 1\nedge b c 2\n"
+    code, out, err = _run(["graph", "reach", "--start", "a", "--label", "9", "-"], stdin=text)
+    assert (code, out, err) == (2, "", "unknown label '9'\n")
+
+
+def test_graph_reach_label_absent_at_start_prints_nothing():
+    # label 2 is in the file, but no flag at a carries it: no walk starts
+    text = "graph undirected\nedge a b 1\nedge b c 2\n"
+    code, out, err = _run(["graph", "reach", "--start", "a", "--label", "2", "-"], stdin=text)
+    assert (code, out, err) == (0, "", "")
 
 
 @pytest.mark.parametrize(
@@ -196,19 +211,21 @@ def test_sudoku_stats_text():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        pytest.param(["stats", "--count", "0"], id="0"),
-        pytest.param(["stats", "--count", "-1"], id="-1"),
-        pytest.param(["generate", "--seed", "1", "--count", "0"], id="generate-0"),
-        pytest.param(["generate", "--seed", "1", "--count", "-2"], id="generate--2"),
+        pytest.param(["stats", "--count", "0"], "--count", id="0"),
+        pytest.param(["stats", "--count", "-1"], "--count", id="-1"),
+        pytest.param(["generate", "--seed", "1", "--count", "0"], "--count", id="generate-0"),
+        pytest.param(["generate", "--seed", "1", "--count", "-2"], "--count", id="generate--2"),
+        pytest.param(["stats", "--count", "2", "--jobs", "0"], "--jobs", id="jobs-0"),
+        pytest.param(["stats", "--count", "2", "--jobs", "-3"], "--jobs", id="jobs--3"),
     ],
 )
-def test_sudoku_stats_rejects_nonpositive_count(argv):
+def test_sudoku_stats_rejects_nonpositive_count(argv, flag):
     code, out, err = _run(["sudoku", *argv])
     assert code == 2
     assert out == ""
-    assert err == "--count must be positive\n"
+    assert err == f"{flag} must be positive\n"
 
 
 def test_sudoku_fixture():
@@ -264,3 +281,62 @@ def test_graph_walk_commands_print_what_the_replaced_engine_printed():
             path = old.shortest_path(src, dst)
             want = (1, "", "no nonrepetitive path\n") if path is None else (0, lines(path), "")
             assert _run(["graph", "shortest", "--from", src, "--to", dst, "-"], stdin=text) == want
+
+
+# Token soup for the graph commands: mostly well-formed edge lines, so that
+# many files parse and reach the queries, mixed with unknown keywords, token
+# counts that do not fit, bad or repeated headers and comments.
+_VERTICES = ["a", "b", "c", "0", "1"]
+# distinct endpoints, and now and then a self-loop, which the walk commands refuse
+_ends = st.sampled_from([(u, v) for u in _VERTICES for v in _VERTICES if u != v] + [("a", "a")])
+_label_token = st.sampled_from(["0", "1", "x"])
+_edge_line = st.builds(lambda uv, l: "edge {} {} {}".format(*uv, l), _ends, _label_token)
+_flagedge_line = st.builds(
+    lambda uv, lu, lv: "flagedge {} {} {} {}".format(*uv, lu, lv),
+    _ends,
+    _label_token,
+    _label_token,
+)
+_garbage_line = st.builds(
+    lambda keyword, tokens: " ".join([keyword, *tokens]),
+    st.sampled_from(["edge", "flagedge", "graph", "node", "#", ""]),
+    st.lists(st.sampled_from(["a", "b", "0", "x", "#", "a#b", "directed"]), max_size=5),
+)
+_header_line = st.sampled_from(
+    ["graph directed", "graph directed", "graph undirected", "graph undirected",
+     "graph undirected", "graph sideways", ""]
+)
+_soup = st.builds(
+    lambda header, body, garbage, at: "\n".join([header, *body[:at], *garbage, *body[at:]])
+    + "\n",
+    _header_line,
+    st.lists(st.one_of(_edge_line, _flagedge_line), min_size=1, max_size=10),
+    st.one_of(st.just([]), st.just([]), st.lists(_garbage_line, min_size=1, max_size=1)),
+    st.integers(0, 10),
+)
+_vertex_arg = st.sampled_from([*_VERTICES, "z"])
+_label_arg = st.sampled_from(["0", "1", "x", "y"])
+_graph_argv = st.one_of(
+    st.just(["cycles"]),
+    st.builds(lambda v, l: ["reach", "--start", v, "--label", l], _vertex_arg, _label_arg),
+    st.builds(lambda p, q: ["shortest", "--from", p, "--to", q], _vertex_arg, _vertex_arg),
+    st.builds(
+        lambda p, q, d: ["simple-path", "--from", p, "--to", q, *d],
+        _vertex_arg,
+        _vertex_arg,
+        st.sampled_from([[], [], [], ["--directed"]]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_argv, _soup)
+def test_graph_commands_on_token_soup_exit_cleanly(argv, text):
+    code, out, err = _run(["graph", *argv, "-"], stdin=text)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1
+        if code == 2:
+            assert out == ""

@@ -50,6 +50,10 @@ def test_counting_refuses_boxes_above_7():
         count_solutions(board, 1)
     with pytest.raises(ValueError, match="up to 7"):
         solved_grid(board)
+    values = np.zeros(8**4, np.int64)
+    with pytest.raises(ValueError, match="up to 7"):
+        K.propagate_singles(8, values)
+    assert not values.any()
 
 
 def test_generate_raises_when_minimized_puzzle_has_no_solution(monkeypatch):

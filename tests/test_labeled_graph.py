@@ -12,6 +12,7 @@ from nonrep import (
     parse_labeled_graph,
     serialize_labeled_graph,
 )
+from oracles import OldFlagLabeledGraph
 
 
 def test_parse_single_directed_edge():
@@ -133,3 +134,39 @@ def test_subgraph_preserves_vertices_and_maps_ids():
     assert old == [0, 2]
     assert sub.num_vertices == 3
     assert sub.endpoints(1) == ("c", "a")
+
+
+# Tokens of several types, including equal keys of different types (1, 1.0
+# and True), which keep the first one interned.
+_mixed_token = st.sampled_from(
+    [0, 1, 2, 1.0, True, False, None, "0", "1", "a", "b", ("a", 1), (0,), ("c", ("a", 1))]
+)
+
+
+@st.composite
+def _graph_specs(draw):
+    edge = st.one_of(
+        st.tuples(_mixed_token, _mixed_token, _mixed_token),
+        st.tuples(_mixed_token, _mixed_token, _mixed_token, _mixed_token),
+    )
+    return (
+        draw(st.booleans()),
+        draw(st.lists(edge, max_size=12)),
+        draw(st.lists(_mixed_token, max_size=6)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_specs())
+def test_constructor_equals_method_interning_reference(spec):
+    directed, edges, vertices = spec
+    new = FlagLabeledGraph(directed, iter(edges), vertices=iter(vertices))
+    old = OldFlagLabeledGraph(directed, edges, vertices=vertices)
+    # repr tells 1, 1.0 and True apart, which == does not
+    assert list(map(repr, new._vertex_names)) == list(map(repr, old._vertex_names))
+    assert list(map(repr, new._label_names)) == list(map(repr, old._label_names))
+    assert new._vertex_ids == old._vertex_ids
+    assert new._label_ids == old._label_ids
+    assert new.edges == old.edges
+    for v in range(old.num_vertices):
+        assert new.incident(v) == old.incident(v)

@@ -17,6 +17,7 @@ from nonrep.simple_paths import (
     regular_reachable,
     simple_cycle_edges,
 )
+import oracles
 from oracles import (
     brute_regular_reachable,
     is_simple_nonrep_path,
@@ -138,6 +139,32 @@ def test_regular_reachable_random_matches_brute_force():
             arc_set = set(ssg.arcs)
             for a, b in zip(nodes, nodes[1:]):
                 assert (a, b) in arc_set
+
+
+def test_regular_reachable_equals_pair_indexed_reference():
+    """The port graph on the skew graph's own node ids gives byte-identical
+    witnesses to the pair-indexed numbering it replaced, on all four
+    endpoint-label instances of random binarized flag graphs."""
+    rng = Random(2236)
+    found = missing = 0
+    for trial in range(220):
+        g = random_flag_graph(
+            rng, max_vertices=7, max_labels=3, directed=False, flag_labeled=trial % 2 == 1
+        )
+        binarized = binarize_labels(g)
+        p, q = rng.sample(range(g.num_vertices), 2)
+        cp = binarized.center[g.vertex_name(p)]
+        cq = binarized.center[g.vertex_name(q)]
+        for start_bit in (0, 1):
+            for end_bit in (0, 1):
+                ssg = build_skew_instance(binarized.graph, cp, cq, start_bit, end_bit)
+                witness = regular_reachable(ssg)
+                assert witness == oracles.regular_reachable(ssg)
+                if witness is None:
+                    missing += 1
+                else:
+                    found += 1
+    assert found > 100 and missing > 100
 
 
 def test_endpoint_label_partition_matches_enumeration():
