@@ -1,18 +1,21 @@
 """Hot kernels shared by the graph engine, the matching layer and the Sudoku
 generator.
 
-Every kernel is plain CPython, and none is jitted: it takes numpy arrays,
-converts them once with ``tolist()``, walks Python lists, and returns numpy
-arrays.  The Sudoku kernels take the grid as a list of ints and keep digit
-sets as Python-int bitmasks (bit d = digit d+1).
+Every kernel is plain CPython over lists, and none is jitted.  The traversal
+kernels of the label-switch expansion (``scc_csr``, ``reach_csr``, ``bfs01``)
+take and return numpy arrays: the expansion is a CSR graph (``indptr`` and
+``indices`` int64 arrays) built with array operations, and ``build_csr``
+sorts its arcs with one stable sort, so arcs with equal tails keep their
+input order.  The matching kernels take edge lists and return Python lists,
+since their instances are too small for numpy to pay off; they append each
+vertex's successors in edge order, the order ``build_csr`` gives, and share
+the strong-component and DFS loops (``_tarjan``, ``_dfs``) with the
+traversal kernels.  The Sudoku kernels take the grid as a list of ints and
+keep digit sets as Python-int bitmasks (bit d = digit d+1).
 
-Graphs are CSR (``indptr``/``indices`` int64 arrays); ``build_csr`` makes
-them with one stable sort, so arcs with equal tails keep their input order.
 Scan orders are fixed (arcs in CSR order, roots in index order, the stack,
 queue and deque disciplines documented on each kernel), so component ids,
-parents, distances and matchings are deterministic.  The graph expansion
-that feeds the traversal kernels (``engine.LabelSwitchDigraph``) is built
-with array operations and one switch-gadget template per label count.
+parents, distances and matchings are deterministic.
 
 Box-size contract, B <= 7: a digit set of a B-box board takes B^2 bits, so
 B <= 7 keeps every mask within 49 bits of an int64.  Python ints do not
@@ -25,6 +28,7 @@ on a 64 x 64 grid would not finish anyway.  Pure-Python board code
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -57,16 +61,23 @@ def build_csr(num_nodes: int, tails: np.ndarray, heads: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def scc_csr(indptr, indices):
-    """Strongly connected components; ids in reverse topological order.
+def _list_csr(n, arcs):
+    """(ip, ix) as Python lists: the CSR that ``build_csr`` makes of the
+    (tail, head) pairs ``arcs``, each node's successors in arc order."""
+    succ = [[] for _ in range(n)]
+    for t, h in arcs:
+        succ[t].append(h)
+    return list(accumulate(map(len, succ), initial=0)), list(chain.from_iterable(succ))
+
+
+def _tarjan(ip, ix):
+    """Strong component id per node of a list CSR, in reverse topological order.
 
     Iterative Tarjan: arcs are scanned in CSR order and a component gets its
     id when its root finishes.  A node whose component is known gets a
     discovery index of ``n``, which no low-link can exceed, so arcs into
     finished components need no separate on-stack test.
     """
-    ip = indptr.tolist()
-    ix = indices.tolist()
     n = len(ip) - 1
     done = n
     disc = [-1] * n
@@ -126,24 +137,27 @@ def scc_csr(indptr, indices):
             v = w
             e = ip[w]
             end = ip[w + 1]
-    return np.array(comp, np.int64)
+    return comp
 
 
-def reach_csr(indptr, indices, start):
-    """DFS reachability; returns (visited uint8, parent CSR arc position).
+def _dfs(ip, ix, sources):
+    """DFS reachability over a list CSR; returns (visited bytearray, parent
+    CSR arc position list).
 
-    A popped node marks and pushes all its unvisited successors in arc order,
-    so ``parent`` holds the arc that first discovered each node.
+    The sources are marked and pushed in order.  A popped node marks and
+    pushes all its unvisited successors in arc order, so ``parent`` holds
+    the arc that first discovered each node, -1 for sources and unreached
+    nodes.
     """
-    ip = indptr.tolist()
-    ix = indices.tolist()
     n = len(ip) - 1
     visited = bytearray(n)
     parent_arc = [-1] * n
-    visited[start] = 1
-    stack = [start]
+    stack = []
     pop = stack.pop
     push = stack.append
+    for s in sources:
+        visited[s] = 1
+        push(s)
     while stack:
         v = pop()
         for e in range(ip[v], ip[v + 1]):
@@ -152,6 +166,18 @@ def reach_csr(indptr, indices, start):
                 visited[w] = 1
                 parent_arc[w] = e
                 push(w)
+    return visited, parent_arc
+
+
+def scc_csr(indptr, indices):
+    """``_tarjan`` on a numpy CSR: component ids as an int64 array."""
+    return np.array(_tarjan(indptr.tolist(), indices.tolist()), np.int64)
+
+
+def reach_csr(indptr, indices, start):
+    """``_dfs`` from ``start`` on a numpy CSR: (visited uint8, parent CSR arc
+    position int64)."""
+    visited, parent_arc = _dfs(indptr.tolist(), indices.tolist(), (start,))
     return np.frombuffer(visited, np.uint8), np.array(parent_arc, np.int64)
 
 
@@ -198,17 +224,16 @@ def bfs01(indptr, indices, unit, sources):
 # ---------------------------------------------------------------------------
 
 
-def kuhn_bipartite(num_left, num_right, indptr, indices):
+def kuhn_bipartite(num_left, num_right, edges):
     """Maximum bipartite matching by depth-first augmentation.
 
-    ``indptr``/``indices`` is the left-to-right adjacency.  Each left vertex,
-    in index order, searches for an augmenting path that tries rights in CSR
-    order and visits each right at most once.  The path lives on explicit
-    stacks, so its length is not bounded by the recursion limit.  Returns
-    (mate_left, mate_right) with -1 for unmatched.
+    ``edges`` lists (left, right) pairs.  Each left vertex, in index order,
+    searches for an augmenting path that tries its rights in edge order and
+    visits each right at most once.  The path lives on explicit stacks, so
+    its length is not bounded by the recursion limit.  Returns (mate_left,
+    mate_right) lists with -1 for unmatched.
     """
-    ip = indptr.tolist()
-    ix = indices.tolist()
+    ip, ix = _list_csr(num_left, edges)
     mate_l = [-1] * num_left
     mate_r = [-1] * num_right
     seen = [-1] * num_right  # seen[r] == root: the search from root visited r
@@ -246,105 +271,81 @@ def kuhn_bipartite(num_left, num_right, indptr, indices):
             path_l.append(l)
             e = ip[l]
             end = ip[l + 1]
-    return np.array(mate_l, np.int64), np.array(mate_r, np.int64)
+    return mate_l, mate_r
 
 
-def swappable_edges(num_left, num_right, indptr, indices, mate_l):
-    """Per CSR edge, 1 when some maximum matching contains it and some does not.
+def swappable_edges(num_left, num_right, edges, mate_l):
+    """Per edge, True when some maximum matching contains it and some does not.
 
-    ``mate_l`` is a maximum matching of the left-to-right adjacency
-    ``indptr``/``indices``.  Orient matched edges left to right and the
-    others right to left, over nodes 0..L-1 (lefts) then L..L+R-1 (rights).
-    By the Dulmage-Mendelsohn decomposition an edge is swappable iff it lies
-    on an alternating cycle (its ends share a strong component) or on an
-    even alternating path from a free vertex (its left end is reached
-    against the orientation from a free left, or its right end along it
-    from a free right).  The other edges are in every maximum matching when
-    matched and in none when not.
+    ``mate_l`` is a maximum matching of the bipartite graph ``edges``.  Orient
+    matched edges left to right and the others right to left, over nodes
+    0..L-1 (lefts) then L..L+R-1 (rights).  By the Dulmage-Mendelsohn
+    decomposition an edge is swappable iff it lies on an alternating cycle
+    (its ends share a strong component) or on an even alternating path from
+    a free vertex (its left end is reached against the orientation from a
+    free left, or its right end along it from a free right).  The other
+    edges are in every maximum matching when matched and in none when not.
     """
-    ip = indptr.tolist()
-    ix = indices.tolist()
-    mate = mate_l.tolist()
     n = num_left + num_right
-    tails = []
-    heads = []
-    for l in range(num_left):
-        for e in range(ip[l], ip[l + 1]):
-            r = ix[e]
-            if mate[l] == r:
-                tails.append(l)
-                heads.append(num_left + r)
-            else:
-                tails.append(num_left + r)
-                heads.append(l)
-    o_indptr, o_indices, _ = build_csr(n, tails, heads)
-    comp = scc_csr(o_indptr, o_indices).tolist()
-    free_left = [l for l in range(num_left) if mate[l] == -1]
-    matched = set(mate)
+    arcs = [
+        (l, num_left + r) if mate_l[l] == r else (num_left + r, l) for l, r in edges
+    ]
+    ip, ix = _list_csr(n, arcs)
+    comp = _tarjan(ip, ix)
+    free_left = [l for l in range(num_left) if mate_l[l] == -1]
+    matched = set(mate_l)
     free_right = [num_left + r for r in range(num_right) if r not in matched]
-    from_left = _reached(n, heads, tails, free_left)  # against the orientation
-    from_right = _reached(n, tails, heads, free_right)
-    swap = [0] * len(ix)
-    for l in range(num_left):
-        for e in range(ip[l], ip[l + 1]):
-            r = num_left + ix[e]
-            if comp[l] == comp[r] or from_left[l] or from_right[r]:
-                swap[e] = 1
-    return np.array(swap, np.uint8)
+    from_left = (
+        _dfs(*_list_csr(n, [(h, t) for t, h in arcs]), free_left)[0]
+        if free_left
+        else bytes(n)
+    )
+    from_right = _dfs(ip, ix, free_right)[0]
+    swap = []
+    for l, r in edges:
+        r += num_left
+        swap.append(comp[l] == comp[r] or from_left[l] == 1 or from_right[r] == 1)
+    return swap
 
 
-def _reached(n, tails, heads, sources):
-    """Flags of the nodes that arcs ``tails -> heads`` reach from ``sources``."""
-    if not sources:
-        return bytes(n)
-    # One extra root, node n, with an arc to every source.
-    indptr, indices, _ = build_csr(n + 1, tails + [n] * len(sources), heads + sources)
-    return reach_csr(indptr, indices, n)[0].tolist()
-
-
-def bipartite_forbidden(num_left, num_right, indptr, indices):
+def bipartite_forbidden(num_left, num_right, edges):
     """Matching plus per-edge viability for square instances.
 
-    Returns (size, mate_l, mate_r, forbidden) where forbidden[pos] is 1 when
-    the CSR edge at ``pos`` lies in no perfect matching: it is unmatched and
-    not swappable (see ``swappable_edges``).  The flags are only computed
-    when size == num_left == num_right (a perfect matching) and are all 0
-    otherwise.
+    Returns (size, mate_l, mate_r, forbidden) where forbidden[i] is True when
+    edge i lies in no perfect matching: it is unmatched and not swappable
+    (see ``swappable_edges``).  The flags are only computed when size ==
+    num_left == num_right (a perfect matching) and are all False otherwise.
     """
-    mate_l, mate_r = kuhn_bipartite(num_left, num_right, indptr, indices)
-    mate = mate_l.tolist()
-    size = num_left - mate.count(-1)
+    mate_l, mate_r = kuhn_bipartite(num_left, num_right, edges)
+    size = num_left - mate_l.count(-1)
     if size != num_left or num_left != num_right:
-        return size, mate_l, mate_r, np.zeros(indices.shape[0], np.uint8)
-    swap = swappable_edges(num_left, num_right, indptr, indices, mate_l).tolist()
-    ip = indptr.tolist()
-    ix = indices.tolist()
-    forbidden = [0] * len(ix)
-    for l in range(num_left):
-        for e in range(ip[l], ip[l + 1]):
-            if not swap[e] and ix[e] != mate[l]:
-                forbidden[e] = 1
-    return size, mate_l, mate_r, np.array(forbidden, np.uint8)
+        return size, mate_l, mate_r, [False] * len(edges)
+    swap = swappable_edges(num_left, num_right, edges, mate_l)
+    forbidden = [not s and mate_l[l] != r for (l, r), s in zip(edges, swap)]
+    return size, mate_l, mate_r, forbidden
 
 
-def blossom_matching(n, indptr, indices, require_perfect):
+def blossom_matching(n, edges, require_perfect):
     """Maximum matching in a general graph (Edmonds' blossom contraction).
 
-    A greedy pass first matches each exposed vertex, in index order, to its
-    first exposed neighbour in CSR order.  Then every vertex still exposed,
-    in index order, roots one breadth-first search for an augmenting path.
-    Returns (mate, perfect).  With ``require_perfect`` set, the search stops
-    as soon as some exposed vertex admits no augmenting path: such a vertex
-    stays exposed in some maximum matching, so no perfect matching exists.
+    ``edges`` lists undirected (u, v) pairs, and each vertex scans its
+    neighbours in edge order.  A greedy pass first matches each exposed
+    vertex, in index order, to its first exposed neighbour.  Then every
+    vertex still exposed, in index order, roots one breadth-first search for
+    an augmenting path.  Returns (mate list, perfect).  With
+    ``require_perfect`` set, the search stops as soon as some exposed vertex
+    admits no augmenting path: such a vertex stays exposed in some maximum
+    matching, so no perfect matching exists.
     """
-    ip = indptr.tolist()
-    ix = indices.tolist()
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     mate = [-1] * n
     for v in range(n):
         if mate[v] != -1:
             continue
-        for e in range(ip[v], ip[v + 1]):
-            u = ix[e]
+        for u in adj[v]:
             if u != v and mate[u] == -1:
                 mate[v] = u
                 mate[u] = v
@@ -362,8 +363,7 @@ def blossom_matching(n, indptr, indices, require_perfect):
         while qh < len(queue) and finish == -1:
             v = queue[qh]
             qh += 1
-            for e in range(ip[v], ip[v + 1]):
-                to = ix[e]
+            for to in adj[v]:
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and p[mate[to]] != -1):
@@ -403,7 +403,7 @@ def blossom_matching(n, indptr, indices, require_perfect):
                         queue.append(nxt)
         if finish == -1:
             if require_perfect:
-                return np.array(mate, np.int64), False
+                return mate, False
         else:
             v = finish
             while v != -1:
@@ -412,7 +412,7 @@ def blossom_matching(n, indptr, indices, require_perfect):
                 mate[v] = pv
                 mate[pv] = v
                 v = nxt
-    return np.array(mate, np.int64), -1 not in mate
+    return mate, -1 not in mate
 
 # ---------------------------------------------------------------------------
 # Sudoku kernels

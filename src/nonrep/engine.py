@@ -268,13 +268,22 @@ class ReachResult:
         return {e.edge_id for e in self.edges}
 
     def walk_to(self, reached: ReachedEdge) -> list[ReachedEdge]:
-        """A nonrepetitive walk from the start ending with ``reached``."""
+        """A nonrepetitive walk from the start ending with ``reached``.
+
+        Raises ``ValueError`` when the reach did not find ``reached``.
+        """
         if self._parent is None:
             raise ValueError("empty reach result has no walks")
         ex = self._expansion
-        direction = 0 if reached.tail == ex.graph.endpoints(reached.edge_id)[0] else 1
-        pos = ex.conn_pos[reached.edge_id, direction]
-        steps = ex._walk_to_node(self._parent, int(ex._tail_of_pos[pos]))
+        ends = ex.graph.endpoints(reached.edge_id)
+        pos = -1
+        if reached.tail in ends:
+            pos = ex.conn_pos[reached.edge_id, ends.index(reached.tail)]
+        node = int(ex._tail_of_pos[pos])
+        # Reached iff its connector arc leaves a node the search visited.
+        if pos < 0 or (node != self._start and self._parent[node] == -1):
+            raise ValueError(f"{reached} is not reached from the start")
+        steps = ex._walk_to_node(self._parent, node)
         steps.append(reached)
         return steps
 

@@ -11,6 +11,8 @@ vertex (its left end is reached against the orientation from a free left, or
 its right end along it from a free right).  Otherwise a matched edge is
 mandatory and an unmatched edge forbidden.  With a perfect matching there
 are no free vertices and only the cycle test remains.
+
+The kernels in ``_kernels`` take these edge lists and return Python lists.
 """
 
 from __future__ import annotations
@@ -49,24 +51,15 @@ class EdgeClassification:
         return {i for i, lab in enumerate(self.labels) if lab == kind}
 
 
-def _match(inst: BipartiteInstance):
-    """(mate_l, indptr, indices, pos): the kernel's maximum matching of the
-    left-to-right CSR of ``inst``, and that CSR, with edge i at pos[i]."""
-    indptr, indices, pos = _kernels.build_csr(
-        inst.left_size, [l for l, _ in inst.edges], [r for _, r in inst.edges]
-    )
-    mate_l, _ = _kernels.kuhn_bipartite(inst.left_size, inst.right_size, indptr, indices)
-    return mate_l, indptr, indices, pos
-
-
 def max_bipartite_matching(inst: BipartiteInstance) -> tuple[int, ...]:
     """Edge indices of a maximum-cardinality matching (deterministic)."""
-    mate = _match(inst)[0].tolist()
+    mate, _ = _kernels.kuhn_bipartite(inst.left_size, inst.right_size, inst.edges)
     return tuple(idx for idx, (l, r) in enumerate(inst.edges) if mate[l] == r)
 
 
 def matching_size(inst: BipartiteInstance) -> int:
-    return inst.left_size - _match(inst)[0].tolist().count(-1)
+    mate, _ = _kernels.kuhn_bipartite(inst.left_size, inst.right_size, inst.edges)
+    return inst.left_size - mate.count(-1)
 
 
 def classify_edges(inst: BipartiteInstance) -> EdgeClassification:
@@ -76,38 +69,27 @@ def classify_edges(inst: BipartiteInstance) -> EdgeClassification:
     """
     if inst.left_size == 0 or inst.right_size == 0:
         raise ValueError("empty instance")
-    mate_l, indptr, indices, pos = _match(inst)
-    swap = _kernels.swappable_edges(
-        inst.left_size, inst.right_size, indptr, indices, mate_l
-    ).tolist()
-    mate = mate_l.tolist()
+    mate, _ = _kernels.kuhn_bipartite(inst.left_size, inst.right_size, inst.edges)
+    swap = _kernels.swappable_edges(inst.left_size, inst.right_size, inst.edges, mate)
     labels = tuple(
-        OPTIONAL if swap[p] else MANDATORY if mate[l] == r else FORBIDDEN
-        for (l, r), p in zip(inst.edges, pos.tolist())
+        OPTIONAL if s else MANDATORY if mate[l] == r else FORBIDDEN
+        for (l, r), s in zip(inst.edges, swap)
     )
     perfect = -1 not in mate and inst.left_size == inst.right_size
     return EdgeClassification(labels, perfect)
 
 
-def _blossom(num_vertices: int, edges, require_perfect: bool):
-    """(mate array, perfect) of the blossom kernel on an undirected edge list."""
-    tails = []
-    heads = []
-    for u, v in edges:
-        tails += (u, v)
-        heads += (v, u)
-    indptr, indices, _ = _kernels.build_csr(num_vertices, tails, heads)
-    return _kernels.blossom_matching(num_vertices, indptr, indices, require_perfect)
-
-
 def max_general_matching(num_vertices: int, edges) -> list[tuple[int, int]]:
     """Maximum matching of a simple undirected graph as a list of edge pairs."""
-    mate, _ = _blossom(num_vertices, edges, False)
-    return [(v, int(mate[v])) for v in range(num_vertices) if 0 <= v < mate[v]]
+    edges = list(edges)
+    if any(not 0 <= x < num_vertices for edge in edges for x in edge):
+        raise ValueError(f"an edge leaves vertices 0..{num_vertices - 1}")
+    mate, _ = _kernels.blossom_matching(num_vertices, edges, False)
+    return [(v, mate[v]) for v in range(num_vertices) if v < mate[v]]
 
 
 def perfect_matching_mate(num_vertices: int, edges):
-    """(mate array, perfect) of a maximum matching in a general graph; the
+    """(mate list, perfect) of a maximum matching in a general graph; the
     search stops early once some vertex provably cannot be matched (no
     perfect matching exists)."""
-    return _blossom(num_vertices, edges, True)
+    return _kernels.blossom_matching(num_vertices, edges, True)

@@ -183,7 +183,6 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
     mate, perfect = perfect_matching_mate(ssg.num_nodes, h_edges)
     if not perfect:
         return None
-    mate = mate.tolist()
 
     path: list[int] = []
     cur = port = s

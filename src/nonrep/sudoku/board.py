@@ -212,23 +212,25 @@ class Board:
         return f"<Board B={self.box} filled={filled}/{self.size}>"
 
 
+def _ascii_int(token: str, what: str) -> int:
+    """``int(token)`` for a token of ASCII digits only; ``int`` alone would
+    also take signs, underscores and other scripts' digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"invalid {what} {token!r}")
+    return int(token)
+
+
 def parse_board(text: str) -> Board:
     """Parse the 81-char single-line form (B=3) or the ``B <n>`` header form."""
     stripped = text.strip()
     if stripped.startswith("B ") or stripped.startswith("B\t"):
         tokens = stripped.split()
-        try:
-            box = int(tokens[1])
-        except (IndexError, ValueError):
-            raise ValueError("header must be 'B <n>'") from None
+        box = _ascii_int(tokens[1], "header box size")
         cells = tokens[2:]
         size = box**4
         if len(cells) != size:
             raise ValueError(f"expected {size} cell values, got {len(cells)}")
-        try:
-            values = [int(tok) for tok in cells]
-        except ValueError as exc:
-            raise ValueError(f"invalid cell value: {exc}") from None
+        values = [_ascii_int(tok, "cell value") for tok in cells]
         for v in values:
             if not 0 <= v <= box * box:
                 raise ValueError(f"cell value {v} out of range")
@@ -240,8 +242,8 @@ def parse_board(text: str) -> Board:
     for ch in compact:
         if ch in ".0":
             values.append(0)
-        elif ch.isdigit():
-            values.append(int(ch))
+        elif "1" <= ch <= "9":
+            values.append(ord(ch) - ord("0"))
         else:
             raise ValueError(f"invalid character {ch!r}")
     return Board(3, values)

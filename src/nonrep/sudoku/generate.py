@@ -14,6 +14,7 @@ rules cannot finish grades as unsolvable (math.inf).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
@@ -264,14 +265,16 @@ def _grade_one(args) -> int:
 def batch_stats(count: int, seed: int, box: int = 3, jobs: int = 1) -> BatchStats:
     """Generate ``count`` puzzles from split seeds and grade each.
 
-    ``jobs`` > 1 evaluates puzzles in worker processes; aggregation is pure
-    counting, so results do not depend on completion order.
+    ``jobs`` > 1 evaluates puzzles in worker processes, at most one per
+    puzzle and per CPU; aggregation is pure counting, so results do not
+    depend on completion order.
     """
     if count < 1:
         raise ValueError("count must be positive")
     work = [(box, _subseed(seed, i)) for i in range(count)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             graded = list(pool.map(_grade_one, work, chunksize=16))
     else:
         graded = [_grade_one(item) for item in work]

@@ -304,16 +304,11 @@ def hidden_pairs(state: _BoardState) -> list[Deduction]:
 
 def _forbidden_edges(num: int, adjacency: list[list[int]]):
     """(perfect, [(l, r) forbidden...]) for a square bipartite instance."""
-    tails = [l for l in range(num) for _ in adjacency[l]]
-    heads = [r for row in adjacency for r in row]
-    # The tails are sorted, so edge i keeps CSR position i.
-    indptr, indices, _ = _kernels.build_csr(num, tails, heads)
-    size, _, _, forbidden = _kernels.bipartite_forbidden(num, num, indptr, indices)
+    edges = [(l, r) for l, row in enumerate(adjacency) for r in row]
+    size, _, _, forbidden = _kernels.bipartite_forbidden(num, num, edges)
     if size != num:
         return False, []
-    return True, [
-        (tails[pos], heads[pos]) for pos, bad in enumerate(forbidden.tolist()) if bad
-    ]
+    return True, [edge for edge, bad in zip(edges, forbidden) if bad]
 
 
 def digit_grid_matching(state: _BoardState) -> list[Deduction]:

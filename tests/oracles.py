@@ -1441,16 +1441,11 @@ def hidden_pairs(board: Board) -> list[Deduction]:
 
 def _forbidden_edges(num: int, adjacency: list[list[int]]):
     """(perfect, [(l, r) forbidden...]) for a square bipartite instance."""
-    tails = [l for l in range(num) for _ in adjacency[l]]
-    heads = [r for row in adjacency for r in row]
-    # The tails are sorted, so edge i keeps CSR position i.
-    indptr, indices, _ = nonrep_kernels.build_csr(num, tails, heads)
-    size, _, _, forbidden = nonrep_kernels.bipartite_forbidden(num, num, indptr, indices)
+    edges = [(l, r) for l in range(num) for r in adjacency[l]]
+    size, _, _, forbidden = nonrep_kernels.bipartite_forbidden(num, num, edges)
     if size != num:
         return False, []
-    return True, [
-        (tails[pos], heads[pos]) for pos, bad in enumerate(forbidden.tolist()) if bad
-    ]
+    return True, [edge for edge, bad in zip(edges, forbidden) if bad]
 
 
 def digit_grid_matching(board: Board) -> list[Deduction]:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonrep.sudoku.board import (
     Board,
@@ -60,6 +64,93 @@ def test_general_format_validation():
         parse_board("B 2\n1 2 3")
     with pytest.raises(ValueError, match="range"):
         parse_board("B 2\n" + " ".join(["9"] + ["0"] * 15))
+
+
+def test_parse_accepts_only_ascii_digits():
+    # Arabic-Indic 3, fullwidth 3 and superscript 2 pass ``str.isdigit``.
+    for ch in ("\u0663", "\uff13", "\u00b2"):
+        with pytest.raises(ValueError, match=re.escape(f"character {ch!r}")):
+            parse_board(ch + "." * 80)
+    for token in ("+3", "\u0663", "1_0", "-1"):
+        with pytest.raises(ValueError, match=re.escape(f"cell value {token!r}")):
+            parse_board("B 2\n" + " ".join([token] + ["0"] * 15))
+    with pytest.raises(ValueError, match="header"):
+        parse_board("B +2\n" + " ".join(["0"] * 16))
+
+
+def _pattern_solution(box: int) -> list[int]:
+    n = box * box
+    return [(box * (r % box) + r // box + c) % n + 1 for r in range(n) for c in range(n)]
+
+
+@st.composite
+def _valid_boards(draw):
+    """A relabelled pattern solution of box 2-4 with some cells shown."""
+    box = draw(st.integers(2, 4))
+    n = box * box
+    relabel = draw(st.permutations(range(1, n + 1)))
+    shown = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    values = [relabel[d - 1] for d in _pattern_solution(box)]
+    return Board(box, [d if keep else 0 for d, keep in zip(values, shown)])
+
+
+# Texts near both formats: compact lines with stray characters, and ``B <n>``
+# headers with well- and ill-formed tokens, plus arbitrary text.
+_board_texts = st.one_of(
+    st.text(),
+    st.text(alphabet=".0123456789x\u0663\uff13\u00b2 \n", min_size=78, max_size=84),
+    st.builds(
+        lambda box, tokens: f"B {box}\n" + " ".join(tokens),
+        st.sampled_from(["2", "3", "0", "1", "02", "+2", "\u0662", "x", "99"]),
+        st.lists(
+            st.sampled_from(
+                ["0", "1", "2", "3", "4", "9", "+1", "1_0", "\u0663", "-1", "x"]
+            ),
+            max_size=20,
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_board_texts)
+def test_parse_board_returns_a_board_or_raises_value_error(text):
+    try:
+        board = parse_board(text)
+    except ValueError:
+        return
+    assert isinstance(board, Board)
+    assert parse_board(board.to_text()).values == board.values
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_boards())
+def test_valid_boards_round_trip_through_text(board):
+    again = parse_board(board.to_text())
+    assert again.box == board.box
+    assert again.values == board.values and again.cand == board.cand
+
+
+_non_ascii_digits = st.characters(categories=("Nd", "No")).filter(
+    lambda ch: ch.isdigit() and not ch.isascii()
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_boards(), _non_ascii_digits, st.data())
+def test_non_ascii_digit_in_a_board_is_rejected(board, digit, data):
+    cell = data.draw(st.integers(0, board.size - 1))
+    if board.box == 3:
+        text = board.to_text()
+        text = text[:cell] + digit + text[cell + 1 :]
+        message = f"invalid character {digit!r}"
+    else:
+        tokens = board.to_text().split()
+        tokens[2 + cell] = digit
+        text = " ".join(tokens)
+        message = f"invalid cell value {digit!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_board(text)
 
 
 def test_placement_prunes_twenty_peers():

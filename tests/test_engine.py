@@ -7,6 +7,7 @@ import pytest
 from nonrep import FlagLabeledGraph
 from nonrep.engine import (
     LabelSwitchDigraph,
+    ReachedEdge,
     cyclic_edges,
     no_reversal_view,
     reachable_edges,
@@ -176,6 +177,43 @@ def test_reach_walk_witnesses_are_nonrepetitive():
                         assert near != prev_far
                     prev_far = step.far_label
                     current = step.head
+
+
+def test_walk_to_refuses_edges_the_reach_never_found():
+    g = FlagLabeledGraph(False, [("a", "b", 1), ("b", "c", 1), ("c", "d", 2)])
+    reach = LabelSwitchDigraph(g).reachable_from("a", 1)
+    assert reach.edges == [ReachedEdge(0, "a", "b", 1)]
+    for missing in (
+        ReachedEdge(2, "c", "d", 2),  # c is never entered: b-c repeats label 1
+        ReachedEdge(1, "b", "c", 1),
+        ReachedEdge(0, "b", "a", 1),  # the start's own edge, walked backwards
+        ReachedEdge(0, "x", "b", 1),  # tail is not an endpoint of edge 0
+    ):
+        with pytest.raises(ValueError, match="not reached"):
+            reach.walk_to(missing)
+    directed = FlagLabeledGraph(True, [("a", "b", 1), ("b", "c", 2)])
+    reach = LabelSwitchDigraph(directed).reachable_from("a", 1)
+    assert len(reach.walk_to(ReachedEdge(1, "b", "c", 2))) == 2
+    with pytest.raises(ValueError, match="not reached"):
+        reach.walk_to(ReachedEdge(1, "c", "b", 1))
+
+    # Every traversal of a random graph either is in the reach and has a
+    # walk, or is refused.
+    rng = Random(77)
+    for _ in range(30):
+        g = random_flag_graph(rng, flag_labeled=True)
+        expansion = LabelSwitchDigraph(g)
+        for vertex, label in _all_start_flags(g):
+            reach = expansion.reachable_from(vertex, label)
+            for eid in range(g.num_edges):
+                u, v = g.endpoints(eid)
+                lu, lv = g.edge_labels(eid)
+                for edge in (ReachedEdge(eid, u, v, lv), ReachedEdge(eid, v, u, lu)):
+                    if edge in reach.edges:
+                        assert reach.walk_to(edge)[-1] == edge
+                    else:
+                        with pytest.raises(ValueError, match="not reached"):
+                            reach.walk_to(edge)
 
 
 def test_size_linearity_on_corpus():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -182,6 +183,35 @@ def test_batch_stats_parallel_matches_serial():
     serial = batch_stats(16, seed=77, jobs=1)
     parallel = batch_stats(16, seed=77, jobs=2)
     assert serial.to_text() == parallel.to_text()
+
+
+def test_batch_stats_caps_workers_at_puzzles_and_cpus(monkeypatch):
+    recorded = []
+
+    class SerialPool:
+        """Records the worker count and maps in this process: nothing forks."""
+
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    generate_module = importlib.import_module("nonrep.sudoku.generate")
+    monkeypatch.setattr(generate_module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert batch_stats(3, seed=5, jobs=1000) == batch_stats(3, seed=5, jobs=1)
+    assert batch_stats(6, seed=5, jobs=1000) == batch_stats(6, seed=5, jobs=1)
+    assert recorded == [3, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert batch_stats(3, seed=5, jobs=1000) == batch_stats(3, seed=5, jobs=1)
+    assert recorded == [3, 4]
 
 
 # -- dense bivalue fixture -------------------------------------------------------------

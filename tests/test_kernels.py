@@ -122,27 +122,14 @@ def test_kuhn_and_forbidden_against_reference():
         pool = [(l, r) for l in range(n) for r in range(n)]
         rng.shuffle(pool)
         edges = sorted(pool[: rng.randint(1, len(pool))])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        flat = []
-        for l in range(n):
-            for ll, rr in edges:
-                if ll == l:
-                    flat.append(rr)
-            indptr[l + 1] = len(flat)
-        indices = np.array(flat, dtype=np.int64)
-        size, mate_l, mate_r, forbidden = K.bipartite_forbidden(n, n, indptr, indices)
+        size, mate_l, mate_r, forbidden = K.bipartite_forbidden(n, n, edges)
         inst = BipartiteInstance(n, n, tuple(edges))
         cls = classify_edges(inst)
         from nonrep.matching import matching_size
 
         assert size == matching_size(inst)
         if cls.perfect:
-            got = set()
-            k = 0
-            for l in range(n):
-                for p in range(indptr[l], indptr[l + 1]):
-                    if forbidden[p]:
-                        got.add((l, int(indices[p])))
+            got = {edge for edge, bad in zip(edges, forbidden) if bad}
             want = {edges[i] for i in cls.of_kind(FORBIDDEN)}
             assert got == want
 
@@ -154,14 +141,7 @@ def test_blossom_against_brute_force():
         pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pool)
         edges = sorted(pool[: rng.randint(0, min(len(pool), 16))])
-        tails, heads = [], []
-        for u, v in edges:
-            tails.extend((u, v))
-            heads.extend((v, u))
-        indptr, indices, _ = K.build_csr(
-            n, np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
-        )
-        mate, perfect = K.blossom_matching(n, indptr, indices, 0)
+        mate, perfect = K.blossom_matching(n, edges, 0)
         size = sum(1 for v in range(n) if mate[v] >= 0) // 2
         assert size == brute_general_max(n, edges)
         assert bool(perfect) == (size * 2 == n)
@@ -169,7 +149,7 @@ def test_blossom_against_brute_force():
             if mate[v] >= 0:
                 assert mate[mate[v]] == v
         # early-exit flavor agrees on perfection
-        mate2, perfect2 = K.blossom_matching(n, indptr, indices, 1)
+        mate2, perfect2 = K.blossom_matching(n, edges, 1)
         assert bool(perfect2) == bool(perfect)
 
 
@@ -322,37 +302,39 @@ def test_matchers_equal_numpy_reference():
         pool = [(l, r) for l in range(nl) for r in range(nr)]
         rng.shuffle(pool)
         edges = pool[: rng.randint(0, len(pool))]
-        indptr, indices, _ = K.build_csr(
+        indptr, indices, pos = K.build_csr(
             nl, [l for l, _ in edges], [r for _, r in edges]
         )
-        mate_l, mate_r = K.kuhn_bipartite(nl, nr, indptr, indices)
+        mate_l, mate_r = K.kuhn_bipartite(nl, nr, edges)
         want_l, want_r = oracles._kuhn(BipartiteInstance(nl, nr, tuple(edges)))
-        assert mate_l.tolist() == want_l and mate_r.tolist() == want_r
-        size, _, _, forbidden = K.bipartite_forbidden(nl, nr, indptr, indices)
+        assert mate_l == want_l and mate_r == want_r
+        size, _, _, forbidden = K.bipartite_forbidden(nl, nr, edges)
         want_size, _, _, want_forbidden = oracles.bipartite_forbidden(
             nl, nr, indptr, indices
         )
         assert size == want_size
-        assert forbidden.dtype == want_forbidden.dtype
-        assert forbidden.tolist() == want_forbidden.tolist()
+        # The reference flags CSR positions; edge i sits at pos[i].
+        want_forbidden = want_forbidden.tolist()
+        assert forbidden == [want_forbidden[p] for p in pos.tolist()]
         perfect += size == nl == nr
     assert perfect > 100
 
     for _ in range(320):
         n = rng.randint(1, 14)
-        tails, heads = [], []
+        edges, tails, heads = [], [], []
         for _ in range(rng.randint(0, 3 * n)):
-            # Loops and parallel arcs included.
+            # Loops and parallel edges included.
             u, v = rng.randrange(n), rng.randrange(n)
+            edges.append((u, v))
             tails += (u, v)
             heads += (v, u)
         indptr, indices, _ = K.build_csr(n, tails, heads)
         for require_perfect in (0, 1):
-            mate, got_perfect = K.blossom_matching(n, indptr, indices, require_perfect)
+            mate, got_perfect = K.blossom_matching(n, edges, require_perfect)
             want, want_perfect = oracles.blossom_matching(
                 n, indptr, indices, require_perfect
             )
-            assert mate.dtype == want.dtype and mate.tolist() == want.tolist()
+            assert mate == want.tolist()
             assert bool(got_perfect) == bool(want_perfect)
 
 

@@ -137,6 +137,12 @@ def test_general_matching_triangle_and_pentagon():
     assert len(max_general_matching(5, pentagon)) == 2
 
 
+def test_general_matching_rejects_out_of_range_vertices():
+    for edges in ([(0, 3)], [(0, -1)], [(0, 1), (2, 7)]):
+        with pytest.raises(ValueError, match="leaves vertices"):
+            max_general_matching(3, edges)
+
+
 def test_general_matching_random_matches_brute_force():
     rng = Random(4242)
     for _ in range(200):
