@@ -7,6 +7,16 @@ and endpoint labels then becomes a skew-symmetric reachability question
 (``build_skew_instance``), which is decided by reduction to maximum matching
 in a general graph (``regular_reachable``).
 
+Of this work, only the four source and sink arcs, their port edges and the
+matching depend on the endpoints.  So ``nonrepetitive_simple_path``
+prepares each graph once, on its first query: it drops the self-loops,
+binarizes the rest and builds the endpoint-free skew graph with the port
+graph of its arcs.  The preparation is kept on the graph object, so it is
+dropped with the graph, and equal but distinct graphs each prepare their
+own.  Every (p, q, start label, end label) instance then adds only its four
+endpoint arcs to that shared base, and their port edges to the shared port
+graph.
+
 The matching reduction runs on a port graph that reuses the skew-symmetric
 graph's node ids: node x stands for "enter x" and for "leave sigma(x)",
 except that the source s stands for "leave s" and its mirror t for "enter
@@ -25,7 +35,8 @@ not offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import cached_property
+from typing import Optional
 
 from .labeled_graph import FlagLabeledGraph
 from .matching import perfect_matching_mate
@@ -36,10 +47,11 @@ class BinarizedGraph:
     """0/1-labeled equivalent of a labeled graph for simple-path queries.
 
     ``graph`` has vertex tokens ("c", v) for the center of each original
-    vertex and ("p", v, label, bit) for the per-label ports.  Original edge i
-    is edge i of the new graph (``edge_origin[i] == i``); the gadget wiring
-    edges map to None.  Simple nonrepetitive paths between centers correspond
-    to simple nonrepetitive paths between the original vertices.
+    vertex and ("p", v, label, bit) for the per-label ports; the center of
+    original vertex i is vertex i.  Original edge i is edge i of the new
+    graph (``edge_origin[i] == i``); the gadget wiring edges map to None.
+    Simple nonrepetitive paths between centers correspond to simple
+    nonrepetitive paths between the original vertices.
     """
 
     graph: FlagLabeledGraph
@@ -78,29 +90,80 @@ def binarize_labels(g: FlagLabeledGraph) -> BinarizedGraph:
     return BinarizedGraph(FlagLabeledGraph(False, edges, vertices=vertices), center, origin)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkewSymmetricGraph:
-    """Digraph with a fixed-point-free involution reversing every arc."""
+    """Digraph with a fixed-point-free involution reversing every arc.
+
+    A graph built by hand is checked in full when it is constructed.  One
+    that ``build_skew_instance`` derives from a base (``_base``) shares the
+    base's nodes, ``sigma`` and source, and its arcs are the base's arcs
+    followed by new ones; only the new arcs are checked, and they must be
+    each other's mirrors.
+    """
 
     num_nodes: int
     arcs: tuple[tuple[int, int], ...]
     sigma: tuple[int, ...]
     source: int
     arc_origin: Optional[tuple] = field(default=None, compare=False)
+    _base: Optional[SkewSymmetricGraph] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        n = self.num_nodes
         sig = self.sigma
-        if len(sig) != self.num_nodes:
-            raise ValueError("sigma must cover all nodes")
-        for x in range(self.num_nodes):
-            if sig[x] == x:
-                raise ValueError(f"sigma fixes node {x}")
-            if sig[sig[x]] != x:
-                raise ValueError("sigma is not an involution")
-        arc_set = set(self.arcs)
-        for a, b in self.arcs:
+        base = self._base
+        if base is None:
+            if len(sig) != n:
+                raise ValueError("sigma must cover all nodes")
+            for x in range(n):
+                if not 0 <= sig[x] < n:
+                    raise ValueError(f"sigma maps node {x} outside 0..{n - 1}")
+                if sig[x] == x:
+                    raise ValueError(f"sigma fixes node {x}")
+                if sig[sig[x]] != x:
+                    raise ValueError("sigma is not an involution")
+            new_arcs = self.arcs
+        else:
+            if sig is not base.sigma or n != base.num_nodes or self.source != base.source:
+                raise ValueError("a derived instance keeps its base's nodes and sigma")
+            new_arcs = self.arcs[len(base.arcs):]
+        if not 0 <= self.source < n:
+            raise ValueError(f"source {self.source} is outside 0..{n - 1}")
+        arc_set = set(new_arcs)
+        for a, b in new_arcs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"arc ({a},{b}) leaves nodes 0..{n - 1}")
             if (sig[b], sig[a]) not in arc_set:
                 raise ValueError(f"mirror of arc ({a},{b}) is missing")
+
+    @cached_property
+    def _ports(self) -> tuple[dict[tuple[int, int], int], list[tuple[int, int]]]:
+        """The port graph of these arcs: (edge -> first arc index, idle edges)."""
+        sig = self.sigma
+        s = self.source
+        t = sig[s]
+        idle = [(x, sig[x]) for x in range(self.num_nodes) if x < sig[x] and x not in (s, t)]
+        return _port_edges(self, 0, {}), idle
+
+
+def _port_edges(ssg: SkewSymmetricGraph, first: int, known: dict) -> dict:
+    """Port edges of the arcs from index ``first`` on that ``known`` lacks,
+    each mapped to the first arc that gives it."""
+    sig = ssg.sigma
+    s = ssg.source
+    t = sig[s]
+    arcs = ssg.arcs
+    edge_arc: dict[tuple[int, int], int] = {}
+    for arc_idx in range(first, len(arcs)):
+        a, b = arcs[arc_idx]
+        if a == b or a == t or b == s:
+            continue
+        port = s if a == s else sig[a]
+        if port != b:
+            key = (port, b) if port < b else (b, port)
+            if key not in known:
+                edge_arc.setdefault(key, arc_idx)
+    return edge_arc
 
 
 def _binary_bit(token) -> int:
@@ -111,8 +174,29 @@ def _binary_bit(token) -> int:
     raise ValueError(f"label {token!r} is not binary")
 
 
+def _skew_base(g: FlagLabeledGraph, arc_origin: tuple) -> SkewSymmetricGraph:
+    """The endpoint-free part of every skew instance of the 0/1-labeled
+    undirected graph ``g``: arcs 2i and 2i+1 traverse edge i, and the source
+    2n and its mirror 2n+1 have no arcs yet."""
+    n = g.num_vertices
+    arcs: list[tuple[int, int]] = []
+    for u, v, lu, lv in g.edges:
+        bit = _binary_bit(g.label_name(lu))
+        if _binary_bit(g.label_name(lv)) != bit:
+            raise ValueError("skew-symmetric reduction needs edge labels, not flags")
+        # Traversing a b-labeled edge is allowed after arriving on 1-b.
+        arcs.append((2 * u + (1 - bit), 2 * v + bit))
+        arcs.append((2 * v + (1 - bit), 2 * u + bit))
+    sigma = []
+    for v in range(n + 1):
+        sigma.extend((2 * v + 1, 2 * v))
+    return SkewSymmetricGraph(
+        2 * n + 2, tuple(arcs), tuple(sigma), 2 * n, arc_origin=arc_origin
+    )
+
+
 def build_skew_instance(
-    g: FlagLabeledGraph, p, q, start_label: int, end_label: int
+    g: FlagLabeledGraph | SkewSymmetricGraph, p, q, start_label: int, end_label: int
 ) -> SkewSymmetricGraph:
     """Skew-symmetric reachability instance for one endpoint-label choice.
 
@@ -120,42 +204,41 @@ def build_skew_instance(
     simple nonrepetitive p..q path in the 0/1-labeled graph ``g`` whose first
     edge is labeled ``start_label`` and last edge ``end_label`` iff the source
     is regular-reachable to its mirror.
+
+    ``g`` may instead be an endpoint-free skew base, such as the one a
+    graph's preparation keeps (see the module docstring), with ``p`` and
+    ``q`` vertex ids; the instance then shares the base's arcs, nodes and
+    ``sigma`` and adds only the four endpoint arcs.
     """
-    if g.directed:
-        raise ValueError("skew-symmetric reduction needs an undirected graph")
-    pid = g.vertex_id(p)
-    qid = g.vertex_id(q)
+    if isinstance(g, SkewSymmetricGraph):
+        base, pid, qid = g, p, q
+    else:
+        if g.directed:
+            raise ValueError("skew-symmetric reduction needs an undirected graph")
+        pid = g.vertex_id(p)
+        qid = g.vertex_id(q)
+        base = None
     if pid == qid:
         raise ValueError("endpoints must differ")
-    n = g.num_vertices
-    arcs: list[tuple[int, int]] = []
-    origin: list = []
-    for eid in range(g.num_edges):
-        u, v, lu, lv = g.edges[eid]
-        bit = _binary_bit(g.label_name(lu))
-        if _binary_bit(g.label_name(lv)) != bit:
-            raise ValueError("skew-symmetric reduction needs edge labels, not flags")
-        # Traversing a b-labeled edge is allowed after arriving on 1-b.
-        arcs.append((2 * u + (1 - bit), 2 * v + bit))
-        origin.append((eid, 0))
-        arcs.append((2 * v + (1 - bit), 2 * u + bit))
-        origin.append((eid, 1))
-    s = 2 * n
-    t = 2 * n + 1
-    arcs.append((s, 2 * pid + (1 - start_label)))
-    origin.append(None)
-    arcs.append((s, 2 * qid + (1 - end_label)))
-    origin.append(None)
-    arcs.append((2 * qid + end_label, t))
-    origin.append(None)
-    arcs.append((2 * pid + start_label, t))
-    origin.append(None)
-    sigma = []
-    for v in range(n):
-        sigma.extend((2 * v + 1, 2 * v))
-    sigma.extend((t, s))
+    if base is None:
+        origin = tuple((eid, end) for eid in range(g.num_edges) for end in (0, 1))
+        base = _skew_base(g, origin)
+    s = base.source
+    t = base.sigma[s]
+    ends = (
+        (s, 2 * pid + (1 - start_label)),
+        (s, 2 * qid + (1 - end_label)),
+        (2 * qid + end_label, t),
+        (2 * pid + start_label, t),
+    )
+    origin = base.arc_origin
     return SkewSymmetricGraph(
-        2 * n + 2, tuple(arcs), tuple(sigma), s, arc_origin=tuple(origin)
+        base.num_nodes,
+        base.arcs + ends,
+        base.sigma,
+        s,
+        arc_origin=None if origin is None else origin + (None,) * len(ends),
+        _base=base,
     )
 
 
@@ -163,24 +246,19 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
     """Arc indices of a source-to-mirror path using one node per sigma-pair.
 
     Returns None when no such path exists.  Decided via a perfect matching in
-    the port graph described in the module docstring.
+    the port graph described in the module docstring.  An instance derived
+    from a base reuses the base's port graph and adds the edges of its own
+    arcs between the base's arc edges and the idle edges, which is where a
+    port graph built from scratch would have them.
     """
     sig = ssg.sigma
     s = ssg.source
     t = sig[s]
-    edge_arc: dict[tuple[int, int], int] = {}
-    for arc_idx, (a, b) in enumerate(ssg.arcs):
-        if a == b or a == t or b == s:
-            continue
-        port = s if a == s else sig[a]
-        if port != b:
-            edge_arc.setdefault((port, b) if port < b else (b, port), arc_idx)
-    h_edges = list(edge_arc)
-    h_edges.extend(
-        (x, sig[x]) for x in range(ssg.num_nodes) if x < sig[x] and x not in (s, t)
-    )
+    base = ssg if ssg._base is None else ssg._base
+    edge_arc, idle = base._ports
+    extra = _port_edges(ssg, len(base.arcs), edge_arc)
 
-    mate, perfect = perfect_matching_mate(ssg.num_nodes, h_edges)
+    mate, perfect = perfect_matching_mate(ssg.num_nodes, [*edge_arc, *extra, *idle])
     if not perfect:
         return None
 
@@ -188,7 +266,10 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
     cur = port = s
     while True:
         other = mate[port]
-        arc_idx = edge_arc[(port, other) if port < other else (other, port)]
+        key = (port, other) if port < other else (other, port)
+        arc_idx = edge_arc.get(key)
+        if arc_idx is None:
+            arc_idx = extra[key]
         a, b = ssg.arcs[arc_idx]
         if a == cur:
             nxt = b
@@ -226,6 +307,23 @@ def _loopless(g: FlagLabeledGraph) -> tuple[FlagLabeledGraph, list[int]]:
     return g.subgraph(e for e in range(g.num_edges) if not g.is_self_loop(e))
 
 
+def _prepared(g: FlagLabeledGraph) -> SkewSymmetricGraph:
+    """The endpoint-free skew base of ``g``'s binarized loopless part, made
+    on the first query and kept in ``g``'s instance dict (where
+    ``cached_property`` keeps ``g._incidence``).  Its ``arc_origin`` maps an
+    arc to the edge id of ``g`` it traverses, or None for gadget wiring.
+    Vertex v of ``g`` is vertex v of the binarized graph (its center)."""
+    cache = vars(g)
+    base = cache.get("_simple_path_base")
+    if base is None:
+        loopless, orig_ids = _loopless(g)
+        binarized = binarize_labels(loopless)
+        edge_of = [None if e is None else orig_ids[e] for e in binarized.edge_origin]
+        origin = tuple(edge_of[arc >> 1] for arc in range(2 * len(edge_of)))
+        base = cache.setdefault("_simple_path_base", _skew_base(binarized.graph, origin))
+    return base
+
+
 def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
     """Edge ids of a simple nonrepetitive p..q path in ``g``, or None.
 
@@ -233,6 +331,11 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
     reduction and returns the shortest witness found.  ``p == q`` is a
     zero-length path.  Self loops never occur on simple paths and are
     dropped up front.
+
+    The first query on ``g`` prepares it: the loopless, binarized,
+    endpoint-free skew base and its port graph.  ``g`` keeps the preparation
+    until it is itself dropped, so later queries on the same object skip
+    that work; the four instances of every query share it.
     """
     if g.directed:
         raise ValueError(
@@ -243,26 +346,16 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
     qid = g.vertex_id(q)
     if pid == qid:
         return []
-    base, orig_ids = _loopless(g)
-    binarized = binarize_labels(base)
-    cp = binarized.center[p]
-    cq = binarized.center[q]
+    base = _prepared(g)
     best: Optional[list[int]] = None
     for start_bit in (0, 1):
         for end_bit in (0, 1):
-            ssg = build_skew_instance(binarized.graph, cp, cq, start_bit, end_bit)
+            ssg = build_skew_instance(base, pid, qid, start_bit, end_bit)
             witness = regular_reachable(ssg)
             if witness is None:
                 continue
-            edge_ids = []
-            for arc_idx in witness:
-                info = ssg.arc_origin[arc_idx]
-                if info is None:
-                    continue
-                bin_eid = info[0]
-                orig = binarized.edge_origin[bin_eid]
-                if orig is not None:
-                    edge_ids.append(orig_ids[orig])
+            origin = ssg.arc_origin
+            edge_ids = [origin[arc] for arc in witness if origin[arc] is not None]
             # The source wires to both endpoints, so the witness may have been
             # traced q-to-p; report it from p's side.
             if len(edge_ids) > 1 and p not in g.endpoints(edge_ids[0]):

@@ -9,9 +9,10 @@ code as the reference its replacements must equal.  They are the numpy-scalar
 Sudoku and graph kernels, the per-vertex-dict expansion builder (which still
 uses the package's ``build_csr`` and gadget builders), the recursive
 ``classify_edges``, the numpy-scalar matchers, the 14 Sudoku rules as
-they were when each one rebuilt its own digit homes, graphs and reaches, and
+they were when each one rebuilt its own digit homes, graphs and reaches,
 the pair-indexed port graph of ``regular_reachable`` with the
-method-interning ``FlagLabeledGraph`` constructor.
+method-interning ``FlagLabeledGraph`` constructor, and the simple-path
+pipeline that binarized and built its skew instances anew on every query.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from nonrep.matching import (
     EdgeClassification,
     perfect_matching_mate,
 )
-from nonrep.simple_paths import SkewSymmetricGraph
+from nonrep.simple_paths import BinarizedGraph, SkewSymmetricGraph
 from nonrep.sudoku.board import Board, Contradiction, Deduction, cell_name, geometry
 from nonrep.sudoku.rules import BilocationGraph, BipartiteBivalueGraph, BivalueGraph
 
@@ -2074,3 +2075,235 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
         consumed = 2 * idx if nxt == rep else 2 * idx + 1
         cur_h = 2 * idx + 1 if consumed == 2 * idx else 2 * idx
         cur = nxt
+
+
+# ---------------------------------------------------------------------------
+# The simple-path pipeline kept verbatim from the version in which every
+# ``nonrepetitive_simple_path`` call binarized the whole graph again and
+# built four complete skew-symmetric instances, each with its own port graph.
+# Only the names carry the ``per_query_`` prefix.  It uses the package's
+# ``BinarizedGraph`` and ``SkewSymmetricGraph`` as plain records and the
+# package's ``perfect_matching_mate``; the package's per-graph preparation
+# must give the same witnesses and cycle edges.
+# ---------------------------------------------------------------------------
+
+
+def per_query_binarize_labels(g: FlagLabeledGraph) -> BinarizedGraph:
+    if g.directed:
+        raise ValueError("binarization is defined for undirected graphs")
+    if g.has_self_loops():
+        raise ValueError("self-loops are not supported")
+    vertices = []
+    center = {}
+    for vid in range(g.num_vertices):
+        name = g.vertex_name(vid)
+        center[name] = ("c", name)
+        vertices.append(("c", name))
+    edges: list[tuple] = []
+    for eid in range(g.num_edges):
+        u, v = g.endpoints(eid)
+        lu, lv = g.edge_labels(eid)
+        edges.append((("p", u, lu, 0), ("p", v, lv, 0), 0))
+    for vid in range(g.num_vertices):
+        name = g.vertex_name(vid)
+        for lid in g.vertex_label_ids(vid):
+            lab = g.label_name(lid)
+            # Port pair per label: walks pass entry-port, center, exit-port,
+            # exit-port's twin, forcing a label change at the vertex.
+            edges.append((("c", name), ("p", name, lab, 0), 1))
+            edges.append((("c", name), ("p", name, lab, 1), 0))
+            edges.append((("p", name, lab, 0), ("p", name, lab, 1), 1))
+    origin = tuple(
+        list(range(g.num_edges)) + [None] * (len(edges) - g.num_edges)
+    )
+    return BinarizedGraph(FlagLabeledGraph(False, edges, vertices=vertices), center, origin)
+
+
+def per_query_binary_bit(token) -> int:
+    if token in (0, "0"):
+        return 0
+    if token in (1, "1"):
+        return 1
+    raise ValueError(f"label {token!r} is not binary")
+
+
+def per_query_build_skew_instance(
+    g: FlagLabeledGraph, p, q, start_label: int, end_label: int
+) -> SkewSymmetricGraph:
+    """Skew-symmetric reachability instance for one endpoint-label choice.
+
+    Node 2v+b means "standing at v, arrived on a b-labeled edge".  There is a
+    simple nonrepetitive p..q path in the 0/1-labeled graph ``g`` whose first
+    edge is labeled ``start_label`` and last edge ``end_label`` iff the source
+    is regular-reachable to its mirror.
+    """
+    if g.directed:
+        raise ValueError("skew-symmetric reduction needs an undirected graph")
+    pid = g.vertex_id(p)
+    qid = g.vertex_id(q)
+    if pid == qid:
+        raise ValueError("endpoints must differ")
+    n = g.num_vertices
+    arcs: list[tuple[int, int]] = []
+    origin: list = []
+    for eid in range(g.num_edges):
+        u, v, lu, lv = g.edges[eid]
+        bit = per_query_binary_bit(g.label_name(lu))
+        if per_query_binary_bit(g.label_name(lv)) != bit:
+            raise ValueError("skew-symmetric reduction needs edge labels, not flags")
+        # Traversing a b-labeled edge is allowed after arriving on 1-b.
+        arcs.append((2 * u + (1 - bit), 2 * v + bit))
+        origin.append((eid, 0))
+        arcs.append((2 * v + (1 - bit), 2 * u + bit))
+        origin.append((eid, 1))
+    s = 2 * n
+    t = 2 * n + 1
+    arcs.append((s, 2 * pid + (1 - start_label)))
+    origin.append(None)
+    arcs.append((s, 2 * qid + (1 - end_label)))
+    origin.append(None)
+    arcs.append((2 * qid + end_label, t))
+    origin.append(None)
+    arcs.append((2 * pid + start_label, t))
+    origin.append(None)
+    sigma = []
+    for v in range(n):
+        sigma.extend((2 * v + 1, 2 * v))
+    sigma.extend((t, s))
+    return SkewSymmetricGraph(
+        2 * n + 2, tuple(arcs), tuple(sigma), s, arc_origin=tuple(origin)
+    )
+
+
+def per_query_regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
+    """Arc indices of a source-to-mirror path using one node per sigma-pair.
+
+    Returns None when no such path exists.  Decided via a perfect matching in
+    the port graph described in the module docstring.
+    """
+    sig = ssg.sigma
+    s = ssg.source
+    t = sig[s]
+    edge_arc: dict[tuple[int, int], int] = {}
+    for arc_idx, (a, b) in enumerate(ssg.arcs):
+        if a == b or a == t or b == s:
+            continue
+        port = s if a == s else sig[a]
+        if port != b:
+            edge_arc.setdefault((port, b) if port < b else (b, port), arc_idx)
+    h_edges = list(edge_arc)
+    h_edges.extend(
+        (x, sig[x]) for x in range(ssg.num_nodes) if x < sig[x] and x not in (s, t)
+    )
+
+    mate, perfect = perfect_matching_mate(ssg.num_nodes, h_edges)
+    if not perfect:
+        return None
+
+    path: list[int] = []
+    cur = port = s
+    while True:
+        other = mate[port]
+        arc_idx = edge_arc[(port, other) if port < other else (other, port)]
+        a, b = ssg.arcs[arc_idx]
+        if a == cur:
+            nxt = b
+        else:
+            # The matched orbit contains the mirror arc leaving the current node.
+            if sig[b] != cur:
+                raise RuntimeError("matched edge does not continue the path")
+            nxt = sig[a]
+        path.append(arc_idx)
+        if nxt == t:
+            return path
+        cur = nxt
+        port = sig[cur]
+
+
+def per_query_loopless(g: FlagLabeledGraph) -> tuple[FlagLabeledGraph, list[int]]:
+    if not g.has_self_loops():
+        return g, list(range(g.num_edges))
+    return g.subgraph(e for e in range(g.num_edges) if not g.is_self_loop(e))
+
+
+def per_query_nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
+    """Edge ids of a simple nonrepetitive p..q path in ``g``, or None.
+
+    Tries the four endpoint-label combinations of the skew-symmetric
+    reduction and returns the shortest witness found.  ``p == q`` is a
+    zero-length path.  Self loops never occur on simple paths and are
+    dropped up front.
+    """
+    if g.directed:
+        raise ValueError(
+            "simple-path search is restricted to undirected graphs; the "
+            "directed variant is NP-complete"
+        )
+    pid = g.vertex_id(p)
+    qid = g.vertex_id(q)
+    if pid == qid:
+        return []
+    base, orig_ids = per_query_loopless(g)
+    binarized = per_query_binarize_labels(base)
+    cp = binarized.center[p]
+    cq = binarized.center[q]
+    best: Optional[list[int]] = None
+    for start_bit in (0, 1):
+        for end_bit in (0, 1):
+            ssg = per_query_build_skew_instance(binarized.graph, cp, cq, start_bit, end_bit)
+            witness = per_query_regular_reachable(ssg)
+            if witness is None:
+                continue
+            edge_ids = []
+            for arc_idx in witness:
+                info = ssg.arc_origin[arc_idx]
+                if info is None:
+                    continue
+                bin_eid = info[0]
+                orig = binarized.edge_origin[bin_eid]
+                if orig is not None:
+                    edge_ids.append(orig_ids[orig])
+            # The source wires to both endpoints, so the witness may have been
+            # traced q-to-p; report it from p's side.
+            if len(edge_ids) > 1 and p not in g.endpoints(edge_ids[0]):
+                edge_ids.reverse()
+            if best is None or len(edge_ids) < len(best):
+                best = edge_ids
+    return best
+
+
+def per_query_simple_cycle_edges(g: FlagLabeledGraph) -> set[int]:
+    """Edges that belong to some simple nonrepetitive cycle.
+
+    Per edge: drop it along with every incident edge that repeats its flag
+    label at either endpoint, then ask for a simple nonrepetitive path
+    between its endpoints.  Parallel edges count as 2-cycles when their
+    labels differ at both ends.
+    """
+    if g.directed:
+        raise ValueError(
+            "simple-cycle search is restricted to undirected graphs; the "
+            "directed variant is NP-complete"
+        )
+    result: set[int] = set()
+    for eid in range(g.num_edges):
+        if g.is_self_loop(eid):
+            continue
+        u, v, lu, lv = g.edges[eid]
+        keep = []
+        for other in range(g.num_edges):
+            if other == eid:
+                continue
+            ou, ov, olu, olv = g.edges[other]
+            if (ou == u and olu == lu) or (ov == u and olv == lu):
+                continue
+            if (ou == v and olu == lv) or (ov == v and olv == lv):
+                continue
+            keep.append(other)
+        reduced, _ = g.subgraph(keep)
+        if (
+            per_query_nonrepetitive_simple_path(reduced, g.vertex_name(u), g.vertex_name(v))
+            is not None
+        ):
+            result.add(eid)
+    return result

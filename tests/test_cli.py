@@ -326,6 +326,9 @@ _graph_argv = st.one_of(
         _vertex_arg,
         st.sampled_from([[], [], [], ["--directed"]]),
     ),
+    st.builds(
+        lambda d: ["simple-cycles", *d], st.sampled_from([[], [], [], ["--directed"]])
+    ),
 )
 
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
-from itertools import combinations
+import gc
+import importlib.util
+import sys
+import weakref
+from itertools import combinations, permutations
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from nonrep import FlagLabeledGraph
+from nonrep import FlagLabeledGraph, simple_paths
 from nonrep.simple_paths import (
     SkewSymmetricGraph,
     binarize_labels,
@@ -103,6 +108,17 @@ def test_skew_validation_rejects_broken_mirror():
         SkewSymmetricGraph(4, ((0, 2),), (1, 0, 3, 2), 0)
     with pytest.raises(ValueError):
         SkewSymmetricGraph(3, (), (1, 0, 2), 0)  # fixed point
+    # Node ids outside 0..num_nodes-1: a negative arc end whose mirrors close
+    # up under Python's negative indexing, a negative source, an arc end and
+    # a sigma value past the last node.
+    with pytest.raises(ValueError):
+        SkewSymmetricGraph(4, ((-1, 0), (1, 2), (3, 0)), (1, 0, 3, 2), 0)
+    with pytest.raises(ValueError):
+        SkewSymmetricGraph(4, (), (1, 0, 3, 2), -1)
+    with pytest.raises(ValueError):
+        SkewSymmetricGraph(4, ((0, 9),), (1, 0, 3, 2), 0)
+    with pytest.raises(ValueError):
+        SkewSymmetricGraph(4, (), (1, 0, 3, 9), 0)
 
 
 def test_regular_reachable_direct_case():
@@ -253,6 +269,142 @@ def test_adding_an_edge_never_breaks_a_path():
         )
         after = nonrepetitive_simple_path(bigger, su, tu) is not None
         assert after or not before
+
+
+# Vertex and label tokens that are not strings; the tuples look like the
+# binarized graph's own center and port tokens.
+_VERTEX_TOKENS = (0, 1, "v2", (3, "x"), None, 5.5, frozenset({6}), ("c", 7), ("p", 8, 0, 0))
+_LABEL_TOKENS = (0, 1, "1", ("L", 2), None, 2.5)
+
+
+def _mixed_graph(rng: Random, max_vertices: int = 7) -> FlagLabeledGraph:
+    """Undirected graph mixing edge and flag labels, parallel edges,
+    self-loops and (declared) isolated vertices, over non-string tokens."""
+    names = rng.sample(_VERTEX_TOKENS, rng.randint(2, max_vertices))
+    labels = rng.sample(_LABEL_TOKENS, rng.randint(1, 4))
+    edges = []
+    for _ in range(rng.randint(0, 2 * len(names))):
+        if edges and rng.random() < 0.15:
+            u, v = edges[-1][:2]
+        else:
+            u = rng.choice(names)
+            v = u if rng.random() < 0.1 else rng.choice(names)
+        lu = rng.choice(labels)
+        if rng.random() < 0.5:
+            edges.append((u, v, lu))
+        else:
+            edges.append((u, v, lu, rng.choice(labels)))
+    return FlagLabeledGraph(False, edges, vertices=names)
+
+
+def _answers(g: FlagLabeledGraph, pairs, simple_path, cycle_edges):
+    names = [g.vertex_name(v) for v in range(g.num_vertices)]
+    return [simple_path(g, p, q) for p, q in pairs(names, 2)], cycle_edges(g)
+
+
+def _new_answers(g: FlagLabeledGraph, pairs):
+    return _answers(g, pairs, nonrepetitive_simple_path, simple_cycle_edges)
+
+
+def _per_query_answers(g: FlagLabeledGraph, pairs):
+    return _answers(
+        g,
+        pairs,
+        oracles.per_query_nonrepetitive_simple_path,
+        oracles.per_query_simple_cycle_edges,
+    )
+
+
+def test_prepared_graphs_equal_per_query_reference():
+    """Witnesses and cycle edges equal those of the pipeline that binarized
+    and built four complete skew instances on every query."""
+    rng = Random(8128)
+    loops = flags = parallel = isolated = 0
+    for _ in range(200):
+        g = _mixed_graph(rng)
+        want = _per_query_answers(g, permutations)
+        assert _new_answers(g, permutations) == want
+        # a second round on the now-prepared graph answers the same
+        assert _new_answers(g, permutations) == want
+        loops += g.has_self_loops()
+        flags += not g.is_edge_labeled()
+        parallel += len({frozenset(g.edges[e][:2]) for e in range(g.num_edges)}) < g.num_edges
+        isolated += any(g.degree(v) == 0 for v in range(g.num_vertices))
+    assert min(loops, flags, parallel, isolated) >= 20
+
+
+def _benchmark_pool():
+    """The 300 graphs of the ``simple_paths_sweep`` benchmark workload."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("common", "inputs"):
+            spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            # inputs.py imports common by its plain name, and dataclasses
+            # look their module up in sys.modules.
+            mp.setitem(sys.modules, name, module)
+            spec.loader.exec_module(module)
+        return [module.simple_graph(i).build() for i in range(module.SIMPLE_POOL)]
+
+
+def test_benchmark_pool_equals_per_query_reference():
+    for g in _benchmark_pool():
+        assert _new_answers(g, combinations) == _per_query_answers(g, combinations)
+
+
+def test_graph_is_prepared_once_and_matched_four_times_per_query(monkeypatch):
+    calls = {"binarize": 0, "match": 0}
+    binarize, match = simple_paths.binarize_labels, simple_paths.perfect_matching_mate
+
+    def counted_binarize(g):
+        calls["binarize"] += 1
+        return binarize(g)
+
+    def counted_match(num_vertices, edges):
+        calls["match"] += 1
+        return match(num_vertices, edges)
+
+    monkeypatch.setattr(simple_paths, "binarize_labels", counted_binarize)
+    monkeypatch.setattr(simple_paths, "perfect_matching_mate", counted_match)
+    edges = [
+        ("a", "b", 0), ("b", "c", 1), ("c", "d", 0, 1), ("d", "a", 1),
+        ("a", "c", 2), ("b", "b", 0), ("a", "b", 1),
+    ]
+    g = FlagLabeledGraph(False, edges, vertices=["e"])
+    names = [g.vertex_name(v) for v in range(g.num_vertices)]
+    pairs = list(permutations(names, 2))
+    answers = [nonrepetitive_simple_path(g, p, q) for p, q in pairs]
+    assert calls == {"binarize": 1, "match": 4 * len(pairs)}
+    assert nonrepetitive_simple_path(g, "a", "a") == []
+    assert calls["binarize"] == 1
+    # An equal graph and a subgraph with every edge are other objects: each
+    # prepares its own, and answers as ``g`` does.
+    twin = FlagLabeledGraph(False, edges, vertices=["e"])
+    full, _ = g.subgraph(range(g.num_edges))
+    assert twin == g and full == g
+    for other, prepared in ((twin, 2), (full, 3)):
+        assert [nonrepetitive_simple_path(other, p, q) for p, q in pairs] == answers
+        assert calls["binarize"] == prepared
+    # The preparation lives on the graph and goes with it.
+    base = weakref.ref(vars(g)["_simple_path_base"])
+    del g
+    gc.collect()
+    assert base() is None
+
+
+def test_answers_do_not_depend_on_earlier_queries():
+    rng = Random(4096)
+    for _ in range(40):
+        g = _mixed_graph(rng)
+        names = [g.vertex_name(v) for v in range(g.num_vertices)]
+        pairs = [(p, q) for p in names for q in names]
+        rng.shuffle(pairs)
+        edges = [(*g.endpoints(e), *g.edge_labels(e)) for e in range(g.num_edges)]
+        cycles = simple_cycle_edges(g)
+        for p, q in pairs:
+            fresh = FlagLabeledGraph(False, edges, vertices=names)
+            assert nonrepetitive_simple_path(g, p, q) == nonrepetitive_simple_path(fresh, p, q)
+        assert simple_cycle_edges(g) == cycles
 
 
 # -- simple cycles -----------------------------------------------------------------
