@@ -3,7 +3,8 @@
 Two command families share one binary: ``nonrep graph ...`` for labeled-graph
 analysis and ``nonrep sudoku ...`` for puzzle workflows.  Exit codes: 0 on
 success, 1 for negative domain answers (no path, unsolved puzzle), 2 for
-usage or input errors.
+usage or input errors.  Input errors are ``ValueError``s, raised by the
+handlers or by the library, and ``run`` turns each into one stderr line.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ from .sudoku import (
 )
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -39,34 +34,28 @@ def _read_input(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> FlagLabeledGraph:
     try:
         return parse_labeled_graph(_read_input(path))
     except GraphParseError as exc:
-        raise _CliError(f"graph parse error: {exc}") from exc
+        raise ValueError(f"graph parse error: {exc}") from exc
 
 
 def _load_board(path: str):
+    text = _read_input(path)
     try:
-        return parse_board(_read_input(path))
+        return parse_board(text)
     except ValueError as exc:
-        raise _CliError(f"board parse error: {exc}") from exc
+        raise ValueError(f"board parse error: {exc}") from exc
 
 
 def _require_vertices(g: FlagLabeledGraph, *tokens) -> None:
     for token in tokens:
         if not g.has_vertex(token):
-            raise _CliError(f"unknown vertex {token!r}")
-
-
-def _expansion(g: FlagLabeledGraph) -> LabelSwitchDigraph:
-    try:
-        return LabelSwitchDigraph(g)
-    except ValueError as exc:  # self-loops have no switch gadget
-        raise _CliError(f"unsupported graph: {exc}") from exc
+            raise ValueError(f"unknown vertex {token!r}")
 
 
 def _write_traversals(edges) -> None:
@@ -80,12 +69,25 @@ def _write_traversals(edges) -> None:
     )
 
 
+def _write_edges(g: FlagLabeledGraph, eids) -> None:
+    """One ``edge <id>: <u> -- <v> label <label>`` line per edge id, written
+    to stdout at once; an edge with two flag labels shows them as
+    ``<label at u>/<label at v>``."""
+    lines = []
+    for eid in eids:
+        u, v = g.endpoints(eid)
+        lu, lv = g.edge_labels(eid)
+        label = lu if lu == lv else f"{lu}/{lv}"
+        lines.append(f"edge {eid}: {u} -- {v} label {label}\n")
+    sys.stdout.write("".join(lines))
+
+
 # -- graph subcommands ---------------------------------------------------------
 
 
 def _cmd_graph_cycles(args) -> int:
     g = _load_graph(args.file)
-    _write_traversals(_expansion(g).cycle_directions())
+    _write_traversals(LabelSwitchDigraph(g).cycle_directions())
     return 0
 
 
@@ -93,8 +95,8 @@ def _cmd_graph_reach(args) -> int:
     g = _load_graph(args.file)
     _require_vertices(g, args.start)
     if g.label_id(args.label) is None:
-        raise _CliError(f"unknown label {args.label!r}")
-    expansion = _expansion(g)
+        raise ValueError(f"unknown label {args.label!r}")
+    expansion = LabelSwitchDigraph(g)
     _write_traversals(expansion.reachable_from(args.start, args.label).edges)
     return 0
 
@@ -102,7 +104,7 @@ def _cmd_graph_reach(args) -> int:
 def _cmd_graph_shortest(args) -> int:
     g = _load_graph(args.file)
     _require_vertices(g, args.src, args.dst)
-    path = _expansion(g).shortest_path(args.src, args.dst)
+    path = LabelSwitchDigraph(g).shortest_path(args.src, args.dst)
     if path is None:
         print("no nonrepetitive path", file=sys.stderr)
         return 1
@@ -110,45 +112,33 @@ def _cmd_graph_shortest(args) -> int:
     return 0
 
 
-def _refuse_directed() -> int:
-    print(
+def _load_undirected(args) -> FlagLabeledGraph:
+    """The graph of a simple-path or simple-cycle command, which refuses
+    directed ones by flag or by file header."""
+    if not args.directed:
+        g = _load_graph(args.file)
+        if not g.directed:
+            return g
+    raise ValueError(
         "simple-path and simple-cycle questions in directed labeled graphs "
-        "are NP-complete; only undirected graphs are supported",
-        file=sys.stderr,
+        "are NP-complete; only undirected graphs are supported"
     )
-    return 2
 
 
 def _cmd_graph_simple_path(args) -> int:
-    if args.directed:
-        return _refuse_directed()
-    g = _load_graph(args.file)
-    if g.directed:
-        return _refuse_directed()
+    g = _load_undirected(args)
     _require_vertices(g, args.src, args.dst)
     witness = nonrepetitive_simple_path(g, args.src, args.dst)
     if witness is None:
         print("no simple nonrepetitive path", file=sys.stderr)
         return 1
-    for eid in witness:
-        u, v = g.endpoints(eid)
-        lu, lv = g.edge_labels(eid)
-        label = lu if lu == lv else f"{lu}/{lv}"
-        print(f"edge {eid}: {u} -- {v} label {label}")
+    _write_edges(g, witness)
     return 0
 
 
 def _cmd_graph_simple_cycles(args) -> int:
-    if args.directed:
-        return _refuse_directed()
-    g = _load_graph(args.file)
-    if g.directed:
-        return _refuse_directed()
-    for eid in sorted(simple_cycle_edges(g)):
-        u, v = g.endpoints(eid)
-        lu, lv = g.edge_labels(eid)
-        label = lu if lu == lv else f"{lu}/{lv}"
-        print(f"edge {eid}: {u} -- {v} label {label}")
+    g = _load_undirected(args)
+    _write_edges(g, sorted(simple_cycle_edges(g)))
     return 0
 
 
@@ -176,7 +166,7 @@ def _cmd_sudoku_solve(args) -> int:
 
 def _cmd_sudoku_generate(args) -> int:
     if args.count < 1:
-        raise _CliError("--count must be positive")
+        raise ValueError("--count must be positive")
     for i in range(args.count):
         seed = args.seed + i
         report = generate(args.box, seed=seed, symmetric=not args.no_symmetric)
@@ -190,11 +180,7 @@ def _cmd_sudoku_generate(args) -> int:
 
 
 def _cmd_sudoku_grade(args) -> int:
-    board = _load_board(args.file)
-    try:
-        tier = grade(board)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    tier = grade(_load_board(args.file))
     if tier is math.inf:
         print("tier=unsolvable")
         return 1
@@ -204,9 +190,9 @@ def _cmd_sudoku_grade(args) -> int:
 
 def _cmd_sudoku_stats(args) -> int:
     if args.count < 1:
-        raise _CliError("--count must be positive")
+        raise ValueError("--count must be positive")
     if args.jobs < 1:
-        raise _CliError("--jobs must be positive")
+        raise ValueError("--jobs must be positive")
     stats = batch_stats(args.count, args.seed, box=args.box, jobs=args.jobs)
     print(stats.to_text(), end="")
     return 0
@@ -344,9 +330,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 1
 

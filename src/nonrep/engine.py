@@ -171,6 +171,10 @@ class LabelSwitchDigraph:
     @property
     def scc(self) -> np.ndarray:
         """Component id per node, in reverse topological order."""
+        # A memo set up in __init__, not functools.cached_property: on
+        # CPython 3.11 a cached_property writes the instance __dict__, after
+        # which every attribute read on the instance is slower, and the
+        # result builders read attributes once per result.
         if self._scc is None:
             self._scc = _kernels.scc_csr(self.indptr, self.indices)
         return self._scc
@@ -275,10 +279,13 @@ class ReachResult:
         if self._parent is None:
             raise ValueError("empty reach result has no walks")
         ex = self._expansion
-        ends = ex.graph.endpoints(reached.edge_id)
+        eid = reached.edge_id
         pos = -1
-        if reached.tail in ends:
-            pos = ex.conn_pos[reached.edge_id, ends.index(reached.tail)]
+        if 0 <= eid < ex.graph.num_edges:
+            # The orientation that starts at ``reached.tail``, if any.
+            direction = int(reached.tail != ex.graph.endpoints(eid)[0])
+            if ex._oriented(eid, direction) == reached:
+                pos = ex.conn_pos[eid, direction]
         node = int(ex._tail_of_pos[pos])
         # Reached iff its connector arc leaves a node the search visited.
         if pos < 0 or (node != self._start and self._parent[node] == -1):

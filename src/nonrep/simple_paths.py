@@ -8,14 +8,15 @@ and endpoint labels then becomes a skew-symmetric reachability question
 in a general graph (``regular_reachable``).
 
 Of this work, only the four source and sink arcs, their port edges and the
-matching depend on the endpoints.  So ``nonrepetitive_simple_path``
-prepares each graph once, on its first query: it drops the self-loops,
-binarizes the rest and builds the endpoint-free skew graph with the port
-graph of its arcs.  The preparation is kept on the graph object, so it is
-dropped with the graph, and equal but distinct graphs each prepare their
-own.  Every (p, q, start label, end label) instance then adds only its four
-endpoint arcs to that shared base, and their port edges to the shared port
-graph.
+matching depend on the endpoints.  So each graph is prepared once, on its
+first path or cycle query: the self-loops are dropped, the rest is
+binarized, and the endpoint-free skew graph is built with the port graph of
+its arcs.  The preparation is kept on the graph object, so it is dropped
+with the graph, and equal but distinct graphs each prepare their own.
+Every instance then adds only its four endpoint arcs to that shared base,
+and their port edges to the shared port graph.  A path query asks four
+instances, one per (start label, end label) between the two centers;
+``simple_cycle_edges`` asks one per edge, between the edge's two ports.
 
 The matching reduction runs on a port graph that reuses the skew-symmetric
 graph's node ids: node x stands for "enter x" and for "leave sigma(x)",
@@ -368,37 +369,31 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
 def simple_cycle_edges(g: FlagLabeledGraph) -> set[int]:
     """Edges that belong to some simple nonrepetitive cycle.
 
-    Per edge: drop it along with every incident edge that repeats its flag
-    label at either endpoint, then ask for a simple nonrepetitive path
-    between its endpoints.  Parallel edges count as 2-cycles when their
-    labels differ at both ends.
+    Answered from the same preparation as ``nonrepetitive_simple_path``,
+    with one skew instance per non-loop edge.  Edge e is 0-labeled in the
+    binarized graph between pu and pv, the label-0 ports of its two flags.
+    A simple nonrepetitive pu..pv path that starts and ends on 1-labeled
+    gadget edges passes the center of every gadget it enters, so it enters
+    each at most once; such paths are exactly the simple paths of ``g``
+    that close a nonrepetitive cycle with e.  They cannot use e itself,
+    whose ends are the path's own endpoints, so nothing is masked.
+    Parallel edges count as 2-cycles when their labels differ at both ends.
     """
     if g.directed:
         raise ValueError(
             "simple-cycle search is restricted to undirected graphs; the "
             "directed variant is NP-complete"
         )
+    base = _prepared(g)
+    loopless = g.num_edges - sum(map(g.is_self_loop, range(g.num_edges)))
     result: set[int] = set()
-    for eid in range(g.num_edges):
-        if g.is_self_loop(eid):
-            continue
-        u, v, lu, lv = g.edges[eid]
-        keep = []
-        for other in range(g.num_edges):
-            if other == eid:
-                continue
-            ou, ov, olu, olv = g.edges[other]
-            if (ou == u and olu == lu) or (ov == u and olv == lu):
-                continue
-            if (ou == v and olu == lv) or (ov == v and olv == lv):
-                continue
-            keep.append(other)
-        reduced, _ = g.subgraph(keep)
-        if (
-            nonrepetitive_simple_path(reduced, g.vertex_name(u), g.vertex_name(v))
-            is not None
-        ):
-            result.add(eid)
+    # The base's arcs start with the loopless edges, two per edge; arc 2i
+    # runs (2 pu + 1, 2 pv).
+    for arc in range(0, 2 * loopless, 2):
+        a, b = base.arcs[arc]
+        ssg = build_skew_instance(base, a >> 1, b >> 1, 1, 1)
+        if regular_reachable(ssg) is not None:
+            result.add(base.arc_origin[arc])
     return result
 
 

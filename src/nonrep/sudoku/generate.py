@@ -22,7 +22,7 @@ from typing import Optional
 
 from .. import _kernels
 from .board import Board, cell_name, geometry
-from .rules import TIER_BILOCATION, TIER_BIVALUE, TIER_MATCHING, solve
+from .rules import TIER_BILOCATION, solve
 
 
 class GenerationError(RuntimeError):

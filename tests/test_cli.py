@@ -51,6 +51,14 @@ def test_graph_parse_error_exits_2():
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("family, command", [("graph", "cycles"), ("sudoku", "solve")])
+def test_unreadable_file_exits_2(tmp_path, family, command):
+    missing = tmp_path / "missing"
+    code, out, err = _run([family, command, str(missing)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {missing}: ") and err.count("\n") == 1
+
+
 def test_graph_reach():
     text = "graph directed\nedge a b 1\nedge b c 2\nedge b d 1\n"
     code, out, _ = _run(["graph", "reach", "--start", "a", "--label", "1", "-"], stdin=text)
@@ -181,6 +189,18 @@ def test_sudoku_grade_roundtrip():
     code, out, _ = _run(["sudoku", "grade", "-"], stdin=puzzle)
     assert code == 0
     assert out.startswith("tier=")
+
+
+def test_sudoku_grade_two_solutions_exits_2():
+    # a solved grid with one rectangle of two digit pairs emptied: the pairs
+    # swap, so the puzzle has exactly two solutions
+    puzzle = (
+        "781692354539841276462357189847213965923465718"
+        "156978432615720803394186527278530601"
+    )
+    code, out, err = _run(["sudoku", "grade", "-"], stdin=puzzle)
+    assert (code, out) == (2, "")
+    assert err == "grading requires a puzzle with exactly one solution\n"
 
 
 def test_sudoku_generate_deterministic_across_processes():

@@ -194,8 +194,15 @@ def test_walk_to_refuses_edges_the_reach_never_found():
     directed = FlagLabeledGraph(True, [("a", "b", 1), ("b", "c", 2)])
     reach = LabelSwitchDigraph(directed).reachable_from("a", 1)
     assert len(reach.walk_to(ReachedEdge(1, "b", "c", 2))) == 2
-    with pytest.raises(ValueError, match="not reached"):
-        reach.walk_to(ReachedEdge(1, "c", "b", 1))
+    for missing in (
+        ReachedEdge(1, "c", "b", 1),
+        ReachedEdge(1, "b", "a", 2),  # wrong head
+        ReachedEdge(1, "b", "c", 7),  # wrong far label
+        ReachedEdge(-1, "b", "c", 2),  # edge ids run 0..m-1
+        ReachedEdge(2, "b", "c", 2),
+    ):
+        with pytest.raises(ValueError, match="not reached"):
+            reach.walk_to(missing)
 
     # Every traversal of a random graph either is in the reach and has a
     # walk, or is refused.

@@ -353,8 +353,9 @@ def test_benchmark_pool_equals_per_query_reference():
 
 
 def test_graph_is_prepared_once_and_matched_four_times_per_query(monkeypatch):
-    calls = {"binarize": 0, "match": 0}
+    calls = {"binarize": 0, "match": 0, "subgraph": 0}
     binarize, match = simple_paths.binarize_labels, simple_paths.perfect_matching_mate
+    subgraph = FlagLabeledGraph.subgraph
 
     def counted_binarize(g):
         calls["binarize"] += 1
@@ -364,8 +365,13 @@ def test_graph_is_prepared_once_and_matched_four_times_per_query(monkeypatch):
         calls["match"] += 1
         return match(num_vertices, edges)
 
+    def counted_subgraph(self, edge_ids):
+        calls["subgraph"] += 1
+        return subgraph(self, edge_ids)
+
     monkeypatch.setattr(simple_paths, "binarize_labels", counted_binarize)
     monkeypatch.setattr(simple_paths, "perfect_matching_mate", counted_match)
+    monkeypatch.setattr(FlagLabeledGraph, "subgraph", counted_subgraph)
     edges = [
         ("a", "b", 0), ("b", "c", 1), ("c", "d", 0, 1), ("d", "a", 1),
         ("a", "c", 2), ("b", "b", 0), ("a", "b", 1),
@@ -374,9 +380,15 @@ def test_graph_is_prepared_once_and_matched_four_times_per_query(monkeypatch):
     names = [g.vertex_name(v) for v in range(g.num_vertices)]
     pairs = list(permutations(names, 2))
     answers = [nonrepetitive_simple_path(g, p, q) for p, q in pairs]
-    assert calls == {"binarize": 1, "match": 4 * len(pairs)}
+    # The one copy is the loopless part the preparation binarizes.
+    assert calls == {"binarize": 1, "match": 4 * len(pairs), "subgraph": 1}
     assert nonrepetitive_simple_path(g, "a", "a") == []
     assert calls["binarize"] == 1
+    # Cycles ask the same preparation, one matching per non-loop edge.
+    before = dict(calls)
+    loopless = sum(not g.is_self_loop(e) for e in range(g.num_edges))
+    simple_cycle_edges(g)
+    assert calls == {**before, "match": before["match"] + loopless}
     # An equal graph and a subgraph with every edge are other objects: each
     # prepares its own, and answers as ``g`` does.
     twin = FlagLabeledGraph(False, edges, vertices=["e"])
