@@ -122,7 +122,7 @@ class Board:
     # -- queries --------------------------------------------------------------
 
     def is_complete(self) -> bool:
-        return all(v != 0 for v in self.values)
+        return 0 not in self.values
 
     def empty_cells(self) -> list[int]:
         return [c for c in range(self.size) if self.values[c] == 0]
@@ -132,7 +132,7 @@ class Board:
         return tuple(d + 1 for d in range(self.n) if mask >> d & 1)
 
     def candidate_count(self, cell: int) -> int:
-        return bin(self.cand[cell]).count("1")
+        return self.cand[cell].bit_count()
 
     def admits(self, cell: int, digit: int) -> bool:
         return self.values[cell] == 0 and bool(self.cand[cell] >> (digit - 1) & 1)

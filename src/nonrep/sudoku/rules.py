@@ -29,6 +29,11 @@ and one reach result per (expansion, start vertex, first label).  So the
 rules that run on one board state share these instead of rebuilding them.
 Rules never mutate the state, its board or anything it holds.
 
+Every rule is a generator that yields its firings one at a time, in a fixed
+scan order.  The registry runs it to a list: ``solve`` asks each rule for its
+first firing only and stops scanning there, while ``rule_deductions`` takes
+all of them.
+
 ``solve`` applies one deduction of the cheapest firing rule per step and
 rescans from tier 0, so a trace is replayable and the difficulty tier
 reflects the hardest rule actually needed.
@@ -37,9 +42,9 @@ reflects the hardest rule actually needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations
-from typing import Any, Optional
+from functools import cache, cached_property
+from itertools import islice, permutations
+from typing import Any, Callable, Iterator, Optional
 
 from .. import _kernels
 from ..engine import LabelSwitchDigraph, ReachedEdge, ReachResult
@@ -147,100 +152,116 @@ class _BoardState:
 # ---------------------------------------------------------------------------
 
 
-def hidden_singles(state: _BoardState) -> list[Deduction]:
-    """A digit with a single remaining home in some group is placed there."""
-    board, geo = state.board, state.geo
-    out = []
+def hidden_singles(state: _BoardState) -> Iterator[Deduction]:
+    """A digit with a single remaining home in some group is placed there.
+
+    Per group, over the candidate masks m of its empty cells,
+    ``twice |= once & m; once |= m``.  The digits of
+    ``once & ~twice & ~placed`` have exactly one empty home and are not
+    placed in the group; they are yielded lowest first, each at that home,
+    and a (cell, digit) already yielded for an earlier group is skipped.
+    """
+    geo = state.geo
+    values, cand = state.board.values, state.board.cand
     seen = set()
     for g, cells in enumerate(geo.group_cells):
-        placed = 0
+        once = twice = placed = 0
         for c in cells:
-            if board.values[c]:
-                placed |= 1 << (board.values[c] - 1)
-        homes_of = state.homes[g]
-        for d in range(1, board.n + 1):
-            if placed >> (d - 1) & 1:
-                continue
-            homes = homes_of[d]
-            if len(homes) == 1 and (homes[0], d) not in seen:
-                seen.add((homes[0], d))
-                out.append(
-                    Deduction(
-                        "hidden_single",
-                        placements=((homes[0], d),),
-                        witness=geo.group_name(g),
-                    )
+            v = values[c]
+            if v:
+                placed |= 1 << (v - 1)
+            else:
+                m = cand[c]
+                twice |= once & m
+                once |= m
+        single = once & ~twice & ~placed
+        while single:
+            bit = single & -single
+            single ^= bit
+            home = next(c for c in cells if not values[c] and cand[c] & bit)
+            key = (home, bit.bit_length())
+            if key not in seen:
+                seen.add(key)
+                yield Deduction(
+                    "hidden_single", placements=(key,), witness=geo.group_name(g)
                 )
-    return out
 
 
-def naked_singles(state: _BoardState) -> list[Deduction]:
+def naked_singles(state: _BoardState) -> Iterator[Deduction]:
     """A cell with a single candidate receives it."""
-    board = state.board
-    out = []
-    for cell in range(board.size):
-        if board.values[cell] == 0 and board.candidate_count(cell) == 1:
-            digit = board.candidates(cell)[0]
-            out.append(Deduction("naked_single", placements=((cell, digit),)))
-    return out
+    values = state.board.values
+    for cell, m in enumerate(state.board.cand):
+        if m and not m & (m - 1) and values[cell] == 0:
+            yield Deduction("naked_single", placements=((cell, m.bit_length()),))
 
 
-def _line_box_pairs(board: Board):
-    geo = geometry(board.box)
-    n, box = board.n, board.box
-    for line in range(2 * n):
+@cache
+def _line_box_pairs(box: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(line, box group, the cells where they meet) for every line and box
+    that meet, lines in group order and each line's boxes in order."""
+    geo = geometry(box)
+    pairs = []
+    for line in range(2 * geo.n):
         line_cells = geo.group_cells[line]
         boxes = sorted({geo.groups_of_cell[c][2] for c in line_cells})
         for bg in boxes:
             inter = tuple(c for c in line_cells if geo.groups_of_cell[c][2] == bg)
             if len(inter) == box:
-                yield line, bg, inter
+                pairs.append((line, bg, inter))
+    return tuple(pairs)
 
 
-def intersection_triples(state: _BoardState) -> list[Deduction]:
+def intersection_triples(state: _BoardState) -> Iterator[Deduction]:
     """B digits confined, within a line or a box, to the B cells where the
     line meets the box must fill exactly those cells: other digits leave the
-    intersection, and the confined digits leave the rest of both groups."""
+    intersection, and the confined digits leave the rest of both groups.
+
+    A digit is confined to the free intersection cells of a group when it is
+    a candidate of one of them (``inside``) and of no other empty cell of the
+    group (``outside``), all read off the candidate masks."""
     board, geo = state.board, state.geo
-    out = []
-    for line, bg, inter in _line_box_pairs(board):
-        free = [c for c in inter if board.values[c] == 0]
+    values, cand = board.values, board.cand
+    for line, bg, inter in _line_box_pairs(board.box):
+        free = [c for c in inter if values[c] == 0]
         if len(free) < 2:
             continue
-        free_set = set(free)
+        inside = 0
+        for c in free:
+            inside |= cand[c]
         for src, other in ((line, bg), (bg, line)):
-            confined = [
-                d
-                for d, homes in enumerate(state.homes[src])
-                if homes and all(c in free_set for c in homes)
-            ]
-            if len(confined) != len(free):
+            outside = 0
+            for c in geo.group_cells[src]:
+                if values[c] == 0 and c not in inter:
+                    outside |= cand[c]
+            confined_mask = inside & ~outside
+            if confined_mask.bit_count() != len(free):
                 continue
+            confined = [d for d in range(1, board.n + 1) if confined_mask >> (d - 1) & 1]
             elims = [(c, d) for c in free for d in board.candidates(c) if d not in confined]
             # The confined digits are locked inside the intersection, so they
             # vacate the rest of the other containing group (the source group
             # holds no further homes for them by construction).
             elims += [
-                (c, d) for d in confined for c in state.homes[other][d] if c not in free_set
+                (c, d)
+                for c in geo.group_cells[other]
+                if values[c] == 0 and c not in inter
+                for d in confined
+                if cand[c] >> (d - 1) & 1
             ]
             if elims:
-                out.append(
-                    Deduction(
-                        "intersection_triple",
-                        eliminations=tuple(sorted(set(elims))),
-                        witness=f"{geo.group_name(src)}"
-                        f"[{','.join(map(str, confined))}]",
-                    )
+                yield Deduction(
+                    "intersection_triple",
+                    eliminations=tuple(sorted(set(elims))),
+                    witness=f"{geo.group_name(src)}"
+                    f"[{','.join(map(str, confined))}]",
                 )
-    return out
 
 
-def box_line(state: _BoardState) -> list[Deduction]:
+def box_line(state: _BoardState) -> Iterator[Deduction]:
     """Digit homes of a box confined to one line clear the rest of the line,
     and homes of a line confined to one box clear the rest of the box."""
     board, geo = state.board, state.geo
     n = board.n
-    out = []
     for g, cells in enumerate(geo.group_cells):
         for d in range(1, n + 1):
             homes = state.homes[g][d]
@@ -263,20 +284,16 @@ def box_line(state: _BoardState) -> list[Deduction]:
                     continue
             elims = tuple((c, d) for c in state.homes[target][d] if c not in cells)
             if elims:
-                out.append(
-                    Deduction(
-                        "box_line",
-                        eliminations=elims,
-                        witness=f"{geo.group_name(g)}->{geo.group_name(target)}[{d}]",
-                    )
+                yield Deduction(
+                    "box_line",
+                    eliminations=elims,
+                    witness=f"{geo.group_name(g)}->{geo.group_name(target)}[{d}]",
                 )
-    return out
 
 
-def hidden_pairs(state: _BoardState) -> list[Deduction]:
+def hidden_pairs(state: _BoardState) -> Iterator[Deduction]:
     """Two digits sharing the same two homes in a group own those cells."""
     board, geo = state.board, state.geo
-    out = []
     for g, homes in enumerate(state.homes):
         digits = [d for d in range(1, board.n + 1) if len(homes[d]) == 2]
         for i, x in enumerate(digits):
@@ -287,14 +304,11 @@ def hidden_pairs(state: _BoardState) -> list[Deduction]:
                     (c, d) for c in homes[x] for d in board.candidates(c) if d not in (x, y)
                 )
                 if elims:
-                    out.append(
-                        Deduction(
-                            "hidden_pair",
-                            eliminations=elims,
-                            witness=f"{geo.group_name(g)}[{x},{y}]",
-                        )
+                    yield Deduction(
+                        "hidden_pair",
+                        eliminations=elims,
+                        witness=f"{geo.group_name(g)}[{x},{y}]",
                     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +325,11 @@ def _forbidden_edges(num: int, adjacency: list[list[int]]):
     return True, [edge for edge, bad in zip(edges, forbidden) if bad]
 
 
-def digit_grid_matching(state: _BoardState) -> list[Deduction]:
+def digit_grid_matching(state: _BoardState) -> Iterator[Deduction]:
     """Per digit: cover every row and column with one copy, as a row/column
     matching; candidate cells on edges of no perfect matching are cleared."""
     board = state.board
     n = board.n
-    out = []
     for d in range(1, n + 1):
         rows = [r for r in range(n) if all(board.values[r * n + c] != d for c in range(n))]
         if not rows:
@@ -330,25 +343,21 @@ def digit_grid_matching(state: _BoardState) -> list[Deduction]:
         ]
         perfect, bad = _forbidden_edges(len(rows), adjacency)
         if not perfect:
-            out.append(
-                Deduction(
-                    "digit_matching",
-                    contradiction=True,
-                    reason=f"digit {d} cannot cover every row and column",
-                )
+            yield Deduction(
+                "digit_matching",
+                contradiction=True,
+                reason=f"digit {d} cannot cover every row and column",
             )
             continue
         elims = tuple((rows[l] * n + cols[r], d) for l, r in bad)
         if elims:
-            out.append(Deduction("digit_matching", eliminations=elims, witness=f"digit {d}"))
-    return out
+            yield Deduction("digit_matching", eliminations=elims, witness=f"digit {d}")
 
 
-def group_matching(state: _BoardState) -> list[Deduction]:
+def group_matching(state: _BoardState) -> Iterator[Deduction]:
     """Per group: complete it as a digit/cell matching; candidate placements
     on edges of no perfect matching are cleared."""
     board, geo = state.board, state.geo
-    out = []
     for g, cells in enumerate(geo.group_cells):
         free = [c for c in cells if board.values[c] == 0]
         if not free:
@@ -359,22 +368,17 @@ def group_matching(state: _BoardState) -> list[Deduction]:
         adjacency = [[cell_index[c] for c in state.homes[g][d]] for d in digits]
         perfect, bad = _forbidden_edges(len(digits), adjacency)
         if not perfect:
-            out.append(
-                Deduction(
-                    "group_matching",
-                    contradiction=True,
-                    reason=f"{geo.group_name(g)} admits no complete placement",
-                )
+            yield Deduction(
+                "group_matching",
+                contradiction=True,
+                reason=f"{geo.group_name(g)} admits no complete placement",
             )
             continue
         elims = tuple((free[r], digits[l]) for l, r in bad)
         if elims:
-            out.append(
-                Deduction(
-                    "group_matching", eliminations=elims, witness=geo.group_name(g)
-                )
+            yield Deduction(
+                "group_matching", eliminations=elims, witness=geo.group_name(g)
             )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +505,19 @@ def _walk_summary(box: int, steps: list[ReachedEdge]) -> str:
     return "-".join(str(p) for p in parts)
 
 
-def bilocation_cycle_rule(state: _BoardState) -> list[Deduction]:
+def bilocation_cycle_rule(state: _BoardState) -> Iterator[Deduction]:
     """Each nonrepetitive bilocation cycle through a cell restricts the cell
     to the two labels the cycle uses there; the cell's value must lie in the
     intersection of those label pairs over all cycles, and an empty
     intersection is a contradiction."""
     bl = state.bilocation
     if bl.contradiction:
-        return [
-            Deduction("biloc_cycle", contradiction=True, reason=bl.contradiction.reason)
-        ]
+        yield Deduction("biloc_cycle", contradiction=True, reason=bl.contradiction.reason)
+        return
     if bl.graph.num_edges == 0:
-        return []
+        return
     board = state.board
     expansion = state.bilocation_expansion
-    out = []
     for cell in board.empty_cells():
         pairs = expansion.cycle_transit_pairs(cell)
         if not pairs:
@@ -525,33 +527,29 @@ def bilocation_cycle_rule(state: _BoardState) -> list[Deduction]:
             "{" + ",".join(str(d) for d in sorted(p)) + "}" for p in sorted(pairs, key=sorted)
         )
         if not allowed:
-            out.append(
-                Deduction(
-                    "biloc_cycle",
-                    contradiction=True,
-                    reason=f"{cell_name(board.box, cell)} sits on cycles with "
-                    "incompatible label pairs",
-                    witness=witness,
-                )
+            yield Deduction(
+                "biloc_cycle",
+                contradiction=True,
+                reason=f"{cell_name(board.box, cell)} sits on cycles with "
+                "incompatible label pairs",
+                witness=witness,
             )
             continue
         elims = tuple(
             (cell, d) for d in board.candidates(cell) if d not in allowed
         )
         if elims:
-            out.append(Deduction("biloc_cycle", eliminations=elims, witness=witness))
-    return out
+            yield Deduction("biloc_cycle", eliminations=elims, witness=witness)
 
 
-def bivalue_cycle_rule(state: _BoardState) -> list[Deduction]:
+def bivalue_cycle_rule(state: _BoardState) -> Iterator[Deduction]:
     """A bivalue cycle through a (group, digit) vertex confines that digit to
     the two member cells the cycle transits; intersecting over all cycles
     leaves the digit's only possible homes in the group."""
     if not state.bivalue_starts:
-        return []
+        return
     board, geo = state.board, state.geo
     expansion = state.bivalue_expansion
-    out = []
     for g in range(len(geo.group_cells)):
         for d in range(1, board.n + 1):
             pairs = expansion.cycle_transit_pairs((g, d))
@@ -564,62 +562,49 @@ def bivalue_cycle_rule(state: _BoardState) -> list[Deduction]:
                 for p in sorted(pairs, key=sorted)
             )
             if not cells:
-                out.append(
-                    Deduction(
-                        "bivalue_cycle",
-                        contradiction=True,
-                        reason=f"{geo.group_name(g)} has no home left for "
-                        f"digit {d} compatible with its cycles",
-                        witness=witness,
-                    )
+                yield Deduction(
+                    "bivalue_cycle",
+                    contradiction=True,
+                    reason=f"{geo.group_name(g)} has no home left for "
+                    f"digit {d} compatible with its cycles",
+                    witness=witness,
                 )
                 continue
             elims = tuple((c, d) for c in state.homes[g][d] if c not in cells)
             if elims:
-                out.append(
-                    Deduction("bivalue_cycle", eliminations=elims, witness=witness)
-                )
-    return out
+                yield Deduction("bivalue_cycle", eliminations=elims, witness=witness)
 
 
-def bilocation_repeat_rule(state: _BoardState) -> list[Deduction]:
+def bilocation_repeat_rule(state: _BoardState) -> Iterator[Deduction]:
     """A nonrepetitive bilocation walk that starts and ends at the same cell
     with the same label forces that label into the cell."""
-    out = []
     for cell, d in state.bilocation_starts:
         reach = state.reach(state.bilocation_expansion, cell, d)
         for re in reach.edges:
             if re.head == cell and re.far_label == d:
                 walk = reach.walk_to(re)
-                out.append(
-                    Deduction(
-                        "biloc_repeat",
-                        placements=((cell, d),),
-                        witness=_walk_summary(state.board.box, walk),
-                    )
+                yield Deduction(
+                    "biloc_repeat",
+                    placements=((cell, d),),
+                    witness=_walk_summary(state.board.box, walk),
                 )
                 break
-    return out
 
 
-def bivalue_repeat_rule(state: _BoardState) -> list[Deduction]:
+def bivalue_repeat_rule(state: _BoardState) -> Iterator[Deduction]:
     """A bivalue forcing chain from (cell, d) back to the cell ending on d
     rules d out there, placing the cell's other candidate."""
-    out = []
     for cell, d, other in state.bivalue_starts:
         reach = state.reach(state.bivalue_expansion, cell, ("d", d))
         for re in reach.edges:
             if re.head == cell and re.far_label == ("d", d):
                 walk = reach.walk_to(re)
-                out.append(
-                    Deduction(
-                        "bivalue_repeat",
-                        placements=((cell, other),),
-                        witness=_walk_summary(state.board.box, walk),
-                    )
+                yield Deduction(
+                    "bivalue_repeat",
+                    placements=((cell, other),),
+                    witness=_walk_summary(state.board.box, walk),
                 )
                 break
-    return out
 
 
 def _forced_by_bilocation(state: _BoardState, cell, digit):
@@ -676,45 +661,36 @@ def _conflict_witness(box: int, reach_a, re_a, reach_b, re_b) -> str:
     )
 
 
-def bilocation_conflict_rule(state: _BoardState) -> list[Deduction]:
+def bilocation_conflict_rule(state: _BoardState) -> Iterator[Deduction]:
     """Two forcing chains from (cell, d) that push one digit onto two cells
     of a group cannot both hold, so the cell must hold d."""
-    out = []
     for cell, d in state.bilocation_starts:
         reach, forced = _forced_by_bilocation(state, cell, d)
         hit = _find_conflict(state.geo, forced)
         if hit is not None:
             witness = _conflict_witness(state.board.box, reach, hit[0], reach, hit[1])
-            out.append(
-                Deduction("biloc_conflict", placements=((cell, d),), witness=witness)
-            )
-    return out
+            yield Deduction("biloc_conflict", placements=((cell, d),), witness=witness)
 
 
-def bivalue_conflict_rule(state: _BoardState) -> list[Deduction]:
+def bivalue_conflict_rule(state: _BoardState) -> Iterator[Deduction]:
     """Two bivalue chains from (cell, d) forcing one digit onto two cells of
     a group refute the start assumption; the cell takes its other candidate."""
-    out = []
     for cell, d, other in state.bivalue_starts:
         reach, forced = _forced_by_bivalue(state, cell, d)
         hit = _find_conflict(state.geo, forced)
         if hit is not None:
             witness = _conflict_witness(state.board.box, reach, hit[0], reach, hit[1])
-            out.append(
-                Deduction(
-                    "bivalue_conflict", placements=((cell, other),), witness=witness
-                )
+            yield Deduction(
+                "bivalue_conflict", placements=((cell, other),), witness=witness
             )
-    return out
 
 
-def mixed_conflict_rule(state: _BoardState) -> list[Deduction]:
+def mixed_conflict_rule(state: _BoardState) -> Iterator[Deduction]:
     """For a bivalued cell with candidates {d, e}, the assumption "not d"
     drives bilocation chains from (cell, d) and bivalue chains from
     (cell, e) simultaneously; a cross conflict places d."""
     if not state.bilocation_starts:
-        return []
-    out = []
+        return
     for cell, d, e in state.bivalue_starts:
         reach_bl, forced_bl = _forced_by_bilocation(state, cell, d)
         if not forced_bl:
@@ -725,10 +701,7 @@ def mixed_conflict_rule(state: _BoardState) -> list[Deduction]:
         hit = _find_conflict(state.geo, forced_bl, forced_bb)
         if hit is not None:
             witness = _conflict_witness(state.board.box, reach_bl, hit[0], reach_bb, hit[1])
-            out.append(
-                Deduction("mixed_conflict", placements=((cell, d),), witness=witness)
-            )
-    return out
+            yield Deduction("mixed_conflict", placements=((cell, d),), witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -752,28 +725,43 @@ RULES: tuple[tuple[int, str], ...] = (
     (TIER_BIVALUE, "mixed_conflict"),
 )
 
+
+def _listed(rule: Callable[[_BoardState], Iterator[Deduction]]):
+    """The registry entry of a rule: its first ``limit`` firings as a list,
+    all of them when ``limit`` is None."""
+
+    def run(state: _BoardState, limit: Optional[int] = None) -> list[Deduction]:
+        return list(islice(rule(state), limit))
+
+    return run
+
+
 _RULE_FUNCTIONS = {
-    "hidden_single": hidden_singles,
-    "naked_single": naked_singles,
-    "intersection_triple": intersection_triples,
-    "box_line": box_line,
-    "hidden_pair": hidden_pairs,
-    "digit_matching": digit_grid_matching,
-    "group_matching": group_matching,
-    "biloc_cycle": bilocation_cycle_rule,
-    "biloc_repeat": bilocation_repeat_rule,
-    "biloc_conflict": bilocation_conflict_rule,
-    "bivalue_cycle": bivalue_cycle_rule,
-    "bivalue_repeat": bivalue_repeat_rule,
-    "bivalue_conflict": bivalue_conflict_rule,
-    "mixed_conflict": mixed_conflict_rule,
+    name: _listed(rule)
+    for name, rule in (
+        ("hidden_single", hidden_singles),
+        ("naked_single", naked_singles),
+        ("intersection_triple", intersection_triples),
+        ("box_line", box_line),
+        ("hidden_pair", hidden_pairs),
+        ("digit_matching", digit_grid_matching),
+        ("group_matching", group_matching),
+        ("biloc_cycle", bilocation_cycle_rule),
+        ("biloc_repeat", bilocation_repeat_rule),
+        ("biloc_conflict", bilocation_conflict_rule),
+        ("bivalue_cycle", bivalue_cycle_rule),
+        ("bivalue_repeat", bivalue_repeat_rule),
+        ("bivalue_conflict", bivalue_conflict_rule),
+        ("mixed_conflict", mixed_conflict_rule),
+    )
 }
 
 RULE_TIER = {name: tier for tier, name in RULES}
 
 
 def rule_deductions(board: Board, rule: str) -> list[Deduction]:
-    """All current firings of one named rule, in deterministic scan order."""
+    """All current firings of one named rule, in its scan order: the whole
+    sequence its generator yields on this board."""
     try:
         fn = _RULE_FUNCTIONS[rule]
     except KeyError:
@@ -782,7 +770,11 @@ def rule_deductions(board: Board, rule: str) -> list[Deduction]:
 
 
 def solve(board: Board, max_tier: int = TIER_BIVALUE) -> SolveTrace:
-    """Apply the cheapest firing rule one deduction at a time."""
+    """Apply the cheapest firing rule one deduction at a time.
+
+    Each rule yields its firings in scan order; ``solve`` takes only the first
+    firing of the first rule, in ``RULES`` order, that yields one, and no
+    rule runs past its first firing."""
     current = board.copy()
     deductions: list[Deduction] = []
     tiers: list[int] = []
@@ -798,7 +790,7 @@ def solve(board: Board, max_tier: int = TIER_BIVALUE) -> SolveTrace:
         for tier, name in RULES:
             if tier > max_tier:
                 continue
-            found = _RULE_FUNCTIONS[name](state)
+            found = _RULE_FUNCTIONS[name](state, 1)
             if found:
                 fired = (tier, found[0])
                 break

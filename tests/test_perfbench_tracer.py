@@ -11,6 +11,7 @@ from nonrep import simple_paths
 from nonrep.labeled_graph import FlagLabeledGraph
 from nonrep.sudoku import rules
 from nonrep.sudoku.board import parse_board
+from nonrep.sudoku.generate import generate
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,3 +52,23 @@ def test_tracer_counts_matching_layers_and_restores_every_patch():
     assert patches
     for owner, attr, original in patches:
         assert _current(owner, attr) is original, attr
+
+
+def test_tracer_counts_one_deduction_per_firing_under_solve():
+    # The tracer takes len() of every registry result, so a registry entry
+    # that returned a generator would raise here.
+    puzzle = generate(3, 3).puzzle
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        trace = rules.solve(puzzle)
+    finally:
+        tracer.restore()
+    assert {3, 4} <= set(trace.tiers)
+    counters = tracer.counters
+    firings = 0
+    for rule in rules._RULE_FUNCTIONS:
+        fired = counters[f"rules.{rule}.firings"]
+        assert counters[f"rules.{rule}.deductions"] == fired, rule
+        firings += fired
+    assert firings == len(trace.deductions)

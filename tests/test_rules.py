@@ -5,6 +5,8 @@ from random import Random
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonrep.sudoku import rules
 from nonrep.sudoku.board import Board, apply_deduction, geometry, parse_board
@@ -362,6 +364,10 @@ def _locally_stuck_traces(count, seed):
 def _assert_rules_equal_reference(state, board):
     for _tier, name in RULES:
         expected = oracles.RULE_FUNCTIONS[name](board)
+        # The first firing, as solve asks for it, on the shared state; a
+        # fresh state per rule, as rule_deductions makes, would rebuild the
+        # graphs and reaches 14 times per board.
+        assert rules._RULE_FUNCTIONS[name](state, 1) == expected[:1], name
         assert rules._RULE_FUNCTIONS[name](state) == expected, name
 
 
@@ -415,7 +421,36 @@ def _stale_candidate_board():
 )
 def test_rules_equal_reference_on_crafted_boards(make_board):
     board = make_board()
+    state = rules._BoardState(board)
     for _tier, name in RULES:
+        found = rule_deductions(board, name)
+        assert found == oracles.RULE_FUNCTIONS[name](board), name
+        assert rules._RULE_FUNCTIONS[name](state, 1) == found[:1], name
+
+
+_SINGLES_PUZZLES = [generate(3, seed).puzzle for seed in (3, 11, 29)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_SINGLES_PUZZLES),
+    st.lists(st.tuples(st.integers(0, 80), st.integers(0, 511)), max_size=60),
+    st.lists(st.integers(0, 80), max_size=8),
+)
+def test_singles_equal_reference_on_cleared_and_stale_candidates(puzzle, kept, stale):
+    # Random candidate bits cleared, so groups lose homes (down to none) and
+    # cells lose candidates (down to none); and the digits of some placed
+    # cells put back as candidates of their empty peers.
+    board = puzzle.copy()
+    geo = geometry(3)
+    for cell, mask in kept:
+        board.cand[cell] &= mask
+    for cell in stale:
+        if board.values[cell]:
+            for peer in geo.peers[cell]:
+                if board.values[peer] == 0:
+                    board.cand[peer] |= 1 << (board.values[cell] - 1)
+    for name in ("hidden_single", "naked_single"):
         assert rule_deductions(board, name) == oracles.RULE_FUNCTIONS[name](board), name
 
 
