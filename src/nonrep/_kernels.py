@@ -19,8 +19,8 @@ parents, distances and matchings are deterministic.
 
 Box-size contract, B <= 7: a digit set of a B-box board takes B^2 bits, so
 B <= 7 keeps every mask within 49 bits of an int64.  Python ints do not
-overflow, but ``count_and_first`` and ``propagate_singles`` refuse B > 7 all
-the same, once, where they look up the board geometry; an exhaustive search
+overflow, but the public Sudoku kernels refuse B > 7 all the same, once,
+where they look up the board geometry; an exhaustive search
 on a 64 x 64 grid would not finish anyway.  Pure-Python board code
 (``Board``, the rules) is not bound by the cap.
 """
@@ -422,6 +422,17 @@ def blossom_matching(n, edges, require_perfect):
 # each group are Python-int bitmasks, indexed by the board's group ids (rows
 # 0..n-1, columns n..2n-1, boxes 2n..3n-1).  The cell-to-group tables come
 # from ``sudoku.board.geometry`` and are built once per box size.
+#
+# Two searches share these masks.  ``count_and_first`` never propagates and
+# pins its branching order, because the first solution it finds is an
+# output (``solved_grid``).  The propagating search (``_completions``) closes
+# each node under singles with ``_propagate_from``, which reads only the
+# surroundings of the new placements, and branches on a minimum-candidate
+# cell; a count saturated at its cap is the same for every order, so
+# ``count_completions`` serves solution counting and ``has_other_completion``
+# the generator.  The generator proves uniqueness by refutation: it knows
+# one solution S, so it only asks whether any other digit of an emptied cell
+# extends to a solution, and it keeps its phase-1 masks between clue pairs.
 
 
 def _sudoku_geometry(box):
@@ -606,3 +617,233 @@ def _fill_singles(geo, work, used):
                 changed = True
                 done = used[g] | ((bit << 1) - 1)
     return 0 if 0 in work else 1
+
+
+_CROSS_GROUPS = {}
+
+
+def _cross_groups(geo):
+    """Per cell x: (h, peers of x in h) for every group h that holds a peer
+    of x but not x itself; placing digit d in x takes d from those peers."""
+    cross = _CROSS_GROUPS.get(geo.box)
+    if cross is None:
+        cross = []
+        for x in range(geo.size):
+            own = geo.groups_of_cell[x]
+            by_group = {}
+            for p in geo.peers[x]:
+                for h in geo.groups_of_cell[p]:
+                    if h not in own:
+                        by_group.setdefault(h, []).append(p)
+            cross.append(tuple((h, tuple(ps)) for h, ps in sorted(by_group.items())))
+        cross = _CROSS_GROUPS[geo.box] = tuple(cross)
+    return cross
+
+
+def _propagate_from(geo, work, used, new_cells):
+    """Singles closure after placing ``new_cells`` on a singles fixpoint.
+
+    ``work`` and ``used`` already hold the new cells' digits, and before
+    they were placed the grid was a fixpoint of ``_fill_singles`` without
+    contradiction.  Only the placements' surroundings are read: the naked
+    singles among the empty peers of each placed cell, the hidden singles of
+    all digits in its own groups (it was a home of its other candidates),
+    and, in every other group through its peers, the hidden single of its
+    digit.  Each single found is placed and looked at the same way.  Singles
+    form a monotone closure, so the fixpoint and a -1 status are those of
+    ``_fill_singles`` on the whole grid; the return value is its status.
+    """
+    full = (1 << geo.n) - 1
+    groups = geo.groups_of_cell
+    group_cells = geo.group_cells
+    peers = geo.peers
+    cross = _cross_groups(geo)
+    queue = list(new_cells)
+    while queue:
+        x = queue.pop()
+        bit = 1 << (work[x] - 1)
+        for p in peers[x]:
+            if not work[p]:
+                g0, g1, g2 = groups[p]
+                mask = full & ~(used[g0] | used[g1] | used[g2])
+                if not mask:
+                    return -1
+                if not mask & (mask - 1):
+                    work[p] = mask.bit_length()
+                    used[g0] |= mask
+                    used[g1] |= mask
+                    used[g2] |= mask
+                    queue.append(p)
+        for h, near in cross[x]:
+            if used[h] & bit:
+                continue
+            for p in near:
+                if not work[p]:
+                    break
+            else:
+                continue  # no cell of h lost a candidate to x
+            home = -1
+            for i in group_cells[h]:
+                if not work[i]:
+                    g0, g1, g2 = groups[i]
+                    if not (used[g0] | used[g1] | used[g2]) & bit:
+                        if home >= 0:
+                            break
+                        home = i
+            else:
+                if home < 0:
+                    return -1
+                work[home] = bit.bit_length()
+                g0, g1, g2 = groups[home]
+                used[g0] |= bit
+                used[g1] |= bit
+                used[g2] |= bit
+                queue.append(home)
+        for g in groups[x]:
+            once = twice = 0
+            for i in group_cells[g]:
+                if not work[i]:
+                    g0, g1, g2 = groups[i]
+                    free = full & ~(used[g0] | used[g1] | used[g2])
+                    twice |= once & free
+                    once |= free
+            todo = full & ~used[g]
+            if todo & ~once:
+                return -1
+            single = todo & ~twice
+            if single:
+                # One single per look: the placed cell shares group g, so g
+                # is folded again when that cell is taken from the queue.
+                bit_g = single & -single
+                for i in group_cells[g]:
+                    if not work[i]:
+                        g0, g1, g2 = groups[i]
+                        if not (used[g0] | used[g1] | used[g2]) & bit_g:
+                            break
+                work[i] = bit_g.bit_length()
+                used[g0] |= bit_g
+                used[g1] |= bit_g
+                used[g2] |= bit_g
+                queue.append(i)
+    return 0 if 0 in work else 1
+
+
+def _completions(geo, work, used, cap):
+    """Completions of a contradiction-free singles fixpoint, saturating at
+    ``cap``.  Each node branches on a minimum-candidate cell and closes every
+    child under singles with ``_propagate_from``; ``work`` and ``used`` are
+    consumed.  A count below ``cap`` is exact and one at ``cap`` means at
+    least ``cap``, so the result does not depend on the branching order."""
+    if 0 not in work:
+        return 1
+    full = (1 << geo.n) - 1
+    groups = geo.groups_of_cell
+    size = geo.size
+    count = 0
+    # One frame per open node: [grid, masks, branching cell, digits to try].
+    stack = []
+    while True:
+        best_count = geo.n + 1
+        for i in range(size):
+            if not work[i]:
+                g0, g1, g2 = groups[i]
+                mask = full & ~(used[g0] | used[g1] | used[g2])
+                cnt = mask.bit_count()
+                if cnt < best_count:
+                    best = i
+                    best_mask = mask
+                    best_count = cnt
+                    if cnt == 2:  # a fixpoint has no cell with fewer
+                        break
+        stack.append([work, used, best, best_mask])
+        while stack:
+            frame = stack[-1]
+            work, used, cell, rest = frame
+            if not rest:
+                stack.pop()
+                continue
+            bit = rest & -rest
+            rest ^= bit
+            if rest:
+                frame[3] = rest
+                work = work[:]
+                used = used[:]
+            else:
+                stack.pop()  # the last child takes over the node's grid
+            work[cell] = bit.bit_length()
+            g0, g1, g2 = groups[cell]
+            used[g0] |= bit
+            used[g1] |= bit
+            used[g2] |= bit
+            status = _propagate_from(geo, work, used, (cell,))
+            if status == 1:
+                count += 1
+                if count >= cap:
+                    return count
+            elif status == 0:
+                break
+        else:
+            return count
+
+
+def count_completions(box, values, cap):
+    """Completions of ``values`` (0 = empty), saturating at ``cap``.
+
+    Closes the givens under singles, then searches with ``_completions``.
+    Unlike ``count_and_first`` it pins no branching order and returns no
+    solution, so it is free to propagate at every node.
+    """
+    geo = _sudoku_geometry(box)
+    work = _grid_list(values)
+    used = _group_masks(geo, work)
+    if used is None:
+        return 0
+    status = _fill_singles(geo, work, used)
+    if status == -1:
+        return 0
+    return _completions(geo, work, used, cap)
+
+
+def has_other_completion(box, values, solution, cells):
+    """Whether ``values`` has a completion that differs from ``solution`` in
+    one of ``cells``.
+
+    ``solution`` must complete ``values``.  Refutes cell by cell: for each
+    cell, each digit other than the solution's that the cell admits is
+    placed and searched for one completion; when none exists, the cell is
+    fixed to the solution's digit before the next cell is tried.
+    """
+    geo = _sudoku_geometry(box)
+    groups = geo.groups_of_cell
+    full = (1 << geo.n) - 1
+    work = _grid_list(values)
+    used = _group_masks(geo, work)
+    if _fill_singles(geo, work, used) == 1:
+        return False
+    for cell in cells:
+        if work[cell]:
+            continue  # forced by singles, so equal to the solution's digit
+        g0, g1, g2 = groups[cell]
+        keep = 1 << (solution[cell] - 1)
+        others = full & ~(used[g0] | used[g1] | used[g2]) & ~keep
+        while others:
+            bit = others & -others
+            others ^= bit
+            trial_work = work[:]
+            trial_used = used[:]
+            trial_work[cell] = bit.bit_length()
+            trial_used[g0] |= bit
+            trial_used[g1] |= bit
+            trial_used[g2] |= bit
+            status = _propagate_from(geo, trial_work, trial_used, (cell,))
+            if status == 1 or (
+                status == 0 and _completions(geo, trial_work, trial_used, 1)
+            ):
+                return True
+        work[cell] = solution[cell]
+        used[g0] |= keep
+        used[g1] |= keep
+        used[g2] |= keep
+        if _propagate_from(geo, work, used, (cell,)) == 1:
+            return False
+    return False

@@ -1,11 +1,20 @@
 """Puzzle generation, uniqueness counting, difficulty grading, batch stats.
 
-Generation fills random symmetric cell pairs, propagates singles, restarts
-on contradiction, and then greedily empties the inserted pairs again while a
-backtracking counter certifies that the puzzle keeps a unique solution.
-Because clue removal is monotone (removing clues never shrinks the solution
-set), one pass in insertion order already yields a puzzle from which no
-further symmetric pair can be removed.
+Generation fills random symmetric cell pairs, closes the grid under singles
+after each pair, restarts on contradiction, and ends on a completed grid S.
+It then greedily empties the inserted pairs again, keeping each removal that
+leaves S the only solution.  The clues kept so far have S as their only
+solution, so another solution of a trial must change a cell the trial just
+emptied; uniqueness is proved by refuting every other digit of those cells
+with an existence search, and S is the solution reported.  Because clue
+removal is monotone (removing clues never shrinks the solution set), one
+pass in insertion order already yields a puzzle from which no further
+symmetric pair can be removed.
+
+Counting solutions closes every search node under singles and branches on a
+minimum-candidate cell; a count saturated at its cap does not depend on the
+branching order.  Only ``solved_grid`` shows which solution a search finds
+first, so it alone keeps the pinned search of ``count_and_first``.
 
 Grading runs the rule solver and reports the highest tier used; a puzzle the
 rules cannot finish grades as unsolvable (math.inf).
@@ -30,15 +39,25 @@ class GenerationError(RuntimeError):
 
 
 def count_solutions(board: Board, cap: int) -> int:
-    """Number of completions of the board, saturating at ``cap``."""
+    """Number of completions of the board, saturating at ``cap``.
+
+    Runs the propagating search of ``_kernels.count_completions``.  A count
+    below ``cap`` is exact and one at ``cap`` means "at least", so the answer
+    is the same whatever cell the search branches on first.
+    """
     if cap < 1:
         raise ValueError("cap must be positive")
-    count, _ = _kernels.count_and_first(board.box, board.values, cap)
-    return count
+    return _kernels.count_completions(board.box, board.values, cap)
 
 
 def solved_grid(board: Board) -> Optional[Board]:
-    """First completion found by the backtracking search, or None."""
+    """First completion found by the backtracking search, or None.
+
+    On a board with several solutions the answer depends on the search order,
+    so this one call keeps the pinned order of ``_kernels.count_and_first``
+    (cells by candidate count then index, digits ascending) and returns the
+    same grid as before.  Counting and generation do not depend on an order.
+    """
     count, first = _kernels.count_and_first(board.box, board.values, 1)
     if count == 0:
         return None
@@ -83,78 +102,81 @@ def generate(box: int = 3, seed: int = 0, symmetric: bool = True) -> GenReport:
     """Generate a minimal uniquely-solvable puzzle, deterministically per seed.
 
     Phase 1 repeatedly picks a random unfilled cell and its 180-degree
-    partner, fills them with random consistent digits, and propagates
-    singles; any contradiction restarts the phase.  Phase 2 re-empties the
-    inserted pairs in insertion order, keeping each removal that preserves
-    solution uniqueness.
+    partner, fills them with random consistent digits, and closes the grid
+    under singles from the new clues only, keeping each group's digit mask
+    across pairs; any contradiction restarts the phase, and it ends on a
+    completed grid S.  Phase 2 re-empties the inserted pairs in insertion
+    order and keeps each removal that leaves S the only solution: for each
+    emptied cell, every digit it admits other than S's is refuted by an
+    existence search before the cell is fixed to S's digit.  S is returned
+    as ``solution``.
     """
     if box not in (2, 3):
         raise ValueError("generation supports box sizes 2 and 3")
+    geo = geometry(box)
+    groups = geo.groups_of_cell
     rng = Random(seed)
-    size = box**4
+    size = geo.size
     restarts = 0
     while True:
         if restarts > _RESTART_LIMIT:
             raise GenerationError(f"no fill found after {_RESTART_LIMIT} restarts")
         values = [0] * size
+        used = [0] * (3 * geo.n)  # digits placed per group, kept across pairs
         clues: list[tuple[tuple[int, int], ...]] = []
-        failed = False
-        while True:
-            status = _kernels.propagate_singles(box, values)
-            if status == -1:
-                failed = True
-                break
-            if status == 1:
-                break
+        status = _kernels._fill_singles(geo, values, used)
+        while status == 0:
             empty = [c for c in range(size) if values[c] == 0]
             cell = rng.choice(empty)
             partner = size - 1 - cell if symmetric else cell
             pair_clues = []
-            ok = True
+            placed = []
             for target in dict.fromkeys((cell, partner)):
                 if values[target] == 0:
-                    digits = _available_digits(box, values, target)
+                    digits = _available_digits(geo, used, target)
                     if not digits:
-                        ok = False
+                        status = -1
                         break
                     digit = rng.choice(digits)
                     values[target] = digit
+                    bit = 1 << (digit - 1)
+                    g0, g1, g2 = groups[target]
+                    used[g0] |= bit
+                    used[g1] |= bit
+                    used[g2] |= bit
+                    placed.append(target)
                 pair_clues.append((target, values[target]))
-            if not ok:
-                failed = True
+            if status == -1:
                 break
             clues.append(tuple(pair_clues))
-        if failed:
+            status = _kernels._propagate_from(geo, values, used, placed)
+        if status == -1:
             restarts += 1
             continue
         break
 
-    # Phase 2: try to empty inserted pairs again, oldest first.
-    clue_values = {cell: digit for pair in clues for cell, digit in pair}
-    kept = dict(clue_values)
+    # Phase 2: try to empty inserted pairs again, oldest first.  ``kept`` has
+    # the completed grid ``values`` as its only solution, so a trial has
+    # another one exactly when some solution changes a cell it just emptied.
+    kept = {cell: digit for pair in clues for cell, digit in pair}
     for pair in clues:
         trial = dict(kept)
-        for cell, _ in pair:
-            trial.pop(cell, None)
+        emptied = [cell for cell, _ in pair if trial.pop(cell, None)]
         if not trial:
             continue
         trial_values = [trial.get(c, 0) for c in range(size)]
-        count, _ = _kernels.count_and_first(box, trial_values, 2)
-        if count == 1:
+        if not _kernels.has_other_completion(box, trial_values, values, emptied):
             kept = trial
 
     puzzle = Board(box, [kept.get(c, 0) for c in range(size)])
-    solution = solved_grid(puzzle)
-    if solution is None:
-        raise GenerationError("the minimized puzzle has no solution")
     inserted_pairs = tuple(
         (pair[0][0], pair[-1][0]) for pair in clues
     )
     return GenReport(
         puzzle=puzzle,
-        solution=solution,
+        solution=Board(box, values),
         insertion_order=inserted_pairs,
-        clue_count=sum(1 for v in puzzle.values if v),
+        clue_count=len(kept),
         seed=seed,
         symmetric=symmetric,
         minimal=True,
@@ -162,14 +184,10 @@ def generate(box: int = 3, seed: int = 0, symmetric: bool = True) -> GenReport:
     )
 
 
-def _available_digits(box: int, values: list[int], cell: int) -> list[int]:
-    geo = geometry(box)
-    used = 0
-    for g in geo.groups_of_cell[cell]:
-        for i in geo.group_cells[g]:
-            if values[i]:
-                used |= 1 << (values[i] - 1)
-    return [d for d in range(1, geo.n + 1) if not used >> (d - 1) & 1]
+def _available_digits(geo, used: list[int], cell: int) -> list[int]:
+    g0, g1, g2 = geo.groups_of_cell[cell]
+    taken = used[g0] | used[g1] | used[g2]
+    return [d for d in range(1, geo.n + 1) if not taken >> (d - 1) & 1]
 
 
 def grade(board: Board):

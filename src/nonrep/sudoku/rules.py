@@ -101,7 +101,7 @@ class _BoardState:
 
     @cached_property
     def bilocation(self) -> BilocationGraph:
-        return build_bilocation_graph(self.board)
+        return build_bilocation_graph(self.board, self.homes)
 
     @cached_property
     def bilocation_starts(self) -> list[tuple[int, int]]:
@@ -418,27 +418,31 @@ class BipartiteBivalueGraph:
     graph: FlagLabeledGraph
 
 
-def build_bilocation_graph(board: Board) -> BilocationGraph:
+def build_bilocation_graph(board: Board, homes=None) -> BilocationGraph:
+    """The bilocation graph of ``board``; ``homes`` is its ``_group_homes``
+    table when the caller already holds one."""
     geo = geometry(board.box)
+    if homes is None:
+        homes = _group_homes(board)
     edges: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
     pair_digits: dict[tuple[int, int], list[int]] = {}
     contradiction = None
-    for cells, homes_of in zip(geo.group_cells, _group_homes(board)):
+    for cells, homes_of in zip(geo.group_cells, homes):
         placed = set(board.values[c] for c in cells if board.values[c])
         for d in range(1, board.n + 1):
-            homes = homes_of[d]
-            if d in placed or len(homes) != 2:
+            pair = homes_of[d]
+            if d in placed or len(pair) != 2:
                 continue
-            key = (homes[0], homes[1], d)
+            key = (pair[0], pair[1], d)
             if key in seen:
                 continue
             seen.add(key)
             edges.append(key)
-            digits = pair_digits.setdefault((homes[0], homes[1]), [])
+            digits = pair_digits.setdefault((pair[0], pair[1]), [])
             digits.append(d)
             if len(digits) >= 3 and contradiction is None:
-                a, b = homes
+                a, b = pair
                 contradiction = Contradiction(
                     f"cells {cell_name(board.box, a)},{cell_name(board.box, b)} "
                     f"are the only homes of digits {digits}"

@@ -2307,3 +2307,103 @@ def per_query_simple_cycle_edges(g: FlagLabeledGraph) -> set[int]:
         ):
             result.add(eid)
     return result
+
+
+# ---------------------------------------------------------------------------
+# The generator as it was when phase 1 re-ran ``propagate_singles`` over the
+# whole grid after every clue pair and phase 2 certified each removal with a
+# cap-2 ``count_and_first``, then solved the minimized puzzle again.
+# ---------------------------------------------------------------------------
+
+
+def counting_generate(box: int = 3, seed: int = 0, symmetric: bool = True):
+    from nonrep.sudoku.generate import (
+        _RESTART_LIMIT,
+        GenerationError,
+        GenReport,
+        solved_grid,
+    )
+
+    _kernels = nonrep_kernels
+    if box not in (2, 3):
+        raise ValueError("generation supports box sizes 2 and 3")
+    rng = Random(seed)
+    size = box**4
+    restarts = 0
+    while True:
+        if restarts > _RESTART_LIMIT:
+            raise GenerationError(f"no fill found after {_RESTART_LIMIT} restarts")
+        values = [0] * size
+        clues: list[tuple[tuple[int, int], ...]] = []
+        failed = False
+        while True:
+            status = _kernels.propagate_singles(box, values)
+            if status == -1:
+                failed = True
+                break
+            if status == 1:
+                break
+            empty = [c for c in range(size) if values[c] == 0]
+            cell = rng.choice(empty)
+            partner = size - 1 - cell if symmetric else cell
+            pair_clues = []
+            ok = True
+            for target in dict.fromkeys((cell, partner)):
+                if values[target] == 0:
+                    digits = _counting_available_digits(box, values, target)
+                    if not digits:
+                        ok = False
+                        break
+                    digit = rng.choice(digits)
+                    values[target] = digit
+                pair_clues.append((target, values[target]))
+            if not ok:
+                failed = True
+                break
+            clues.append(tuple(pair_clues))
+        if failed:
+            restarts += 1
+            continue
+        break
+
+    # Phase 2: try to empty inserted pairs again, oldest first.
+    clue_values = {cell: digit for pair in clues for cell, digit in pair}
+    kept = dict(clue_values)
+    for pair in clues:
+        trial = dict(kept)
+        for cell, _ in pair:
+            trial.pop(cell, None)
+        if not trial:
+            continue
+        trial_values = [trial.get(c, 0) for c in range(size)]
+        count, _ = _kernels.count_and_first(box, trial_values, 2)
+        if count == 1:
+            kept = trial
+
+    puzzle = Board(box, [kept.get(c, 0) for c in range(size)])
+    solution = solved_grid(puzzle)
+    if solution is None:
+        raise GenerationError("the minimized puzzle has no solution")
+    inserted_pairs = tuple(
+        (pair[0][0], pair[-1][0]) for pair in clues
+    )
+    return GenReport(
+        puzzle=puzzle,
+        solution=solution,
+        insertion_order=inserted_pairs,
+        clue_count=sum(1 for v in puzzle.values if v),
+        seed=seed,
+        symmetric=symmetric,
+        minimal=True,
+        restarts=restarts,
+    )
+
+
+def _counting_available_digits(box: int, values: list[int], cell: int) -> list[int]:
+    geo = geometry(box)
+    used = 0
+    for g in geo.groups_of_cell[cell]:
+        for i in geo.group_cells[g]:
+            if values[i]:
+                used |= 1 << (values[i] - 1)
+    return [d for d in range(1, geo.n + 1) if not used >> (d - 1) & 1]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import time
 from random import Random
 
 import pytest
@@ -201,6 +202,18 @@ def test_sudoku_grade_two_solutions_exits_2():
     code, out, err = _run(["sudoku", "grade", "-"], stdin=puzzle)
     assert (code, out) == (2, "")
     assert err == "grading requires a puzzle with exactly one solution\n"
+
+
+def test_sudoku_grade_empty_box_5_board_exits_2_promptly():
+    # The uniqueness check must stop at the second solution of a 25 x 25
+    # board instead of thrashing in a search that never propagates.
+    puzzle = "B 5 " + " ".join(["0"] * 5**4)
+    start = time.perf_counter()
+    code, out, err = _run(["sudoku", "grade", "-"], stdin=puzzle)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == "grading requires a puzzle with exactly one solution\n"
+    assert elapsed < 10, elapsed
 
 
 def test_sudoku_generate_deterministic_across_processes():

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import nonrep._kernels as K
+import oracles
 from nonrep.sudoku.board import Board, parse_board
 from nonrep.sudoku.generate import (
     BatchStats,
-    GenerationError,
     batch_stats,
     count_solutions,
     dense_bivalue_fixture,
@@ -57,12 +57,27 @@ def test_counting_refuses_boxes_above_7():
     assert not values.any()
 
 
-def test_generate_raises_when_minimized_puzzle_has_no_solution(monkeypatch):
-    # ``nonrep.sudoku.generate`` is also a function name in the package.
-    gen = importlib.import_module("nonrep.sudoku.generate")
-    monkeypatch.setattr(gen, "solved_grid", lambda board: None)
-    with pytest.raises(GenerationError, match="no solution"):
-        generate(2, 0)
+def test_generate_solution_is_the_puzzles_only_completion():
+    for box in (2, 3):
+        for seed in range(6):
+            report = generate(box, seed)
+            puzzle, solution = report.puzzle, report.solution
+            assert solution.verify_solution()
+            assert all(v in (0, w) for v, w in zip(puzzle.values, solution.values))
+            assert count_solutions(puzzle, 2) == 1
+            assert solved_grid(puzzle).values == solution.values
+
+
+def test_generate_equals_counting_generator():
+    # Even seeds symmetric, odd seeds asymmetric; 100 seeds per box size.
+    for box in (2, 3):
+        for seed in range(100):
+            symmetric = seed % 2 == 0
+            want = oracles.counting_generate(box, seed, symmetric)
+            got = generate(box, seed, symmetric)
+            assert got.to_text() == want.to_text(), (box, seed)
+            assert got.solution.values == want.solution.values, (box, seed)
+            assert got.restarts == want.restarts, (box, seed)
 
 
 def test_generated_puzzles_are_unique_and_symmetric():

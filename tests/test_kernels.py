@@ -4,6 +4,7 @@ versions they replaced."""
 
 from __future__ import annotations
 
+from pathlib import Path
 from random import Random
 
 import networkx as nx
@@ -12,7 +13,7 @@ import numpy as np
 import nonrep._kernels as K
 import oracles
 from oracles import brute_general_max
-from nonrep.sudoku.board import Board
+from nonrep.sudoku.board import Board, parse_board
 from nonrep.sudoku.generate import solved_grid
 
 
@@ -389,3 +390,123 @@ def test_sudoku_kernels_equal_numpy_reference():
 def test_solved_grid_of_empty_board_unchanged():
     want = oracles.count_and_first(3, np.zeros(81, np.int64), 1)[1].tolist()
     assert solved_grid(Board(3)).values == want
+
+
+def _hard_corpus() -> list[Board]:
+    """The 160 locally stuck puzzles of the ``sudoku_hard_solve`` workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "hard_corpus.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [parse_board(line.split()[2]) for line in lines if not line.startswith("#")]
+
+
+def test_propagating_counter_equals_pinned_counter_on_hard_corpus():
+    boards = _hard_corpus()
+    assert len(boards) == 160
+    counts = set()
+    for board in boards:
+        # Each puzzle as given, and with its first and last clues emptied.
+        clues = [c for c in range(81) if board.values[c]]
+        loose = list(board.values)
+        loose[clues[0]] = loose[clues[-1]] = 0
+        for values in (board.values, loose):
+            for cap in (1, 2, 50):
+                want, _ = K.count_and_first(3, values, cap)
+                assert K.count_completions(3, values, cap) == want
+                counts.add(want)
+    assert {1, 2, 50} <= counts
+
+
+def test_propagating_counter_equals_pinned_counter_on_random_boards():
+    rng = Random(2718)
+    seen = set()
+    clashes = 0
+    for trial in range(400):
+        box = 2 if trial % 2 else 3
+        values = _random_partial_board(rng, box)
+        given = list(values)
+        clashes += K._group_masks(K._sudoku_geometry(box), values) is None
+        for cap in (1, 2, 50):
+            want, _ = K.count_and_first(box, values, cap)
+            assert K.count_completions(box, values, cap) == want
+            seen.add(want if want < cap else "cap")
+        assert values == given
+    assert clashes >= 40
+    assert {0, 1, "cap"} <= seen and any(1 < c < 50 for c in seen if c != "cap")
+
+
+def _random_fixpoint(rng: Random, box: int):
+    """A singles fixpoint without contradiction grown from random legal givens,
+    or None when the givens contradict or complete the grid."""
+    geo = K._sudoku_geometry(box)
+    work = [0] * geo.size
+    used = [0] * (3 * geo.n)
+    for cell in rng.sample(range(geo.size), rng.randint(0, geo.size // 3)):
+        _place_random(rng, geo, work, used, cell)
+    if K._fill_singles(geo, work, used) != 0:
+        return None
+    return geo, work, used
+
+
+def _place_random(rng: Random, geo, work, used, cell) -> bool:
+    g0, g1, g2 = geo.groups_of_cell[cell]
+    free = (1 << geo.n) - 1 & ~(used[g0] | used[g1] | used[g2])
+    if not free:
+        return False
+    bit = 1 << rng.choice([d for d in range(geo.n) if free >> d & 1])
+    work[cell] = bit.bit_length()
+    used[g0] |= bit
+    used[g1] |= bit
+    used[g2] |= bit
+    return True
+
+
+def test_incremental_singles_equal_whole_grid_sweeps():
+    rng = Random(1618)
+    statuses = []
+    for trial in range(1500):
+        start = _random_fixpoint(rng, 2 if trial % 3 == 0 else 3)
+        if start is None:
+            continue
+        geo, work, used = start
+        empty = [c for c in range(geo.size) if not work[c]]
+        picked = rng.sample(empty, min(len(empty), rng.randint(1, 3)))
+        new = [c for c in picked if _place_random(rng, geo, work, used, c)]
+        if not new:
+            continue
+        want_work, want_used = work[:], used[:]
+        want = K._fill_singles(geo, want_work, want_used)
+        got = K._propagate_from(geo, work, used, new)
+        assert got == want
+        if want != -1:
+            assert (work, used) == (want_work, want_used)
+        statuses.append(want)
+    assert min(statuses.count(s) for s in (-1, 0, 1)) >= 50
+
+
+def test_refutation_equals_counting_each_alternative():
+    rng = Random(3141)
+    answers = []
+    for trial in range(300):
+        box = 2 if trial % 2 else 3
+        n = box * box
+        size = n * n
+        base = oracles.count_and_first(box, np.zeros(size, np.int64), 1)[1].tolist()
+        relabel = list(range(1, n + 1))
+        rng.shuffle(relabel)
+        solution = [relabel[d - 1] for d in base]
+        shown = rng.sample(range(size), rng.randint(size // 4, size - 1))
+        values = [0] * size
+        for cell in shown:
+            values[cell] = solution[cell]
+        empty = [c for c in range(size) if not values[c]]
+        cells = rng.sample(empty, min(len(empty), rng.randint(1, 3)))
+        want = False
+        for cell in cells:
+            for d in range(1, n + 1):
+                if d != solution[cell]:
+                    alternative = values[:]
+                    alternative[cell] = d
+                    want = want or K.count_and_first(box, alternative, 1)[0] > 0
+        assert K.has_other_completion(box, values, solution, cells) == want
+        answers.append(want)
+    assert 50 <= sum(answers) <= len(answers) - 50

@@ -462,9 +462,9 @@ def test_each_board_state_builds_graphs_expansions_and_reaches_once(monkeypatch)
     def count_builds(name):
         build = getattr(rules, name)
 
-        def counted(board):
+        def counted(board, *args):
             builds[name, tuple(board.values), tuple(board.cand)] += 1
-            return build(board)
+            return build(board, *args)
 
         monkeypatch.setattr(rules, name, counted)
 
