@@ -13,7 +13,10 @@ distinct label count and its arc template is offset to every vertex with that
 count; connector arcs follow all gadget arcs, one row per edge.  Per-vertex
 slot arrays (``vp_ptr``, ``slot_label``, ``slot_entry``, ``slot_exit``) map
 slots to gadget nodes.  Query answers are selected with array masks over the
-connector positions, and result objects are made only for the hits.
+connector positions.  A reach keeps its hits as such a mask and makes
+``ReachedEdge`` objects only when its ``.edges`` are read; the arrival queries
+that the Sudoku rules ask (the first traversal entering a given (vertex,
+label), or the first one per (vertex, label)) are answered from the mask.
 
 Queries answered here:
 
@@ -147,7 +150,12 @@ class LabelSwitchDigraph:
         self._pos_dir = np.full(self.num_arcs, -1, dtype=np.int64)
         self._pos_edge[conn] = np.arange(m, dtype=np.int64)[:, None]
         self._pos_dir[conn] = np.arange(conn.shape[1], dtype=np.int64)
+        # The slot each connector of ``_conn`` enters: u -> v enters the slot
+        # of (v, lv), v -> u the slot of (u, lu).
+        self._arrival_slot = np.ascontiguousarray(flag_slot[:, ::-1][:, : conn.shape[1]])
         self._scc: Optional[np.ndarray] = None
+        self._slot_lists: Optional[tuple] = None
+        self._transit: Optional[tuple] = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -167,6 +175,21 @@ class LabelSwitchDigraph:
 
     def _slots(self, vid: int) -> slice:
         return slice(int(self.vp_ptr[vid]), int(self.vp_ptr[vid + 1]))
+
+    def _slot_table(self) -> tuple[list[int], list[int], list[tuple[Any, Any]]]:
+        """Python lists over the slots, built on first use: ``vp_ptr``, the
+        label id of each slot and its (vertex name, label name)."""
+        if self._slot_lists is None:
+            graph = self.graph
+            vp = self.vp_ptr.tolist()
+            labels = self.slot_label.tolist()
+            label_names = [graph.label_name(x) for x in range(max(labels, default=-1) + 1)]
+            names = []
+            for v in range(graph.num_vertices):
+                vertex = graph.vertex_name(v)
+                names += [(vertex, label_names[x]) for x in labels[vp[v] : vp[v + 1]]]
+            self._slot_lists = vp, labels, names
+        return self._slot_lists
 
     @property
     def scc(self) -> np.ndarray:
@@ -196,18 +219,22 @@ class LabelSwitchDigraph:
 
         The pair is realized exactly when the entry node of x and the exit
         node of y share a strong component: the gadget supplies the entry
-        -> exit hop and the component supplies the return path.
+        -> exit hop and the component supplies the return path.  The slot
+        names and components are read from Python lists built on the first
+        call.
         """
-        slots = self._slots(self.graph.vertex_id(vertex))
-        comp = self.scc
-        names = [self.graph.label_name(x) for x in self.slot_label[slots].tolist()]
-        enter = comp[self.slot_entry[slots]].tolist()
-        leave = comp[self.slot_exit[slots]].tolist()
+        vp, _labels, names = self._slot_table()
+        if self._transit is None:
+            comp = self.scc
+            self._transit = comp[self.slot_entry].tolist(), comp[self.slot_exit].tolist()
+        enter, leave = self._transit
+        vid = self.graph.vertex_id(vertex)
+        slots = range(vp[vid], vp[vid + 1])
         pairs: set[frozenset] = set()
-        for i, x in enumerate(names):
-            for j, y in enumerate(names):
+        for i in slots:
+            for j in slots:
                 if i != j and enter[i] == leave[j]:
-                    pairs.add(frozenset((x, y)))
+                    pairs.add(frozenset((names[i][1], names[j][1])))
         return pairs
 
     def reachable_from(self, vertex: Any, label: Any) -> "ReachResult":
@@ -217,11 +244,10 @@ class LabelSwitchDigraph:
         lid = self.graph.label_id(label)
         starts = () if lid is None else self.slot_exit[slots][self.slot_label[slots] == lid]
         if not len(starts):
-            return ReachResult(self, None, None, [])
+            return ReachResult(self, None, None, np.zeros(self._conn.shape, dtype=bool))
         start = int(starts[0])
         visited, parent = _kernels.reach_csr(self.indptr, self.indices, start)
-        edges = self._traversals(visited[self._tail_of_pos[self._conn]] != 0)
-        return ReachResult(self, start, parent, edges)
+        return ReachResult(self, start, parent, visited[self._tail_of_pos[self._conn]] != 0)
 
     def shortest_path(self, src: Any, dst: Any) -> Optional[list[ReachedEdge]]:
         """Minimum-edge-count nonrepetitive walk from src to dst, or None."""
@@ -254,13 +280,27 @@ class LabelSwitchDigraph:
 
 
 class ReachResult:
-    """Result of :meth:`LabelSwitchDigraph.reachable_from` plus witness walks."""
+    """Result of :meth:`LabelSwitchDigraph.reachable_from` plus witness walks.
 
-    def __init__(self, expansion, start, parent, edges: list[ReachedEdge]):
+    The hits are kept as a mask over the expansion's connector arcs (edge,
+    then direction).  ``.edges``, the ``ReachedEdge`` list in that order, is
+    built on first read; ``arrival`` and ``arrivals`` answer from the mask
+    and make no ``ReachedEdge`` beyond the one they return.
+    """
+
+    def __init__(self, expansion, start, parent, hit: np.ndarray):
         self._expansion = expansion
         self._start = start
         self._parent = parent
-        self.edges = edges
+        self._hit = hit
+        self._edges: Optional[list[ReachedEdge]] = None
+        self._arrivals: Optional[dict] = None
+
+    @property
+    def edges(self) -> list[ReachedEdge]:
+        if self._edges is None:
+            self._edges = self._expansion._traversals(self._hit)
+        return self._edges
 
     def __iter__(self):
         return iter(self.edges)
@@ -270,6 +310,40 @@ class ReachResult:
 
     def edge_ids(self) -> set[int]:
         return {e.edge_id for e in self.edges}
+
+    def traversal(self, eid: int, direction: int) -> ReachedEdge:
+        """The traversal of edge ``eid`` in ``direction`` (0: u -> v)."""
+        return self._expansion._oriented(eid, direction)
+
+    def arrival(self, vertex: Any, label: Any) -> Optional[ReachedEdge]:
+        """The first traversal of ``.edges`` with head ``vertex`` and far
+        label ``label``, or None."""
+        ex = self._expansion
+        lid = ex.graph.label_id(label)
+        vp, labels, _names = ex._slot_table()
+        vid = ex.graph.vertex_id(vertex)
+        slot = next((s for s in range(vp[vid], vp[vid + 1]) if labels[s] == lid), None)
+        if slot is None:
+            return None
+        at = np.flatnonzero(self._hit & (ex._arrival_slot == slot))
+        if not len(at):
+            return None
+        return self.traversal(*divmod(int(at[0]), self._hit.shape[1]))
+
+    def arrivals(self) -> dict[tuple[Any, Any], tuple[int, int]]:
+        """(head, far label) -> (edge id, direction) of the first traversal
+        of ``.edges`` with that head and far label, for every pair reached.
+        Computed once; callers must not mutate it."""
+        if self._arrivals is None:
+            ex = self._expansion
+            names = ex._slot_table()[2]
+            at = np.flatnonzero(self._hit)
+            slots, first = np.unique(ex._arrival_slot.ravel()[at], return_index=True)
+            k = self._hit.shape[1]
+            self._arrivals = {
+                names[s]: divmod(pos, k) for s, pos in zip(slots.tolist(), at[first].tolist())
+            }
+        return self._arrivals
 
     def walk_to(self, reached: ReachedEdge) -> list[ReachedEdge]:
         """A nonrepetitive walk from the start ending with ``reached``.

@@ -22,12 +22,27 @@ off its neighbor, whose other candidate labels the next edge.  Both cascades
 are exactly the nonrepetitive walks that the label-switch engine enumerates.
 
 Every rule takes a ``_BoardState``: the board plus what the rules derive from
-it, each piece computed on first use and at most once.  It holds the digit
-homes of every group, the bilocation graph with its label-switch expansion,
+it, each piece computed on first use and at most once.  It holds the OR of
+the candidate masks where each line meets each box (read by the tier-1
+rules), the digit homes of every group (built only on states that reach the
+matching rules), the bilocation graph with its label-switch expansion,
 the expansion of the bipartite bivalue graph, the start pairs of both graphs
 and one reach result per (expansion, start vertex, first label).  So the
 rules that run on one board state share these instead of rebuilding them.
 Rules never mutate the state, its board or anything it holds.
+
+A state also holds a memo of matching results, which ``solve`` shares across
+all the states of one solve (``rule_deductions`` gives each state its own).
+A deduction changes few candidates, so most matching instances of the next
+state were already solved.  The memo maps an instance, keyed on its
+index-space adjacency, to its index-space answer: is there a perfect
+matching, and which (left, right) edges lie in none.  A group's answer is
+also keyed on the values and candidate masks of its cells, so a group that
+did not change is answered without rebuilding its adjacency.  Each state
+maps the answer back to cells and digits itself, so a memo hit yields what a
+fresh computation would.  The reach rules read their answers from the reach
+results' hit arrays (``ReachResult.arrival`` and ``.arrivals``) and make
+``ReachedEdge`` objects only for the walks a firing prints.
 
 Every rule is a generator that yields its firings one at a time, in a fixed
 scan order.  The registry runs it to a list: ``solve`` asks each rule for its
@@ -83,21 +98,51 @@ def _group_homes(board: Board) -> list[list[list[int]]]:
     return table
 
 
+def _digits(mask: int) -> list[int]:
+    """The digits of a candidate mask, lowest first."""
+    digits = []
+    while mask:
+        low = mask & -mask
+        digits.append(low.bit_length())
+        mask ^= low
+    return digits
+
+
 def _bivalued_cells(board: Board) -> list[int]:
     return [c for c in board.empty_cells() if board.candidate_count(c) == 2]
 
 
 class _BoardState:
-    """One board state and what the rules derive from it, built lazily."""
+    """One board state and what the rules derive from it, built lazily.
 
-    def __init__(self, board: Board):
+    ``memo`` holds the matching rules' index-space answers; it may be shared
+    with other states (``solve`` shares one across a solve), because its keys
+    are the instances themselves, never the board they came from.
+    """
+
+    def __init__(self, board: Board, memo: Optional[dict] = None):
         self.board = board
         self.geo = geometry(board.box)
+        self.memo = {} if memo is None else memo
         self._reaches: dict[tuple, ReachResult] = {}
 
     @cached_property
     def homes(self) -> list[list[list[int]]]:
         return _group_homes(self.board)
+
+    @cached_property
+    def line_box_masks(self) -> list[int]:
+        """Per ``_line_box_pairs`` entry, the OR of the candidate masks of the
+        empty cells where its line meets its box."""
+        values, cand = self.board.values, self.board.cand
+        masks = []
+        for _line, _bg, inter, _along_line, _along_box in _line_box_pairs(self.board.box):
+            m = 0
+            for c in inter:
+                if not values[c]:
+                    m |= cand[c]
+            masks.append(m)
+        return masks
 
     @cached_property
     def bilocation(self) -> BilocationGraph:
@@ -196,9 +241,11 @@ def naked_singles(state: _BoardState) -> Iterator[Deduction]:
 
 
 @cache
-def _line_box_pairs(box: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(line, box group, the cells where they meet) for every line and box
-    that meet, lines in group order and each line's boxes in order."""
+def _line_box_pairs(box: int) -> tuple[tuple[Any, ...], ...]:
+    """(line, box group, the cells where they meet, the other pairs of the
+    line, the other pairs of the box with lines parallel to this one) for
+    every line and box that meet, lines in group order and each line's boxes
+    in order; pairs are referred to by their index here."""
     geo = geometry(box)
     pairs = []
     for line in range(2 * geo.n):
@@ -208,7 +255,21 @@ def _line_box_pairs(box: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
             inter = tuple(c for c in line_cells if geo.groups_of_cell[c][2] == bg)
             if len(inter) == box:
                 pairs.append((line, bg, inter))
-    return tuple(pairs)
+    rows = geo.n
+    return tuple(
+        (
+            line,
+            bg,
+            inter,
+            tuple(j for j, (l2, _b, _i) in enumerate(pairs) if l2 == line and j != i),
+            tuple(
+                j
+                for j, (l2, b2, _i) in enumerate(pairs)
+                if b2 == bg and (l2 < rows) == (line < rows) and j != i
+            ),
+        )
+        for i, (line, bg, inter) in enumerate(pairs)
+    )
 
 
 def intersection_triples(state: _BoardState) -> Iterator[Deduction]:
@@ -218,25 +279,24 @@ def intersection_triples(state: _BoardState) -> Iterator[Deduction]:
 
     A digit is confined to the free intersection cells of a group when it is
     a candidate of one of them (``inside``) and of no other empty cell of the
-    group (``outside``), all read off the candidate masks."""
+    group (``outside``): the group's other intersections with boxes, or with
+    lines parallel to this one, all read off ``line_box_masks``."""
     board, geo = state.board, state.geo
     values, cand = board.values, board.cand
-    for line, bg, inter in _line_box_pairs(board.box):
+    masks = state.line_box_masks
+    for i, (line, bg, inter, along_line, along_box) in enumerate(_line_box_pairs(board.box)):
         free = [c for c in inter if values[c] == 0]
         if len(free) < 2:
             continue
-        inside = 0
-        for c in free:
-            inside |= cand[c]
-        for src, other in ((line, bg), (bg, line)):
+        inside = masks[i]
+        for src, other, siblings in ((line, bg, along_line), (bg, line, along_box)):
             outside = 0
-            for c in geo.group_cells[src]:
-                if values[c] == 0 and c not in inter:
-                    outside |= cand[c]
+            for j in siblings:
+                outside |= masks[j]
             confined_mask = inside & ~outside
             if confined_mask.bit_count() != len(free):
                 continue
-            confined = [d for d in range(1, board.n + 1) if confined_mask >> (d - 1) & 1]
+            confined = _digits(confined_mask)
             elims = [(c, d) for c in free for d in board.candidates(c) if d not in confined]
             # The confined digits are locked inside the intersection, so they
             # vacate the rest of the other containing group (the source group
@@ -257,32 +317,68 @@ def intersection_triples(state: _BoardState) -> Iterator[Deduction]:
                 )
 
 
+@cache
+def _box_line_parts(box: int):
+    """Per group, the lists of parts a confinement is looked for in, in the
+    order they are tried: a line has one list, the boxes it meets; a box has
+    two, the rows it meets and then the columns.  A part is (index into
+    ``_line_box_pairs``, the group it meets, that group's cells outside)."""
+    geo = geometry(box)
+    n = geo.n
+    pairs = _line_box_pairs(box)
+
+    def part(i, target, group):
+        inside = set(geo.group_cells[group])
+        return i, target, tuple(c for c in geo.group_cells[target] if c not in inside)
+
+    lines = [
+        ([part(i, pair[1], g) for i, pair in enumerate(pairs) if pair[0] == g],)
+        for g in range(2 * n)
+    ]
+    boxes = [
+        tuple(
+            [
+                part(i, pair[0], g)
+                for i, pair in enumerate(pairs)
+                if pair[1] == g and lo <= pair[0] < hi
+            ]
+            for lo, hi in ((0, n), (n, 2 * n))
+        )
+        for g in range(2 * n, 3 * n)
+    ]
+    return tuple(lines + boxes)
+
+
 def box_line(state: _BoardState) -> Iterator[Deduction]:
     """Digit homes of a box confined to one line clear the rest of the line,
-    and homes of a line confined to one box clear the rest of the box."""
+    and homes of a line confined to one box clear the rest of the box.
+
+    Each line/box intersection ORs the candidate masks of its empty cells.
+    A digit in exactly one of a line's box intersections is confined to that
+    box; in exactly one of a box's row intersections, to that row, else in
+    exactly one of its column intersections, to that column.  Firings come
+    in group order, then digit order."""
     board, geo = state.board, state.geo
-    n = board.n
-    for g, cells in enumerate(geo.group_cells):
-        for d in range(1, n + 1):
-            homes = state.homes[g][d]
-            if not homes:
-                continue
-            if g < 2 * n:
-                # line -> confined to one box
-                boxes = {geo.groups_of_cell[c][2] for c in homes}
-                if len(boxes) != 1:
-                    continue
-                target = boxes.pop()
-            else:
-                rows = {geo.groups_of_cell[c][0] for c in homes}
-                cols = {geo.groups_of_cell[c][1] for c in homes}
-                if len(rows) == 1:
-                    target = rows.pop()
-                elif len(cols) == 1:
-                    target = cols.pop()
-                else:
-                    continue
-            elims = tuple((c, d) for c in state.homes[target][d] if c not in cells)
+    values, cand = board.values, board.cand
+    inter = state.line_box_masks
+    for g, part_lists in enumerate(_box_line_parts(board.box)):
+        confined = []
+        for parts in part_lists:
+            once = twice = 0
+            for i, _target, _rest in parts:
+                twice |= once & inter[i]
+                once |= inter[i]
+            confined.append(once & ~twice)
+        pending = 0
+        for m in confined:
+            pending |= m
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            parts = next(p for p, m in zip(part_lists, confined) if m & bit)
+            _i, target, rest = next(p for p in parts if inter[p[0]] & bit)
+            d = bit.bit_length()
+            elims = tuple((c, d) for c in rest if not values[c] and cand[c] & bit)
             if elims:
                 yield Deduction(
                     "box_line",
@@ -292,23 +388,45 @@ def box_line(state: _BoardState) -> Iterator[Deduction]:
 
 
 def hidden_pairs(state: _BoardState) -> Iterator[Deduction]:
-    """Two digits sharing the same two homes in a group own those cells."""
+    """Two digits sharing the same two homes in a group own those cells.
+
+    Per group, folding the candidate masks of its empty cells once, twice
+    and three times marks the digits with exactly two homes.  Two of them
+    share their homes exactly when two cells both hold both, so only cells
+    holding at least two such digits are paired up.  Firings come in group
+    order, then digit pair order."""
     board, geo = state.board, state.geo
-    for g, homes in enumerate(state.homes):
-        digits = [d for d in range(1, board.n + 1) if len(homes[d]) == 2]
-        for i, x in enumerate(digits):
-            for y in digits[i + 1 :]:
-                if homes[x] != homes[y]:
-                    continue
-                elims = tuple(
-                    (c, d) for c in homes[x] for d in board.candidates(c) if d not in (x, y)
+    values, cand = board.values, board.cand
+    for g, cells in enumerate(geo.group_cells):
+        once = twice = thrice = 0
+        for c in cells:
+            if not values[c]:
+                m = cand[c]
+                thrice |= twice & m
+                twice |= once & m
+                once |= m
+        two = twice & ~thrice
+        if not two & (two - 1):
+            continue  # fewer than two such digits
+        held = [(c, cand[c] & two) for c in cells if not values[c]]
+        held = [(c, m) for c, m in held if m & (m - 1)]
+        pairs = []
+        for i, (a, held_a) in enumerate(held):
+            for b, held_b in held[i + 1 :]:
+                digits = _digits(held_a & held_b)
+                pairs += [
+                    (x, y, a, b) for j, x in enumerate(digits) for y in digits[j + 1 :]
+                ]
+        for x, y, a, b in sorted(pairs):
+            elims = tuple(
+                (c, d) for c in (a, b) for d in board.candidates(c) if d not in (x, y)
+            )
+            if elims:
+                yield Deduction(
+                    "hidden_pair",
+                    eliminations=elims,
+                    witness=f"{geo.group_name(g)}[{x},{y}]",
                 )
-                if elims:
-                    yield Deduction(
-                        "hidden_pair",
-                        eliminations=elims,
-                        witness=f"{geo.group_name(g)}[{x},{y}]",
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +434,46 @@ def hidden_pairs(state: _BoardState) -> Iterator[Deduction]:
 # ---------------------------------------------------------------------------
 
 
-def _forbidden_edges(num: int, adjacency: list[list[int]]):
-    """(perfect, [(l, r) forbidden...]) for a square bipartite instance."""
-    edges = [(l, r) for l, row in enumerate(adjacency) for r in row]
-    size, _, _, forbidden = _kernels.bipartite_forbidden(num, num, edges)
-    if size != num:
-        return False, []
-    return True, [edge for edge, bad in zip(edges, forbidden) if bad]
+def _forbidden_edges(memo: dict, adjacency: tuple[tuple[int, ...], ...]):
+    """(perfect, [(l, r) forbidden...]) for the square bipartite instance
+    whose left vertex l has the rights ``adjacency[l]``, memoized on it."""
+    found = memo.get(adjacency)
+    if found is None:
+        num = len(adjacency)
+        edges = [(l, r) for l, row in enumerate(adjacency) for r in row]
+        size, _, _, forbidden = _kernels.bipartite_forbidden(num, num, edges)
+        if size != num:
+            found = False, []
+        else:
+            found = True, [edge for edge, bad in zip(edges, forbidden) if bad]
+        memo[adjacency] = found
+    return found
 
 
 def digit_grid_matching(state: _BoardState) -> Iterator[Deduction]:
     """Per digit: cover every row and column with one copy, as a row/column
-    matching; candidate cells on edges of no perfect matching are cleared."""
-    board = state.board
+    matching; candidate cells on edges of no perfect matching are cleared.
+    The answer is memoized on the row-to-column adjacency."""
+    board, memo = state.board, state.memo
     n = board.n
+    in_rows = [0] * (n + 1)  # bit r of in_rows[d]: row r holds d
+    in_cols = [0] * (n + 1)
+    for cell, v in enumerate(board.values):
+        if v:
+            in_rows[v] |= 1 << (cell // n)
+            in_cols[v] |= 1 << (cell % n)
     for d in range(1, n + 1):
-        rows = [r for r in range(n) if all(board.values[r * n + c] != d for c in range(n))]
+        rows = [r for r in range(n) if not in_rows[d] >> r & 1]
         if not rows:
             continue
-        cols = [c for c in range(n) if all(board.values[r * n + c] != d for r in range(n))]
+        cols = [c for c in range(n) if not in_cols[d] >> c & 1]
         col_index = {c: i for i, c in enumerate(cols)}
         # Row group r lists its cells in column order.
-        adjacency = [
-            [col_index[c % n] for c in state.homes[r][d] if c % n in col_index]
+        adjacency = tuple(
+            tuple(col_index[c % n] for c in state.homes[r][d] if c % n in col_index)
             for r in rows
-        ]
-        perfect, bad = _forbidden_edges(len(rows), adjacency)
+        )
+        perfect, bad = _forbidden_edges(memo, adjacency)
         if not perfect:
             yield Deduction(
                 "digit_matching",
@@ -356,17 +488,27 @@ def digit_grid_matching(state: _BoardState) -> Iterator[Deduction]:
 
 def group_matching(state: _BoardState) -> Iterator[Deduction]:
     """Per group: complete it as a digit/cell matching; candidate placements
-    on edges of no perfect matching are cleared."""
-    board, geo = state.board, state.geo
+    on edges of no perfect matching are cleared.  The answer is memoized on
+    the group's cells too: a placed cell keys as its negated value, an empty
+    one as its candidate mask."""
+    board, geo, memo = state.board, state.geo, state.memo
+    values, cand = board.values, board.cand
+
+    def free_and_digits(cells):
+        free = [c for c in cells if values[c] == 0]
+        placed = set(values[c] for c in cells if values[c])
+        return free, [d for d in range(1, board.n + 1) if d not in placed]
+
     for g, cells in enumerate(geo.group_cells):
-        free = [c for c in cells if board.values[c] == 0]
-        if not free:
-            continue
-        placed = set(board.values[c] for c in cells if board.values[c])
-        digits = [d for d in range(1, board.n + 1) if d not in placed]
-        cell_index = {c: i for i, c in enumerate(free)}
-        adjacency = [[cell_index[c] for c in state.homes[g][d]] for d in digits]
-        perfect, bad = _forbidden_edges(len(digits), adjacency)
+        key = ("group",) + tuple([-values[c] if values[c] else cand[c] for c in cells])
+        found = memo.get(key)
+        if found is None:
+            free, digits = free_and_digits(cells)
+            cell_index = {c: i for i, c in enumerate(free)}
+            adjacency = tuple(tuple(cell_index[c] for c in state.homes[g][d]) for d in digits)
+            # A full group has nothing to match.
+            found = memo[key] = _forbidden_edges(memo, adjacency) if free else (True, [])
+        perfect, bad = found
         if not perfect:
             yield Deduction(
                 "group_matching",
@@ -374,10 +516,12 @@ def group_matching(state: _BoardState) -> Iterator[Deduction]:
                 reason=f"{geo.group_name(g)} admits no complete placement",
             )
             continue
-        elims = tuple((free[r], digits[l]) for l, r in bad)
-        if elims:
+        if bad:
+            free, digits = free_and_digits(cells)
             yield Deduction(
-                "group_matching", eliminations=elims, witness=geo.group_name(g)
+                "group_matching",
+                eliminations=tuple((free[r], digits[l]) for l, r in bad),
+                witness=geo.group_name(g),
             )
 
 
@@ -584,15 +728,13 @@ def bilocation_repeat_rule(state: _BoardState) -> Iterator[Deduction]:
     with the same label forces that label into the cell."""
     for cell, d in state.bilocation_starts:
         reach = state.reach(state.bilocation_expansion, cell, d)
-        for re in reach.edges:
-            if re.head == cell and re.far_label == d:
-                walk = reach.walk_to(re)
-                yield Deduction(
-                    "biloc_repeat",
-                    placements=((cell, d),),
-                    witness=_walk_summary(state.board.box, walk),
-                )
-                break
+        back = reach.arrival(cell, d)
+        if back is not None:
+            yield Deduction(
+                "biloc_repeat",
+                placements=((cell, d),),
+                witness=_walk_summary(state.board.box, reach.walk_to(back)),
+            )
 
 
 def bivalue_repeat_rule(state: _BoardState) -> Iterator[Deduction]:
@@ -600,68 +742,70 @@ def bivalue_repeat_rule(state: _BoardState) -> Iterator[Deduction]:
     rules d out there, placing the cell's other candidate."""
     for cell, d, other in state.bivalue_starts:
         reach = state.reach(state.bivalue_expansion, cell, ("d", d))
-        for re in reach.edges:
-            if re.head == cell and re.far_label == ("d", d):
-                walk = reach.walk_to(re)
-                yield Deduction(
-                    "bivalue_repeat",
-                    placements=((cell, other),),
-                    witness=_walk_summary(state.board.box, walk),
-                )
-                break
+        back = reach.arrival(cell, ("d", d))
+        if back is not None:
+            yield Deduction(
+                "bivalue_repeat",
+                placements=((cell, other),),
+                witness=_walk_summary(state.board.box, reach.walk_to(back)),
+            )
 
 
 def _forced_by_bilocation(state: _BoardState, cell, digit):
     """(cell, digit) pairs forced when ``cell`` does not hold ``digit``:
-    far endpoints of reachable edges take their far labels."""
+    far endpoints of reachable edges take their far labels.  Each maps to
+    the (edge id, direction) of its first traversal."""
     reach = state.reach(state.bilocation_expansion, cell, digit)
-    forced: dict[tuple[int, int], ReachedEdge] = {}
-    for re in reach.edges:
-        forced.setdefault((re.head, re.far_label), re)
-    return reach, forced
+    return reach, reach.arrivals()
 
 
 def _forced_by_bivalue(state: _BoardState, cell, digit):
     """(cell, digit) pairs forced when ``cell`` holds ``digit``: the far cell
     of a reached edge loses the far label, keeping its other candidate (far
-    cells are bivalued, so there is exactly one)."""
+    cells are bivalued, so their mask without the far label holds exactly
+    one).  Each maps to the (edge id, direction) of its first traversal."""
     reach = state.reach(state.bivalue_expansion, cell, ("d", digit))
-    forced: dict[tuple[int, int], ReachedEdge] = {}
-    for re in reach.edges:
-        if not isinstance(re.head, int):
-            continue
-        label = re.far_label[1]
-        other = next(x for x in state.board.candidates(re.head) if x != label)
-        forced.setdefault((re.head, other), re)
+    cand = state.board.cand
+    forced: dict[tuple[int, int], tuple[int, int]] = {}
+    for (head, (_tag, label)), traversal in reach.arrivals().items():
+        if isinstance(head, int):
+            forced[head, (cand[head] & ~(1 << (label - 1))).bit_length()] = traversal
     return reach, forced
 
 
 def _find_conflict(geo, forced_a: dict, forced_b: Optional[dict] = None):
-    """The reached edges of the first pair of distinct same-group cells
-    forced to one digit, or None.
+    """The traversals of the first pair of distinct same-group cells forced
+    to one digit, or None.
 
     With ``forced_b`` the pair must straddle the two maps (cross conflicts
     only); within-map conflicts belong to the pure rules.
     """
-    first: dict[tuple[int, int], tuple[int, ReachedEdge]] = {}
-    for (cell, digit), re in sorted(forced_a.items()):
+    first: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+    within = forced_b is None
+    for (cell, digit), traversal in sorted(forced_a.items()):
         for g in geo.groups_of_cell[cell]:
-            first.setdefault((digit, g), (cell, re))
-    second = forced_a if forced_b is None else forced_b
-    for (cell, digit), re in sorted(second.items()):
+            hit = first.setdefault((digit, g), (cell, traversal))
+            # Within one map, the first pair whose (digit, group) an earlier
+            # pair already holds is the first clash.
+            if within and hit[0] != cell:
+                return hit[1], traversal
+    if within:
+        return None
+    for (cell, digit), traversal in sorted(forced_b.items()):
         for g in geo.groups_of_cell[cell]:
             hit = first.get((digit, g))
             if hit is not None and hit[0] != cell:
-                return hit[1], re
+                return hit[1], traversal
     return None
 
 
-def _conflict_witness(box: int, reach_a, re_a, reach_b, re_b) -> str:
-    """The two conflicting forcing chains, joined by ``|``."""
+def _conflict_witness(box: int, reach_a, hit_a, reach_b, hit_b) -> str:
+    """The two conflicting forcing chains, joined by ``|``; ``hit_a`` and
+    ``hit_b`` are (edge id, direction) pairs of the two reaches."""
     return (
-        _walk_summary(box, reach_a.walk_to(re_a))
+        _walk_summary(box, reach_a.walk_to(reach_a.traversal(*hit_a)))
         + "|"
-        + _walk_summary(box, reach_b.walk_to(re_b))
+        + _walk_summary(box, reach_b.walk_to(reach_b.traversal(*hit_b)))
     )
 
 
@@ -778,18 +922,20 @@ def solve(board: Board, max_tier: int = TIER_BIVALUE) -> SolveTrace:
 
     Each rule yields its firings in scan order; ``solve`` takes only the first
     firing of the first rule, in ``RULES`` order, that yields one, and no
-    rule runs past its first firing."""
+    rule runs past its first firing.  One matching memo serves every state
+    of the solve."""
     current = board.copy()
     deductions: list[Deduction] = []
     tiers: list[int] = []
     outcome = "stuck"
     if current.first_empty_candidate_violation() is not None:
         return SolveTrace((), (), "contradiction", board=current)
+    memo: dict = {}
     while True:
         if current.is_complete():
             outcome = "solved"
             break
-        state = _BoardState(current)
+        state = _BoardState(current, memo)
         fired = None
         for tier, name in RULES:
             if tier > max_tier:

@@ -334,3 +334,37 @@ def test_expansion_equals_per_vertex_dict_builder():
             src, dst = rng.choice(names), rng.choice(names)
             assert new.shortest_path(src, dst) == old.shortest_path(src, dst)
     assert hubs >= 20
+
+
+def assert_arrival_queries_equal_edge_scan(expansion, vertex, label):
+    """``arrival`` and ``arrivals`` of a reach, asked before its ``.edges``
+    are built, against a scan of the ``.edges`` of the same reach.
+    ``arrival`` is asked at every flag of the graph and at one missing label
+    per vertex."""
+    graph = expansion.graph
+    reach = expansion.reachable_from(vertex, label)
+    asked = [
+        (graph.vertex_name(v), x)
+        for v in range(graph.num_vertices)
+        for x in [graph.label_name(lid) for lid in graph.vertex_label_ids(v)] + ["no such label"]
+    ]
+    arrivals = {key: reach.traversal(*pair) for key, pair in reach.arrivals().items()}
+    got = {key: reach.arrival(*key) for key in asked}
+    assert reach._edges is None
+    first: dict = {}
+    for hit in reach.edges:
+        first.setdefault((hit.head, hit.far_label), hit)
+    assert arrivals == first
+    assert got == {key: first.get(key) for key in asked}
+
+
+def test_arrival_queries_equal_a_scan_of_the_edges():
+    rng = Random(2718)
+    for trial in range(160):
+        g = _varied_graph(rng, trial)
+        expansion = LabelSwitchDigraph(g, dense=trial % 10 == 5)
+        flags = _all_start_flags(g)
+        for vertex, label in rng.sample(flags, min(len(flags), 4)):
+            assert_arrival_queries_equal_edge_scan(expansion, vertex, label)
+        if g.num_vertices:
+            assert_arrival_queries_equal_edge_scan(expansion, g.vertex_name(0), "no such label")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from random import Random
 
 import oracles
@@ -450,7 +451,7 @@ def test_singles_equal_reference_on_cleared_and_stale_candidates(puzzle, kept, s
             for peer in geo.peers[cell]:
                 if board.values[peer] == 0:
                     board.cand[peer] |= 1 << (board.values[cell] - 1)
-    for name in ("hidden_single", "naked_single"):
+    for name in ("hidden_single", "naked_single", "intersection_triple", "box_line", "hidden_pair"):
         assert rule_deductions(board, name) == oracles.RULE_FUNCTIONS[name](board), name
 
 
@@ -487,3 +488,70 @@ def test_each_board_state_builds_graphs_expansions_and_reaches_once(monkeypatch)
         assert per_state and max(per_state) == 1, name
     assert len({id(ex.graph) for ex in expansions}) == len(expansions)
     assert reaches and max(reaches.values()) == 1
+
+
+# -- the matching memo and the reach arrays -------------------------------------------
+
+
+@cache
+def _stuck_trace_boards(count, seed) -> tuple[Board, ...]:
+    """Every unfinished board along the solve traces of ``_locally_stuck_traces``."""
+    boards = []
+    for puzzle, trace in _locally_stuck_traces(count, seed):
+        board = puzzle
+        for ded in (None,) + trace.deductions:
+            if ded is not None:
+                board = apply_deduction(board, ded)
+                if not isinstance(board, Board):
+                    break
+            if board.is_complete():
+                break
+            boards.append(board)
+    return tuple(boards)
+
+
+def test_matching_memo_shared_across_states_equals_fresh_states(monkeypatch):
+    # One memo across every state of three traces (solve shares one across
+    # the states of a solve): each rule's firings equal those on a fresh
+    # state, and the shared memo answers instances the fresh states solve.
+    boards = _stuck_trace_boards(3, 5150)
+    kernel_calls = Counter()
+    solve_instance = rules._kernels.bipartite_forbidden
+
+    def counted(*args):
+        kernel_calls[side] += 1  # the side of the comparison below
+        return solve_instance(*args)
+
+    monkeypatch.setattr(rules._kernels, "bipartite_forbidden", counted)
+    memo: dict = {}
+    for board in boards:
+        found = {}
+        for side in ("shared", "fresh"):
+            state = rules._BoardState(board, memo if side == "shared" else None)
+            found[side] = [rules._RULE_FUNCTIONS[name](state) for _tier, name in RULES]
+        assert found["shared"] == found["fresh"]
+    assert len(boards) > 150
+    assert 0 < kernel_calls["shared"] < kernel_calls["fresh"] / 2
+
+
+def test_back_to_back_solves_equal_solo_solves():
+    puzzles_and_traces = _locally_stuck_traces(6, 4242)
+    puzzles = [puzzle for puzzle, _ in puzzles_and_traces]
+    solo = [trace for _, trace in puzzles_and_traces]
+    assert [solve(p) for p in puzzles] == solo
+    assert [solve(p) for p in reversed(puzzles)] == solo[::-1]
+
+
+def test_arrival_queries_equal_a_scan_on_bilocation_and_bivalue_expansions():
+    from test_engine import assert_arrival_queries_equal_edge_scan
+
+    checked = 0
+    for board in _stuck_trace_boards(3, 5150)[::12]:
+        state = rules._BoardState(board)
+        for cell, d in state.bilocation_starts[::5]:
+            assert_arrival_queries_equal_edge_scan(state.bilocation_expansion, cell, d)
+            checked += 1
+        for cell, d, _other in state.bivalue_starts[::3]:
+            assert_arrival_queries_equal_edge_scan(state.bivalue_expansion, cell, ("d", d))
+            checked += 1
+    assert checked > 100
