@@ -1,12 +1,21 @@
 """Hot kernels shared by the graph engine, the matching layer and the Sudoku
 generator.
 
-Every kernel is plain CPython over lists, and none is jitted.  The traversal
-kernels of the label-switch expansion (``scc_csr``, ``reach_csr``, ``bfs01``)
-take and return numpy arrays: the expansion is a CSR graph (``indptr`` and
-``indices`` int64 arrays) built with array operations, and ``build_csr``
-sorts its arcs with one stable sort, so arcs with equal tails keep their
-input order.  The matching kernels take edge lists and return Python lists,
+No kernel is jitted.  The traversal kernels of the label-switch expansion
+(``scc_csr``, ``reach_csr``, ``sweep_csr``, ``bfs01``) take and return numpy
+arrays: the expansion is a CSR graph (``indptr`` and ``indices`` int64
+arrays) built with array operations, and ``build_csr`` sorts its arcs with
+one stable sort, so arcs with equal tails keep their input order.  Below
+``FRONTIER_MIN_NODES`` nodes they are plain CPython scans over lists.  From
+there on, the answers that do not depend on a visit order come from numpy
+frontier sweeps, one BFS level per round: ``sweep_csr`` marks the nodes a set
+of sources reaches, and ``scc_csr`` takes the largest component from a
+forward and a backward sweep (Fleischer, Hendrickson & Pinar 2000), peels
+trivial components for a bounded number of rounds (McLendon et al. 2005) and
+leaves the rest to the scan.  A sweep whose frontiers stay thin hands the
+rest to the scan as well, so a long path or ring costs about what the scan
+costs.  Parents and distances (``reach_csr``, ``bfs01``) always come from
+the scans.  The matching kernels take edge lists and return Python lists,
 since their instances are too small for numpy to pay off; they append each
 vertex's successors in edge order, the order ``build_csr`` gives, and share
 the strong-component and DFS loops (``_tarjan``, ``_dfs``) with the
@@ -15,7 +24,9 @@ keep digit sets as Python-int bitmasks (bit d = digit d+1).
 
 Scan orders are fixed (arcs in CSR order, roots in index order, the stack,
 queue and deque disciplines documented on each kernel), so component ids,
-parents, distances and matchings are deterministic.
+parents, distances and matchings are deterministic.  Component ids are a
+partition; they are in reverse topological order only below
+``FRONTIER_MIN_NODES``.
 
 Box-size contract, B <= 7: a digit set of a B-box board takes B^2 bits, so
 B <= 7 keeps every mask within 49 bits of an int64.  Python ints do not
@@ -35,6 +46,15 @@ import numpy as np
 USE_NUMBA = False  # no kernel is jitted; the benchmark records this flag
 
 _UNREACHED = 2**62
+
+# Graphs of at least this many nodes take the frontier sweeps; below it the
+# list scans are faster.  On random expansions a reach sweep wins from about
+# 1k nodes and the strong-component search from about 2-3k; Sudoku
+# expansions stay under 500.
+FRONTIER_MIN_NODES = 4096
+_THIN = 64  # a frontier of fewer nodes is thin
+_THIN_ROUNDS = 64  # thin rounds a sweep may run before a scan takes over
+_TRIM_ROUNDS = 3  # peeling rounds of ``scc_csr`` before ``_tarjan``
 
 
 def build_csr(num_nodes: int, tails: np.ndarray, heads: np.ndarray):
@@ -140,17 +160,19 @@ def _tarjan(ip, ix):
     return comp
 
 
-def _dfs(ip, ix, sources):
+def _dfs(ip, ix, sources, visited=None):
     """DFS reachability over a list CSR; returns (visited bytearray, parent
     CSR arc position list).
 
     The sources are marked and pushed in order.  A popped node marks and
     pushes all its unvisited successors in arc order, so ``parent`` holds
     the arc that first discovered each node, -1 for sources and unreached
-    nodes.
+    nodes.  A ``visited`` bytearray passed in is marked in place; the nodes
+    it already holds are not entered again.
     """
     n = len(ip) - 1
-    visited = bytearray(n)
+    if visited is None:
+        visited = bytearray(n)
     parent_arc = [-1] * n
     stack = []
     pop = stack.pop
@@ -170,8 +192,110 @@ def _dfs(ip, ix, sources):
 
 
 def scc_csr(indptr, indices):
-    """``_tarjan`` on a numpy CSR: component ids as an int64 array."""
+    """Strong components of a numpy CSR: an int64 component id per node, a
+    partition with ids 0 .. k-1.
+
+    Below ``FRONTIER_MIN_NODES`` nodes the ids are ``_tarjan``'s, in reverse
+    topological order.  From there on, a forward and a backward sweep from
+    the node with the largest in-degree x out-degree product meet in its
+    component, id 0.  ``_TRIM_ROUNDS`` rounds then peel the nodes of the rest
+    that have no arc from or no arc to the rest, each its own component, and
+    ``_tarjan`` numbers what remains.  When the forward sweep's frontiers
+    stay thin, ``_tarjan`` numbers the whole graph instead.
+    """
+    n = len(indptr) - 1
+    if n >= FRONTIER_MIN_NODES:
+        out_degree = np.diff(indptr)
+        in_degree = np.bincount(indices, minlength=n)
+        pivot = int(np.argmax(out_degree * in_degree))
+        forward, left = _sweep(indptr, indices, (pivot,))
+        if not len(left):
+            return _scc_from(pivot, forward, indptr, indices, in_degree)
     return np.array(_tarjan(indptr.tolist(), indices.tolist()), np.int64)
+
+
+def _scc_from(pivot, forward, indptr, indices, in_degree):
+    """``scc_csr`` past its forward sweep: ``forward`` is what ``pivot``
+    reaches."""
+    n = len(indptr) - 1
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    rptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(in_degree, out=rptr[1:])
+    rest = ~(forward & sweep_csr(rptr, tails[np.argsort(indices, kind="stable")], (pivot,)))
+    comp = np.zeros(n, dtype=np.int64)
+    ncomp = 1
+    inner = rest[tails] & rest[indices]
+    tails, heads = tails[inner], indices[inner]
+    for _ in range(_TRIM_ROUNDS):
+        linked = np.bincount(tails, minlength=n).astype(bool)
+        linked &= np.bincount(heads, minlength=n).astype(bool)
+        peeled = np.flatnonzero(rest & ~linked)
+        if not len(peeled):
+            break
+        comp[peeled] = np.arange(ncomp, ncomp + len(peeled))
+        ncomp += len(peeled)
+        rest[peeled] = False
+        inner = rest[tails] & rest[heads]
+        tails, heads = tails[inner], heads[inner]
+    # The arcs left are in CSR order, so renumbering the nodes left in order
+    # gives a CSR of the remainder with each node's arcs in their old order.
+    nodes = np.flatnonzero(rest)
+    local = np.zeros(n, dtype=np.int64)
+    local[nodes] = np.arange(len(nodes))
+    ip = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local[tails], minlength=len(nodes)), out=ip[1:])
+    comp[nodes] = ncomp + np.array(_tarjan(ip.tolist(), local[heads].tolist()), np.int64)
+    return comp
+
+
+def _sweep(indptr, indices, sources):
+    """Frontier sweep from ``sources``: (seen bool array, frontier left).
+
+    Each round gathers the successors of the whole frontier with array
+    operations and keeps each unseen one once.  The sweep stops early after
+    ``_THIN_ROUNDS`` rounds on frontiers of fewer than ``_THIN`` nodes, with
+    its last frontier seen but not expanded; a finished sweep leaves an
+    empty frontier.
+    """
+    n = len(indptr) - 1
+    seen = np.zeros(n, dtype=bool)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    seen[frontier] = True
+    stamp = np.empty(n, dtype=np.int64)
+    thin = 0
+    while len(frontier):
+        if len(frontier) < _THIN:
+            thin += 1
+            if thin > _THIN_ROUNDS:
+                break
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        pos = np.arange(int(ends[-1]), dtype=np.int64)
+        pos += np.repeat(starts - ends + counts, counts)
+        heads = indices[pos]
+        heads = heads[~seen[heads]]
+        # Keep one copy of each head: the copy whose index its stamp kept.
+        at = np.arange(len(heads), dtype=np.int64)
+        stamp[heads] = at
+        frontier = heads[stamp[heads] == at]
+        seen[frontier] = True
+    return seen, frontier
+
+
+def sweep_csr(indptr, indices, sources):
+    """The nodes a numpy CSR reaches from ``sources``, as a bool array.
+
+    ``_sweep``, and when its frontiers stayed thin, ``_dfs`` goes on from its
+    last frontier over the swept mask, so a long path or ring costs about
+    what the scan costs, not a round of numpy calls per node.
+    """
+    seen, frontier = _sweep(indptr, indices, sources)
+    if not len(frontier):
+        return seen
+    visited = bytearray(seen.tobytes())
+    _dfs(indptr.tolist(), indices.tolist(), frontier.tolist(), visited)
+    return np.frombuffer(visited, dtype=bool)
 
 
 def reach_csr(indptr, indices, start):
@@ -179,6 +303,15 @@ def reach_csr(indptr, indices, start):
     position int64)."""
     visited, parent_arc = _dfs(indptr.tolist(), indices.tolist(), (start,))
     return np.frombuffer(visited, np.uint8), np.array(parent_arc, np.int64)
+
+
+def reach_mask(indptr, indices, start):
+    """What ``start`` reaches, as (visited, parent): ``reach_csr`` below
+    ``FRONTIER_MIN_NODES`` nodes; from there on ``sweep_csr``'s bool mask and
+    None for the parents, which ``reach_csr`` gives when they are needed."""
+    if len(indptr) - 1 < FRONTIER_MIN_NODES:
+        return reach_csr(indptr, indices, start)
+    return sweep_csr(indptr, indices, (start,)), None
 
 
 def bfs01(indptr, indices, unit, sources):

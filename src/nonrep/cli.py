@@ -58,14 +58,12 @@ def _require_vertices(g: FlagLabeledGraph, *tokens) -> None:
             raise ValueError(f"unknown vertex {token!r}")
 
 
-def _write_traversals(edges) -> None:
+def _write_traversals(rows) -> None:
     """One ``edge <id>: <tail> -> <head> label <far label>`` line per
-    traversal, written to stdout at once."""
+    (edge id, tail, head, far label) row, such as a ``ReachedEdge``, written
+    to stdout at once."""
     sys.stdout.write(
-        "".join(
-            f"edge {e.edge_id}: {e.tail} -> {e.head} label {e.far_label}\n"
-            for e in edges
-        )
+        "".join([f"edge {e}: {t} -> {h} label {x}\n" for e, t, h, x in rows])
     )
 
 
@@ -86,8 +84,8 @@ def _write_edges(g: FlagLabeledGraph, eids) -> None:
 
 
 def _cmd_graph_cycles(args) -> int:
-    g = _load_graph(args.file)
-    _write_traversals(LabelSwitchDigraph(g).cycle_directions())
+    expansion = LabelSwitchDigraph(_load_graph(args.file))
+    _write_traversals(expansion.traversal_rows(expansion.cycle_mask()))
     return 0
 
 
@@ -97,7 +95,8 @@ def _cmd_graph_reach(args) -> int:
     if g.label_id(args.label) is None:
         raise ValueError(f"unknown label {args.label!r}")
     expansion = LabelSwitchDigraph(g)
-    _write_traversals(expansion.reachable_from(args.start, args.label).edges)
+    reach = expansion.reachable_from(args.start, args.label)
+    _write_traversals(expansion.traversal_rows(reach.mask))
     return 0
 
 

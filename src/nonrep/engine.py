@@ -13,10 +13,18 @@ distinct label count and its arc template is offset to every vertex with that
 count; connector arcs follow all gadget arcs, one row per edge.  Per-vertex
 slot arrays (``vp_ptr``, ``slot_label``, ``slot_entry``, ``slot_exit``) map
 slots to gadget nodes.  Query answers are selected with array masks over the
-connector positions.  A reach keeps its hits as such a mask and makes
-``ReachedEdge`` objects only when its ``.edges`` are read; the arrival queries
-that the Sudoku rules ask (the first traversal entering a given (vertex,
-label), or the first one per (vertex, label)) are answered from the mask.
+connector positions.  A reach and the cycle query keep their hits as such a
+mask, one entry per (edge, direction), and ``traversal_rows`` reads the hit
+traversals straight from the mask, the ``ends`` array and the graph's name
+lists.  ``ReachedEdge`` objects are made only when a reach's ``.edges`` or
+``cycle_directions`` are asked for; the arrival queries that the Sudoku rules
+ask (the first traversal entering a given (vertex, label), or the first one
+per (vertex, label)) are answered from the mask too.
+
+On expansions of at least ``_kernels.FRONTIER_MIN_NODES`` nodes the strong
+components and a reach's mask come from numpy frontier sweeps; a reach then
+runs the DFS that records parents only when its first witness walk is asked
+for, so every walk is the one the DFS gives.
 
 Queries answered here:
 
@@ -128,6 +136,8 @@ class LabelSwitchDigraph:
 
         self.num_nodes = num_nodes
         self.num_arcs = len(tails)
+        # Row eid: u, v, label at u, label at v (vertex and label ids).
+        self.ends = ends
         # Slots of vertex v are vp_ptr[v] .. vp_ptr[v + 1] - 1.
         self.vp_ptr = vp_ptr
         self.slot_label = slot_label
@@ -173,6 +183,23 @@ class LabelSwitchDigraph:
         oriented = self._oriented
         return [oriented(e, d) for e, d in zip(eids.tolist(), dirs.tolist())]
 
+    def traversal_rows(self, hit: np.ndarray):
+        """The traversals ``hit`` selects (a mask over (edge, direction)), in
+        edge order, then direction, as (edge id, tail, head, far label)
+        tuples: the fields of their ``ReachedEdge``s, read column by column
+        from ``ends`` and the graph's name lists."""
+        eids, dirs = np.nonzero(hit)
+        ends = self.ends[eids]
+        rows = np.arange(len(eids))
+        vertex = self.graph.vertex_names.__getitem__
+        label = self.graph.label_names.__getitem__
+        return zip(
+            eids.tolist(),
+            map(vertex, ends[rows, dirs].tolist()),
+            map(vertex, ends[rows, 1 - dirs].tolist()),
+            map(label, ends[rows, 3 - dirs].tolist()),
+        )
+
     def _slots(self, vid: int) -> slice:
         return slice(int(self.vp_ptr[vid]), int(self.vp_ptr[vid + 1]))
 
@@ -193,7 +220,9 @@ class LabelSwitchDigraph:
 
     @property
     def scc(self) -> np.ndarray:
-        """Component id per node, in reverse topological order."""
+        """Component id per node: a partition of the nodes (see
+        ``_kernels.scc_csr``; the ids are in reverse topological order only
+        below ``_kernels.FRONTIER_MIN_NODES`` nodes)."""
         # A memo set up in __init__, not functools.cached_property: on
         # CPython 3.11 a cached_property writes the instance __dict__, after
         # which every attribute read on the instance is slower, and the
@@ -204,14 +233,19 @@ class LabelSwitchDigraph:
 
     # -- queries --------------------------------------------------------------
 
-    def cycle_directions(self) -> list[ReachedEdge]:
-        """Edge traversals that lie on some nonrepetitive closed walk."""
+    def cycle_mask(self) -> np.ndarray:
+        """Mask over (edge, direction): the traversals that lie on some
+        nonrepetitive closed walk."""
         comp = self.scc
         pos = self._conn
-        return self._traversals(comp[self._tail_of_pos[pos]] == comp[self.indices[pos]])
+        return comp[self._tail_of_pos[pos]] == comp[self.indices[pos]]
+
+    def cycle_directions(self) -> list[ReachedEdge]:
+        """Edge traversals that lie on some nonrepetitive closed walk."""
+        return self._traversals(self.cycle_mask())
 
     def cycle_edge_ids(self) -> set[int]:
-        return {edge.edge_id for edge in self.cycle_directions()}
+        return set(np.flatnonzero(self.cycle_mask().any(axis=1)).tolist())
 
     def cycle_transit_pairs(self, vertex: Any) -> set[frozenset]:
         """Label pairs {x, y} of consecutive edges some nonrepetitive closed
@@ -244,10 +278,10 @@ class LabelSwitchDigraph:
         lid = self.graph.label_id(label)
         starts = () if lid is None else self.slot_exit[slots][self.slot_label[slots] == lid]
         if not len(starts):
-            return ReachResult(self, None, None, np.zeros(self._conn.shape, dtype=bool))
+            return ReachResult(self, None, np.zeros(self._conn.shape, dtype=bool))
         start = int(starts[0])
-        visited, parent = _kernels.reach_csr(self.indptr, self.indices, start)
-        return ReachResult(self, start, parent, visited[self._tail_of_pos[self._conn]] != 0)
+        visited, parent = _kernels.reach_mask(self.indptr, self.indices, start)
+        return ReachResult(self, start, visited[self._tail_of_pos[self._conn]] != 0, parent)
 
     def shortest_path(self, src: Any, dst: Any) -> Optional[list[ReachedEdge]]:
         """Minimum-edge-count nonrepetitive walk from src to dst, or None."""
@@ -282,34 +316,37 @@ class LabelSwitchDigraph:
 class ReachResult:
     """Result of :meth:`LabelSwitchDigraph.reachable_from` plus witness walks.
 
-    The hits are kept as a mask over the expansion's connector arcs (edge,
+    The hits are kept in ``mask``, over the expansion's connector arcs (edge,
     then direction).  ``.edges``, the ``ReachedEdge`` list in that order, is
-    built on first read; ``arrival`` and ``arrivals`` answer from the mask
-    and make no ``ReachedEdge`` beyond the one they return.
+    built on first read; ``len``, ``edge_ids``, ``arrival`` and ``arrivals``
+    answer from the mask and make no ``ReachedEdge`` beyond the one they
+    return.  A reach without a start flag refuses every walk.  Unless the
+    reach came with them, the parent arcs of the DFS from the start are
+    computed for the first witness walk.
     """
 
-    def __init__(self, expansion, start, parent, hit: np.ndarray):
+    def __init__(self, expansion, start, mask: np.ndarray, parent=None):
         self._expansion = expansion
         self._start = start
+        self.mask = mask
         self._parent = parent
-        self._hit = hit
         self._edges: Optional[list[ReachedEdge]] = None
         self._arrivals: Optional[dict] = None
 
     @property
     def edges(self) -> list[ReachedEdge]:
         if self._edges is None:
-            self._edges = self._expansion._traversals(self._hit)
+            self._edges = self._expansion._traversals(self.mask)
         return self._edges
 
     def __iter__(self):
         return iter(self.edges)
 
     def __len__(self):
-        return len(self.edges)
+        return int(np.count_nonzero(self.mask))
 
     def edge_ids(self) -> set[int]:
-        return {e.edge_id for e in self.edges}
+        return set(np.flatnonzero(self.mask.any(axis=1)).tolist())
 
     def traversal(self, eid: int, direction: int) -> ReachedEdge:
         """The traversal of edge ``eid`` in ``direction`` (0: u -> v)."""
@@ -325,10 +362,10 @@ class ReachResult:
         slot = next((s for s in range(vp[vid], vp[vid + 1]) if labels[s] == lid), None)
         if slot is None:
             return None
-        at = np.flatnonzero(self._hit & (ex._arrival_slot == slot))
+        at = np.flatnonzero(self.mask & (ex._arrival_slot == slot))
         if not len(at):
             return None
-        return self.traversal(*divmod(int(at[0]), self._hit.shape[1]))
+        return self.traversal(*divmod(int(at[0]), self.mask.shape[1]))
 
     def arrivals(self) -> dict[tuple[Any, Any], tuple[int, int]]:
         """(head, far label) -> (edge id, direction) of the first traversal
@@ -337,9 +374,9 @@ class ReachResult:
         if self._arrivals is None:
             ex = self._expansion
             names = ex._slot_table()[2]
-            at = np.flatnonzero(self._hit)
+            at = np.flatnonzero(self.mask)
             slots, first = np.unique(ex._arrival_slot.ravel()[at], return_index=True)
-            k = self._hit.shape[1]
+            k = self.mask.shape[1]
             self._arrivals = {
                 names[s]: divmod(pos, k) for s, pos in zip(slots.tolist(), at[first].tolist())
             }
@@ -350,7 +387,7 @@ class ReachResult:
 
         Raises ``ValueError`` when the reach did not find ``reached``.
         """
-        if self._parent is None:
+        if self._start is None:
             raise ValueError("empty reach result has no walks")
         ex = self._expansion
         eid = reached.edge_id
@@ -360,11 +397,11 @@ class ReachResult:
             direction = int(reached.tail != ex.graph.endpoints(eid)[0])
             if ex._oriented(eid, direction) == reached:
                 pos = ex.conn_pos[eid, direction]
-        node = int(ex._tail_of_pos[pos])
-        # Reached iff its connector arc leaves a node the search visited.
-        if pos < 0 or (node != self._start and self._parent[node] == -1):
+        if pos < 0 or not self.mask[eid, direction]:
             raise ValueError(f"{reached} is not reached from the start")
-        steps = ex._walk_to_node(self._parent, node)
+        if self._parent is None:
+            self._parent = _kernels.reach_csr(ex.indptr, ex.indices, self._start)[1]
+        steps = ex._walk_to_node(self._parent, int(ex._tail_of_pos[pos]))
         steps.append(reached)
         return steps
 

@@ -89,6 +89,16 @@ class FlagLabeledGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @property
+    def vertex_names(self) -> list[Any]:
+        """Vertex names by id; callers must not mutate the list."""
+        return self._vertex_names
+
+    @property
+    def label_names(self) -> list[Any]:
+        """Label names by id; callers must not mutate the list."""
+        return self._label_names
+
     def vertex_name(self, vid: int) -> Any:
         return self._vertex_names[vid]
 

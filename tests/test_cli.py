@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nonrep import _kernels
 from nonrep.cli import run
+from nonrep.engine import LabelSwitchDigraph
 from nonrep.labeled_graph import parse_labeled_graph, serialize_labeled_graph
 
 TRIANGLE = "graph directed\nedge a b L1\nedge b c L2\nedge c a L3\n"
@@ -376,3 +380,43 @@ def test_graph_commands_on_token_soup_exit_cleanly(argv, text):
         assert len(err.splitlines()) == 1
         if code == 2:
             assert out == ""
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_walk_commands_on_long_two_label_rings(monkeypatch, directed):
+    """A 5*10^4-edge ring whose edge labels alternate a|b has an expansion
+    far above ``FRONTIER_MIN_NODES`` and a diameter of about its size.  The
+    frontier path must give the scans' stdout, and not take a numpy round
+    per node: each command runs in under 1.5 s."""
+    n = 50_000
+    text = f"graph {'directed' if directed else 'undirected'}\n" + "".join(
+        f"edge v{i} v{(i + 1) % n} {'ab'[i % 2]}\n" for i in range(n)
+    )
+    assert LabelSwitchDigraph(parse_labeled_graph(text)).num_nodes >= _kernels.FRONTIER_MIN_NODES
+    for argv in (
+        ["graph", "cycles", "-"],
+        ["graph", "reach", "--start", "v0", "--label", "a", "-"],
+    ):
+        monkeypatch.setattr(_kernels, "FRONTIER_MIN_NODES", 10**12)  # the scans
+        want = _run(argv, stdin=text)
+        monkeypatch.undo()
+        start = time.perf_counter()
+        got = _run(argv, stdin=text)
+        elapsed = time.perf_counter() - start
+        assert got == want
+        assert want[0] == 0 and len(want[1].splitlines()) >= n
+        assert elapsed < 1.5, elapsed
+
+
+def test_python_m_nonrep_runs_the_cli():
+    """``python -m nonrep`` is the ``nonrep`` command, exit codes included."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "nonrep", "graph", "cycles", "-"]
+    done = subprocess.run(cmd, input=TRIANGLE, capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == _run(["graph", "cycles", "-"], stdin=TRIANGLE)[1]
+    done = subprocess.run(cmd, input="graph sideways\n", capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("graph parse error")

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from nonrep import FlagLabeledGraph
+from nonrep import FlagLabeledGraph, _kernels
 from nonrep.engine import (
     LabelSwitchDigraph,
     ReachedEdge,
@@ -368,3 +368,84 @@ def test_arrival_queries_equal_a_scan_of_the_edges():
             assert_arrival_queries_equal_edge_scan(expansion, vertex, label)
         if g.num_vertices:
             assert_arrival_queries_equal_edge_scan(expansion, g.vertex_name(0), "no such label")
+
+
+def _walk_answers(g: FlagLabeledGraph, dense: bool, starts) -> dict:
+    """Every answer of a fresh expansion of ``g`` that the frontier sweeps
+    could change: cycle traversals and transit pairs, and per start the
+    reached traversals, their witness walks and the traversals refused."""
+    expansion = LabelSwitchDigraph(g, dense=dense)
+    names = [g.vertex_name(v) for v in range(g.num_vertices)]
+    every = [
+        expansion._oriented(eid, d)
+        for eid in range(g.num_edges)
+        for d in range(1 if g.directed else 2)
+    ]
+    answers = {
+        "cycles": expansion.cycle_directions(),
+        "cycle ids": expansion.cycle_edge_ids(),
+        "transit": [expansion.cycle_transit_pairs(v) for v in names],
+    }
+    for vertex, label in starts:
+        reach = expansion.reachable_from(vertex, label)
+        walks = []
+        for edge in every:
+            try:
+                walks.append(reach.walk_to(edge))
+            except ValueError:
+                walks.append(None)
+        answers[vertex, label] = (reach.edges, len(reach), reach.edge_ids(), walks)
+    return answers
+
+
+@pytest.mark.parametrize("thin_rounds", [64, 0])
+def test_frontier_path_equals_scan_path(monkeypatch, thin_rounds):
+    """With ``FRONTIER_MIN_NODES`` lowered to 1, every expansion takes the
+    frontier sweeps, and its cycle traversals, reaches and witness walks
+    equal those of the scans.  A reach without a start flag still refuses
+    every walk."""
+    rng = Random(1618)
+    for trial in range(120):
+        g = _varied_graph(rng, trial)
+        flags = _all_start_flags(g)
+        starts = rng.sample(flags, min(len(flags), 3))
+        if g.num_vertices:
+            starts.append((g.vertex_name(0), "no such label"))
+        dense = trial % 10 == 5
+        want = _walk_answers(g, dense, starts)
+        monkeypatch.setattr(_kernels, "FRONTIER_MIN_NODES", 1)
+        monkeypatch.setattr(_kernels, "_THIN_ROUNDS", thin_rounds)
+        assert _walk_answers(g, dense, starts) == want
+        monkeypatch.undo()
+    monkeypatch.setattr(_kernels, "FRONTIER_MIN_NODES", 1)
+    empty = LabelSwitchDigraph(FlagLabeledGraph(False, [("a", "b", "x")])).reachable_from("a", "y")
+    assert (len(empty), empty.edge_ids(), empty.edges) == (0, set(), [])
+    with pytest.raises(ValueError, match="empty reach"):
+        empty.walk_to(ReachedEdge(0, "a", "b", "x"))
+
+
+@pytest.mark.parametrize("frontier_min_nodes", [None, 1])
+def test_mask_answers_equal_the_object_answers(monkeypatch, frontier_min_nodes):
+    """``cycle_edge_ids``, ``len``, ``edge_ids`` and ``traversal_rows`` read
+    the hit masks; they equal what the ``ReachedEdge`` lists give, and a
+    reach makes no list to answer them."""
+    if frontier_min_nodes is not None:
+        monkeypatch.setattr(_kernels, "FRONTIER_MIN_NODES", frontier_min_nodes)
+    rng = Random(1414)
+    for trial in range(160):
+        g = _varied_graph(rng, trial)
+        expansion = LabelSwitchDigraph(g, dense=trial % 10 == 5)
+        cycles = expansion.cycle_directions()
+        assert expansion.cycle_edge_ids() == {e.edge_id for e in cycles}
+        assert list(expansion.traversal_rows(expansion.cycle_mask())) == [tuple(e) for e in cycles]
+        flags = _all_start_flags(g)
+        starts = rng.sample(flags, min(len(flags), 4))
+        if g.num_vertices:
+            starts.append((g.vertex_name(0), "no such label"))
+        for vertex, label in starts:
+            reach = expansion.reachable_from(vertex, label)
+            size, ids = len(reach), reach.edge_ids()
+            assert reach._edges is None
+            assert size == len(reach.edges)
+            assert ids == {e.edge_id for e in reach.edges}
+            assert list(expansion.traversal_rows(reach.mask)) == [tuple(e) for e in reach.edges]

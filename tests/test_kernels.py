@@ -8,6 +8,7 @@ from pathlib import Path
 from random import Random
 
 import networkx as nx
+import pytest
 import numpy as np
 
 import nonrep._kernels as K
@@ -510,3 +511,107 @@ def test_refutation_equals_counting_each_alternative():
         assert K.has_other_completion(box, values, solution, cells) == want
         answers.append(want)
     assert 50 <= sum(answers) <= len(answers) - 50
+
+
+# -- frontier sweeps ----------------------------------------------------------
+
+
+def _csr(n, arcs):
+    tails = np.array([t for t, _ in arcs], dtype=np.int64)
+    heads = np.array([h for _, h in arcs], dtype=np.int64)
+    indptr, indices, _ = K.build_csr(n, tails, heads)
+    return indptr, indices
+
+
+def _ring_expansion(directed: bool, edges: int):
+    """The label-switch expansion of a ring whose edge labels alternate a|b."""
+    from nonrep import FlagLabeledGraph
+    from nonrep.engine import LabelSwitchDigraph
+
+    ring = [(f"v{i}", f"v{(i + 1) % edges}", "ab"[i % 2]) for i in range(edges)]
+    expansion = LabelSwitchDigraph(FlagLabeledGraph(directed, ring))
+    return expansion.indptr, expansion.indices
+
+
+def _frontier_corpus():
+    """(indptr, indices) of random CSRs, graphs without arcs, graphs with
+    isolated nodes, DAGs, stars, a long path and both two-label rings."""
+    rng = Random(606)
+    for _ in range(60):
+        n = rng.randint(1, 80)
+        yield _csr(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))])
+    for n in (1, 5, 50):
+        yield _csr(n, [])
+    for _ in range(10):
+        n = rng.randint(10, 60)
+        used = rng.sample(range(n), n // 3)
+        yield _csr(n, [(rng.choice(used), rng.choice(used)) for _ in range(2 * len(used))])
+    for _ in range(10):
+        n = rng.randint(2, 60)
+        label = rng.sample(range(n), n)
+        arcs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 3 * n))]
+        yield _csr(n, [(label[a], label[b]) for a, b in arcs])
+    leaves = range(1, 40)
+    yield _csr(40, [(0, v) for v in leaves])
+    yield _csr(40, [(v, 0) for v in leaves])
+    yield _csr(40, [arc for v in leaves for arc in ((0, v), (v, 0))])
+    yield _csr(300, [(v, v + 1) for v in range(299)])
+    yield _ring_expansion(False, 600)
+    yield _ring_expansion(True, 600)
+
+
+def _partition(comp) -> list[int]:
+    """Each node's smallest fellow node: equal for equal partitions."""
+    first: dict[int, int] = {}
+    return [first.setdefault(c, v) for v, c in enumerate(np.asarray(comp).tolist())]
+
+
+# The shipped constants, sweeps that never go thin, sweeps that hand over
+# part way, and sweeps that hand over at once; with 0, 1 and 3 trim rounds.
+FRONTIER_SETTINGS = [
+    {},
+    {"_THIN": 0, "_TRIM_ROUNDS": 0},
+    {"_THIN": 4, "_THIN_ROUNDS": 2, "_TRIM_ROUNDS": 1},
+    {"_THIN": 10**9, "_THIN_ROUNDS": 0},
+]
+
+
+@pytest.mark.parametrize("settings", FRONTIER_SETTINGS)
+def test_frontier_kernels_equal_the_scans(monkeypatch, settings):
+    """Above ``FRONTIER_MIN_NODES`` (lowered here to 1) ``scc_csr`` gives
+    ``_tarjan``'s and networkx's partition, with ids 0 .. k-1, and
+    ``sweep_csr`` gives ``_dfs``'s visited set."""
+    monkeypatch.setattr(K, "FRONTIER_MIN_NODES", 1)
+    for name, value in settings.items():
+        monkeypatch.setattr(K, name, value)
+    rng = Random(607)
+    for indptr, indices in _frontier_corpus():
+        n = len(indptr) - 1
+        ip, ix = indptr.tolist(), indices.tolist()
+        comp = K.scc_csr(indptr, indices)
+        want = K._tarjan(ip, ix)
+        assert comp.dtype == np.int64 and _partition(comp) == _partition(want)
+        assert sorted(set(comp.tolist())) == list(range(max(want) + 1))
+        if n <= 100:
+            g = nx.DiGraph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(zip(np.repeat(np.arange(n), np.diff(indptr)).tolist(), ix))
+            nx_comp = [0] * n
+            for i, scc in enumerate(nx.strongly_connected_components(g)):
+                for v in scc:
+                    nx_comp[v] = i
+            assert _partition(comp) == _partition(nx_comp)
+        for sources in ([0], [n - 1], rng.sample(range(n), min(n, 3))):
+            got = K.sweep_csr(indptr, indices, sources)
+            visited, _ = K._dfs(ip, ix, sources)
+            assert got.dtype == bool and got.tolist() == [bool(x) for x in visited]
+
+
+def test_dfs_goes_on_over_a_visited_mask():
+    """``_dfs`` from a frontier over a mask of nodes already visited marks
+    what the frontier reaches through unvisited nodes, and only that."""
+    indptr, indices = _csr(6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3)])
+    visited = bytearray([1, 1, 0, 0, 1, 0])
+    _, parent = K._dfs(indptr.tolist(), indices.tolist(), [1], visited)
+    assert list(visited) == [1, 1, 1, 1, 1, 0]
+    assert parent == [-1, -1, 2, 3, -1, -1]  # CSR positions of (1, 2) and (2, 3)
