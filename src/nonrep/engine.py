@@ -12,14 +12,15 @@ first occurrence, become each vertex's label slots; one gadget is built per
 distinct label count and its arc template is offset to every vertex with that
 count; connector arcs follow all gadget arcs, one row per edge.  Per-vertex
 slot arrays (``vp_ptr``, ``slot_label``, ``slot_entry``, ``slot_exit``) map
-slots to gadget nodes.  Query answers are selected with array masks over the
-connector positions.  A reach and the cycle query keep their hits as such a
-mask, one entry per (edge, direction), and ``traversal_rows`` reads the hit
-traversals straight from the mask, the ``ends`` array and the graph's name
-lists.  ``ReachedEdge`` objects are made only when a reach's ``.edges`` or
-``cycle_directions`` are asked for; the arrival queries that the Sudoku rules
-ask (the first traversal entering a given (vertex, label), or the first one
-per (vertex, label)) are answered from the mask too.
+slots to gadget nodes.  Per arc, the expansion keeps the tail node and the
+edge owning the arc (-1 for a gadget arc); ``conn_pos`` gives the CSR
+position of each (edge, direction).  A reach and the cycle query keep their
+hits as a mask with one entry per (edge, direction), and ``traversal_rows``
+reads the hit traversals straight from the mask, the ``ends`` array and the
+graph's name lists.  A reach's ``.edges`` and ``cycle_directions`` make one
+``ReachedEdge`` per such row, only when asked for; the arrival queries that
+the Sudoku rules ask (the first traversal entering each (vertex, label)) are
+answered from the mask too.
 
 On expansions of at least ``_kernels.FRONTIER_MIN_NODES`` nodes the strong
 components and a reach's mask come from numpy frontier sweeps; a reach then
@@ -150,16 +151,13 @@ class LabelSwitchDigraph:
             np.arange(num_nodes, dtype=np.int64), np.diff(indptr)
         )
         conn = pos_of_arc[internal_arcs:].reshape(conn_tails.shape)
-        self.is_connector = np.zeros(self.num_arcs, dtype=np.uint8)
-        self.is_connector[conn] = 1
         self.conn_pos = np.full((m, 2), -1, dtype=np.int64)
         self.conn_pos[:, : conn.shape[1]] = conn
         self._conn = self.conn_pos[:, : conn.shape[1]]  # the directions that exist
-        # (edge, direction) owning each CSR position, -1 for gadget arcs
+        # The edge owning each CSR position, -1 for gadget arcs; the direction
+        # is the column of ``conn_pos`` that holds the position.
         self._pos_edge = np.full(self.num_arcs, -1, dtype=np.int64)
-        self._pos_dir = np.full(self.num_arcs, -1, dtype=np.int64)
         self._pos_edge[conn] = np.arange(m, dtype=np.int64)[:, None]
-        self._pos_dir[conn] = np.arange(conn.shape[1], dtype=np.int64)
         # The slot each connector of ``_conn`` enters: u -> v enters the slot
         # of (v, lv), v -> u the slot of (u, lu).
         self._arrival_slot = np.ascontiguousarray(flag_slot[:, ::-1][:, : conn.shape[1]])
@@ -175,13 +173,6 @@ class LabelSwitchDigraph:
         if direction == 0:
             return ReachedEdge(eid, u, v, lv)
         return ReachedEdge(eid, v, u, lu)
-
-    def _traversals(self, hit: np.ndarray) -> list[ReachedEdge]:
-        """``ReachedEdge``s of the connector arcs ``hit`` selects, in edge
-        order, then direction; ``hit`` is a mask over ``_conn``."""
-        eids, dirs = np.nonzero(hit)
-        oriented = self._oriented
-        return [oriented(e, d) for e, d in zip(eids.tolist(), dirs.tolist())]
 
     def traversal_rows(self, hit: np.ndarray):
         """The traversals ``hit`` selects (a mask over (edge, direction)), in
@@ -203,9 +194,9 @@ class LabelSwitchDigraph:
     def _slots(self, vid: int) -> slice:
         return slice(int(self.vp_ptr[vid]), int(self.vp_ptr[vid + 1]))
 
-    def _slot_table(self) -> tuple[list[int], list[int], list[tuple[Any, Any]]]:
-        """Python lists over the slots, built on first use: ``vp_ptr``, the
-        label id of each slot and its (vertex name, label name)."""
+    def _slot_table(self) -> tuple[list[int], list[tuple[Any, Any]]]:
+        """Python lists over the slots, built on first use: ``vp_ptr`` and the
+        (vertex name, label name) of each slot."""
         if self._slot_lists is None:
             graph = self.graph
             vp = self.vp_ptr.tolist()
@@ -215,7 +206,7 @@ class LabelSwitchDigraph:
             for v in range(graph.num_vertices):
                 vertex = graph.vertex_name(v)
                 names += [(vertex, label_names[x]) for x in labels[vp[v] : vp[v + 1]]]
-            self._slot_lists = vp, labels, names
+            self._slot_lists = vp, names
         return self._slot_lists
 
     @property
@@ -242,7 +233,7 @@ class LabelSwitchDigraph:
 
     def cycle_directions(self) -> list[ReachedEdge]:
         """Edge traversals that lie on some nonrepetitive closed walk."""
-        return self._traversals(self.cycle_mask())
+        return [ReachedEdge(*row) for row in self.traversal_rows(self.cycle_mask())]
 
     def cycle_edge_ids(self) -> set[int]:
         return set(np.flatnonzero(self.cycle_mask().any(axis=1)).tolist())
@@ -257,7 +248,7 @@ class LabelSwitchDigraph:
         names and components are read from Python lists built on the first
         call.
         """
-        vp, _labels, names = self._slot_table()
+        vp, names = self._slot_table()
         if self._transit is None:
             comp = self.scc
             self._transit = comp[self.slot_entry].tolist(), comp[self.slot_exit].tolist()
@@ -293,9 +284,7 @@ class LabelSwitchDigraph:
         targets = np.sort(self.slot_entry[self._slots(t)])
         if not len(sources) or not len(targets):
             return None
-        dist, parent = _kernels.bfs01(
-            self.indptr, self.indices, self.is_connector, sources
-        )
+        dist, parent = _kernels.bfs01(self.indptr, self.indices, self._pos_edge >= 0, sources)
         best = int(targets[np.argmin(dist[targets])])
         if dist[best] >= _kernels._UNREACHED:
             return None
@@ -305,9 +294,9 @@ class LabelSwitchDigraph:
         steps = []
         while parent[node] != -1:
             pos = parent[node]
-            eid = self._pos_edge[pos]
+            eid = int(self._pos_edge[pos])
             if eid != -1:
-                steps.append(self._oriented(int(eid), int(self._pos_dir[pos])))
+                steps.append(self._oriented(eid, int(self.conn_pos[eid, 1] == pos)))
             node = int(self._tail_of_pos[pos])
         steps.reverse()
         return steps
@@ -318,11 +307,12 @@ class ReachResult:
 
     The hits are kept in ``mask``, over the expansion's connector arcs (edge,
     then direction).  ``.edges``, the ``ReachedEdge`` list in that order, is
-    built on first read; ``len``, ``edge_ids``, ``arrival`` and ``arrivals``
-    answer from the mask and make no ``ReachedEdge`` beyond the one they
-    return.  A reach without a start flag refuses every walk.  Unless the
-    reach came with them, the parent arcs of the DFS from the start are
-    computed for the first witness walk.
+    built from ``traversal_rows`` on first read; ``len``, ``edge_ids`` and
+    ``arrivals`` answer from the mask, and ``arrival`` is a lookup in
+    ``arrivals``, making no ``ReachedEdge`` beyond the one it returns.  A
+    reach without a start flag refuses every walk.  Unless the reach came
+    with them, the parent arcs of the DFS from the start are computed for the
+    first witness walk.
     """
 
     def __init__(self, expansion, start, mask: np.ndarray, parent=None):
@@ -336,7 +326,8 @@ class ReachResult:
     @property
     def edges(self) -> list[ReachedEdge]:
         if self._edges is None:
-            self._edges = self._expansion._traversals(self.mask)
+            rows = self._expansion.traversal_rows(self.mask)
+            self._edges = [ReachedEdge(*row) for row in rows]
         return self._edges
 
     def __iter__(self):
@@ -354,18 +345,12 @@ class ReachResult:
 
     def arrival(self, vertex: Any, label: Any) -> Optional[ReachedEdge]:
         """The first traversal of ``.edges`` with head ``vertex`` and far
-        label ``label``, or None."""
-        ex = self._expansion
-        lid = ex.graph.label_id(label)
-        vp, labels, _names = ex._slot_table()
-        vid = ex.graph.vertex_id(vertex)
-        slot = next((s for s in range(vp[vid], vp[vid + 1]) if labels[s] == lid), None)
-        if slot is None:
+        label ``label``, or None; ``KeyError`` for an unknown vertex."""
+        found = self.arrivals().get((vertex, label))
+        if found is None:
+            self._expansion.graph.vertex_id(vertex)  # raises for an unknown vertex
             return None
-        at = np.flatnonzero(self.mask & (ex._arrival_slot == slot))
-        if not len(at):
-            return None
-        return self.traversal(*divmod(int(at[0]), self.mask.shape[1]))
+        return self.traversal(*found)
 
     def arrivals(self) -> dict[tuple[Any, Any], tuple[int, int]]:
         """(head, far label) -> (edge id, direction) of the first traversal
@@ -373,7 +358,7 @@ class ReachResult:
         Computed once; callers must not mutate it."""
         if self._arrivals is None:
             ex = self._expansion
-            names = ex._slot_table()[2]
+            names = ex._slot_table()[1]
             at = np.flatnonzero(self.mask)
             slots, first = np.unique(ex._arrival_slot.ravel()[at], return_index=True)
             k = self.mask.shape[1]

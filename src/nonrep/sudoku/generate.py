@@ -124,7 +124,7 @@ def generate(box: int = 3, seed: int = 0, symmetric: bool = True) -> GenReport:
         values = [0] * size
         used = [0] * (3 * geo.n)  # digits placed per group, kept across pairs
         clues: list[tuple[tuple[int, int], ...]] = []
-        status = _kernels._fill_singles(geo, values, used)
+        status = 0  # an empty grid has no single and is not full
         while status == 0:
             empty = [c for c in range(size) if values[c] == 0]
             cell = rng.choice(empty)

@@ -21,15 +21,16 @@ a group and a digit; a start cell *holding* the edge label pulls the label
 off its neighbor, whose other candidate labels the next edge.  Both cascades
 are exactly the nonrepetitive walks that the label-switch engine enumerates.
 
-Every rule takes a ``_BoardState``: the board plus what the rules derive from
-it, each piece computed on first use and at most once.  It holds the OR of
-the candidate masks where each line meets each box (read by the tier-1
-rules), the digit homes of every group (built only on states that reach the
-matching rules), the bilocation graph with its label-switch expansion,
-the expansion of the bipartite bivalue graph, the start pairs of both graphs
-and one reach result per (expansion, start vertex, first label).  So the
-rules that run on one board state share these instead of rebuilding them.
-Rules never mutate the state, its board or anything it holds.
+Every rule reads a digit's homes in a group off the candidate masks of the
+group's empty cells, in group order.  Every rule takes a ``_BoardState``: the
+board plus what the rules derive from it, each piece computed on first use
+and at most once.  It holds the OR of the candidate masks where each line
+meets each box (read by the tier-1 rules), the bilocation graph with its
+label-switch expansion, the expansion of the bipartite bivalue graph, the
+start pairs of both graphs and one reach result per (expansion, start vertex,
+first label).  So the rules that run on one board state share these instead
+of rebuilding them.  Rules never mutate the state, its board or anything it
+holds.
 
 A state also holds a memo of matching results, which ``solve`` shares across
 all the states of one solve (``rule_deductions`` gives each state its own).
@@ -81,23 +82,6 @@ TIER_BILOCATION = 3
 TIER_BIVALUE = 4
 
 
-def _group_homes(board: Board) -> list[list[list[int]]]:
-    """``homes[g][d]``: the cells of group g that admit digit d, in group order."""
-    n, values, cand = board.n, board.values, board.cand
-    table = []
-    for cells in geometry(board.box).group_cells:
-        homes: list[list[int]] = [[] for _ in range(n + 1)]
-        for c in cells:
-            if values[c] == 0:
-                mask = cand[c]
-                while mask:
-                    low = mask & -mask
-                    homes[low.bit_length()].append(c)
-                    mask ^= low
-        table.append(homes)
-    return table
-
-
 def _digits(mask: int) -> list[int]:
     """The digits of a candidate mask, lowest first."""
     digits = []
@@ -106,6 +90,20 @@ def _digits(mask: int) -> list[int]:
         digits.append(low.bit_length())
         mask ^= low
     return digits
+
+
+def _two_home_digits(cells, values, cand) -> int:
+    """The mask of the digits with exactly two empty homes among ``cells``:
+    the candidate masks of the empty cells folded once, twice and three
+    times."""
+    once = twice = thrice = 0
+    for c in cells:
+        if not values[c]:
+            m = cand[c]
+            thrice |= twice & m
+            twice |= once & m
+            once |= m
+    return twice & ~thrice
 
 
 def _bivalued_cells(board: Board) -> list[int]:
@@ -127,10 +125,6 @@ class _BoardState:
         self._reaches: dict[tuple, ReachResult] = {}
 
     @cached_property
-    def homes(self) -> list[list[list[int]]]:
-        return _group_homes(self.board)
-
-    @cached_property
     def line_box_masks(self) -> list[int]:
         """Per ``_line_box_pairs`` entry, the OR of the candidate masks of the
         empty cells where its line meets its box."""
@@ -146,7 +140,7 @@ class _BoardState:
 
     @cached_property
     def bilocation(self) -> BilocationGraph:
-        return build_bilocation_graph(self.board, self.homes)
+        return build_bilocation_graph(self.board)
 
     @cached_property
     def bilocation_starts(self) -> list[tuple[int, int]]:
@@ -390,22 +384,14 @@ def box_line(state: _BoardState) -> Iterator[Deduction]:
 def hidden_pairs(state: _BoardState) -> Iterator[Deduction]:
     """Two digits sharing the same two homes in a group own those cells.
 
-    Per group, folding the candidate masks of its empty cells once, twice
-    and three times marks the digits with exactly two homes.  Two of them
-    share their homes exactly when two cells both hold both, so only cells
-    holding at least two such digits are paired up.  Firings come in group
-    order, then digit pair order."""
+    Per group, ``_two_home_digits`` marks the digits with exactly two
+    homes.  Two of them share their homes exactly when two cells both hold
+    both, so only cells holding at least two such digits are paired up.
+    Firings come in group order, then digit pair order."""
     board, geo = state.board, state.geo
     values, cand = board.values, board.cand
     for g, cells in enumerate(geo.group_cells):
-        once = twice = thrice = 0
-        for c in cells:
-            if not values[c]:
-                m = cand[c]
-                thrice |= twice & m
-                twice |= once & m
-                once |= m
-        two = twice & ~thrice
+        two = _two_home_digits(cells, values, cand)
         if not two & (two - 1):
             continue  # fewer than two such digits
         held = [(c, cand[c] & two) for c in cells if not values[c]]
@@ -453,12 +439,13 @@ def _forbidden_edges(memo: dict, adjacency: tuple[tuple[int, ...], ...]):
 def digit_grid_matching(state: _BoardState) -> Iterator[Deduction]:
     """Per digit: cover every row and column with one copy, as a row/column
     matching; candidate cells on edges of no perfect matching are cleared.
-    The answer is memoized on the row-to-column adjacency."""
+    A row's candidates are read off the masks of its empty cells in its
+    free columns.  The answer is memoized on the row-to-column adjacency."""
     board, memo = state.board, state.memo
-    n = board.n
+    n, values, cand = board.n, board.values, board.cand
     in_rows = [0] * (n + 1)  # bit r of in_rows[d]: row r holds d
     in_cols = [0] * (n + 1)
-    for cell, v in enumerate(board.values):
+    for cell, v in enumerate(values):
         if v:
             in_rows[v] |= 1 << (cell // n)
             in_cols[v] |= 1 << (cell % n)
@@ -467,10 +454,9 @@ def digit_grid_matching(state: _BoardState) -> Iterator[Deduction]:
         if not rows:
             continue
         cols = [c for c in range(n) if not in_cols[d] >> c & 1]
-        col_index = {c: i for i, c in enumerate(cols)}
-        # Row group r lists its cells in column order.
+        bit = 1 << (d - 1)
         adjacency = tuple(
-            tuple(col_index[c % n] for c in state.homes[r][d] if c % n in col_index)
+            tuple(i for i, c in enumerate(cols) if not values[r * n + c] and cand[r * n + c] & bit)
             for r in rows
         )
         perfect, bad = _forbidden_edges(memo, adjacency)
@@ -504,8 +490,9 @@ def group_matching(state: _BoardState) -> Iterator[Deduction]:
         found = memo.get(key)
         if found is None:
             free, digits = free_and_digits(cells)
-            cell_index = {c: i for i, c in enumerate(free)}
-            adjacency = tuple(tuple(cell_index[c] for c in state.homes[g][d]) for d in digits)
+            adjacency = tuple(
+                tuple(i for i, c in enumerate(free) if cand[c] >> (d - 1) & 1) for d in digits
+            )
             # A full group has nothing to match.
             found = memo[key] = _forbidden_edges(memo, adjacency) if free else (True, [])
         perfect, bad = found
@@ -562,31 +549,34 @@ class BipartiteBivalueGraph:
     graph: FlagLabeledGraph
 
 
-def build_bilocation_graph(board: Board, homes=None) -> BilocationGraph:
-    """The bilocation graph of ``board``; ``homes`` is its ``_group_homes``
-    table when the caller already holds one."""
+def build_bilocation_graph(board: Board) -> BilocationGraph:
+    """The bilocation graph of ``board``: per group, in group order, an edge
+    for each digit, lowest first, that has exactly two empty homes there and
+    is not placed in the group."""
     geo = geometry(board.box)
-    if homes is None:
-        homes = _group_homes(board)
+    values, cand = board.values, board.cand
     edges: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
     pair_digits: dict[tuple[int, int], list[int]] = {}
     contradiction = None
-    for cells, homes_of in zip(geo.group_cells, homes):
-        placed = set(board.values[c] for c in cells if board.values[c])
-        for d in range(1, board.n + 1):
-            pair = homes_of[d]
-            if d in placed or len(pair) != 2:
-                continue
-            key = (pair[0], pair[1], d)
+    for cells in geo.group_cells:
+        two = _two_home_digits(cells, values, cand)
+        for c in cells:
+            if values[c]:
+                two &= ~(1 << (values[c] - 1))
+        while two:
+            bit = two & -two
+            two ^= bit
+            d = bit.bit_length()
+            a, b = [c for c in cells if not values[c] and cand[c] & bit]
+            key = (a, b, d)
             if key in seen:
                 continue
             seen.add(key)
             edges.append(key)
-            digits = pair_digits.setdefault((pair[0], pair[1]), [])
+            digits = pair_digits.setdefault((a, b), [])
             digits.append(d)
             if len(digits) >= 3 and contradiction is None:
-                a, b = pair
                 contradiction = Contradiction(
                     f"cells {cell_name(board.box, a)},{cell_name(board.box, b)} "
                     f"are the only homes of digits {digits}"
@@ -697,8 +687,9 @@ def bivalue_cycle_rule(state: _BoardState) -> Iterator[Deduction]:
     if not state.bivalue_starts:
         return
     board, geo = state.board, state.geo
+    values, cand = board.values, board.cand
     expansion = state.bivalue_expansion
-    for g in range(len(geo.group_cells)):
+    for g, group in enumerate(geo.group_cells):
         for d in range(1, board.n + 1):
             pairs = expansion.cycle_transit_pairs((g, d))
             if not pairs:
@@ -718,7 +709,10 @@ def bivalue_cycle_rule(state: _BoardState) -> Iterator[Deduction]:
                     witness=witness,
                 )
                 continue
-            elims = tuple((c, d) for c in state.homes[g][d] if c not in cells)
+            bit = 1 << (d - 1)
+            elims = tuple(
+                (c, d) for c in group if not values[c] and cand[c] & bit and c not in cells
+            )
             if elims:
                 yield Deduction("bivalue_cycle", eliminations=elims, witness=witness)
 

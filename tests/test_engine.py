@@ -309,10 +309,11 @@ def test_expansion_equals_per_vertex_dict_builder():
         new = LabelSwitchDigraph(g, dense=dense)
         old = oracles.LabelSwitchDigraph(g, dense=dense)
         assert (new.num_nodes, new.num_arcs) == (old.num_nodes, old.num_arcs)
-        for name in ("indptr", "indices", "conn_pos", "is_connector", "_tail_of_pos"):
+        for name in ("indptr", "indices", "conn_pos", "_tail_of_pos"):
             got, want = getattr(new, name), getattr(old, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert (got == want).all(), name
+        assert (new._pos_edge >= 0).tolist() == old.is_connector.astype(bool).tolist()
         assert new.scc.tolist() == old.scc.tolist()
         assert new.cycle_directions() == old.cycle_directions()
         names = [g.vertex_name(v) for v in range(g.num_vertices)]
@@ -356,6 +357,11 @@ def assert_arrival_queries_equal_edge_scan(expansion, vertex, label):
         first.setdefault((hit.head, hit.far_label), hit)
     assert arrivals == first
     assert got == {key: first.get(key) for key in asked}
+    # An unknown vertex is an error, as it is for ``reachable_from``.
+    with pytest.raises(KeyError):
+        expansion.reachable_from("no such vertex", label)
+    with pytest.raises(KeyError):
+        reach.arrival("no such vertex", label)
 
 
 def test_arrival_queries_equal_a_scan_of_the_edges():
@@ -428,14 +434,21 @@ def test_frontier_path_equals_scan_path(monkeypatch, thin_rounds):
 def test_mask_answers_equal_the_object_answers(monkeypatch, frontier_min_nodes):
     """``cycle_edge_ids``, ``len``, ``edge_ids`` and ``traversal_rows`` read
     the hit masks; they equal what the ``ReachedEdge`` lists give, and a
-    reach makes no list to answer them."""
+    reach makes no list to answer them.  The lists, made from the rows, equal
+    the traversals ``_oriented`` builds for the hit (edge, direction)s."""
     if frontier_min_nodes is not None:
         monkeypatch.setattr(_kernels, "FRONTIER_MIN_NODES", frontier_min_nodes)
+
+    def oriented(expansion, mask):
+        eids, dirs = mask.nonzero()
+        return [expansion._oriented(e, d) for e, d in zip(eids.tolist(), dirs.tolist())]
+
     rng = Random(1414)
     for trial in range(160):
         g = _varied_graph(rng, trial)
         expansion = LabelSwitchDigraph(g, dense=trial % 10 == 5)
         cycles = expansion.cycle_directions()
+        assert cycles == oriented(expansion, expansion.cycle_mask())
         assert expansion.cycle_edge_ids() == {e.edge_id for e in cycles}
         assert list(expansion.traversal_rows(expansion.cycle_mask())) == [tuple(e) for e in cycles]
         flags = _all_start_flags(g)
@@ -449,3 +462,4 @@ def test_mask_answers_equal_the_object_answers(monkeypatch, frontier_min_nodes):
             assert size == len(reach.edges)
             assert ids == {e.edge_id for e in reach.edges}
             assert list(expansion.traversal_rows(reach.mask)) == [tuple(e) for e in reach.edges]
+            assert reach.edges == oriented(expansion, reach.mask)

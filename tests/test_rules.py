@@ -438,10 +438,14 @@ _SINGLES_PUZZLES = [generate(3, seed).puzzle for seed in (3, 11, 29)]
     st.lists(st.tuples(st.integers(0, 80), st.integers(0, 511)), max_size=60),
     st.lists(st.integers(0, 80), max_size=8),
 )
-def test_singles_equal_reference_on_cleared_and_stale_candidates(puzzle, kept, stale):
+def test_rules_and_bilocation_graph_equal_reference_on_cleared_and_stale_candidates(
+    puzzle, kept, stale
+):
     # Random candidate bits cleared, so groups lose homes (down to none) and
     # cells lose candidates (down to none); and the digits of some placed
-    # cells put back as candidates of their empty peers.
+    # cells put back as candidates of their empty peers.  The rules listed
+    # read digit homes off candidate masks; the bilocation graph must still
+    # drop digits placed in a group.
     board = puzzle.copy()
     geo = geometry(3)
     for cell, mask in kept:
@@ -451,8 +455,31 @@ def test_singles_equal_reference_on_cleared_and_stale_candidates(puzzle, kept, s
             for peer in geo.peers[cell]:
                 if board.values[peer] == 0:
                     board.cand[peer] |= 1 << (board.values[cell] - 1)
-    for name in ("hidden_single", "naked_single", "intersection_triple", "box_line", "hidden_pair"):
+    for name in (
+        "hidden_single",
+        "naked_single",
+        "intersection_triple",
+        "box_line",
+        "hidden_pair",
+        "digit_matching",
+        "group_matching",
+        "biloc_cycle",
+        "biloc_repeat",
+        "biloc_conflict",
+        "bivalue_cycle",
+    ):
         assert rule_deductions(board, name) == oracles.RULE_FUNCTIONS[name](board), name
+    got, want = build_bilocation_graph(board), oracles.build_bilocation_graph(board)
+    assert _bilocation_answer(got) == _bilocation_answer(want)
+
+
+def _bilocation_answer(bl):
+    """A bilocation graph's vertices, its edges (endpoints and digit) in
+    order and its contradiction reason."""
+    graph = bl.graph
+    edges = [(graph.endpoints(e), graph.edge_labels(e)) for e in range(graph.num_edges)]
+    vertices = [graph.vertex_name(v) for v in range(graph.num_vertices)]
+    return vertices, edges, bl.contradiction and bl.contradiction.reason
 
 
 def test_each_board_state_builds_graphs_expansions_and_reaches_once(monkeypatch):
