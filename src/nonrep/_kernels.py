@@ -15,11 +15,12 @@ trivial components for a bounded number of rounds (McLendon et al. 2005) and
 leaves the rest to the scan.  A sweep whose frontiers stay thin hands the
 rest to the scan as well, so a long path or ring costs about what the scan
 costs.  Parents and distances (``reach_csr``, ``bfs01``) always come from
-the scans.  The matching kernels take edge lists and return Python lists,
-since their instances are too small for numpy to pay off; they append each
-vertex's successors in edge order, the order ``build_csr`` gives, and share
-the strong-component and DFS loops (``_tarjan``, ``_dfs``) with the
-traversal kernels.  The Sudoku kernels take the grid as a list of ints and
+the scans, and the expansion runs ``reach_csr`` only for witness walks.  The
+matching kernels take edge lists and return Python lists, since their
+instances are too small for numpy to pay off; they append each vertex's
+successors in edge order, the order ``build_csr`` gives, and share the
+strong-component and DFS loops (``_tarjan``, ``_dfs``) with the traversal
+kernels.  The Sudoku kernels take the grid as a list of ints and
 keep digit sets as Python-int bitmasks (bit d = digit d+1).
 
 Scan orders are fixed (arcs in CSR order, roots in index order, the stack,
@@ -303,15 +304,6 @@ def reach_csr(indptr, indices, start):
     position int64)."""
     visited, parent_arc = _dfs(indptr.tolist(), indices.tolist(), (start,))
     return np.frombuffer(visited, np.uint8), np.array(parent_arc, np.int64)
-
-
-def reach_mask(indptr, indices, start):
-    """What ``start`` reaches, as (visited, parent): ``reach_csr`` below
-    ``FRONTIER_MIN_NODES`` nodes; from there on ``sweep_csr``'s bool mask and
-    None for the parents, which ``reach_csr`` gives when they are needed."""
-    if len(indptr) - 1 < FRONTIER_MIN_NODES:
-        return reach_csr(indptr, indices, start)
-    return sweep_csr(indptr, indices, (start,)), None
 
 
 def bfs01(indptr, indices, unit, sources):

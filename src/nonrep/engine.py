@@ -14,25 +14,25 @@ count; connector arcs follow all gadget arcs, one row per edge.  Per-vertex
 slot arrays (``vp_ptr``, ``slot_label``, ``slot_entry``, ``slot_exit``) map
 slots to gadget nodes.  Per arc, the expansion keeps the tail node and the
 edge owning the arc (-1 for a gadget arc); ``conn_pos`` gives the CSR
-position of each (edge, direction).  A reach and the cycle query keep their
-hits as a mask with one entry per (edge, direction), and ``traversal_rows``
-reads the hit traversals straight from the mask, the ``ends`` array and the
-graph's name lists.  A reach's ``.edges`` and ``cycle_directions`` make one
-``ReachedEdge`` per such row, only when asked for; the arrival queries that
-the Sudoku rules ask (the first traversal entering each (vertex, label)) are
-answered from the mask too.
+position of each (edge, direction).  The cycle query keeps its hits as a
+mask over (edge, direction) and a reach as a Python-int bitset over the same
+entries; ``traversal_rows`` reads the hit traversals straight from a mask,
+the ``ends`` array and the graph's name lists, and ``.edges`` and
+``cycle_directions`` make one ``ReachedEdge`` per row only when asked for.
 
-On expansions of at least ``_kernels.FRONTIER_MIN_NODES`` nodes the strong
-components and a reach's mask come from numpy frontier sweeps; a reach then
-runs the DFS that records parents only when its first witness walk is asked
-for, so every walk is the one the DFS gives.
+Below ``_kernels.FRONTIER_MIN_NODES`` nodes the first reach walks the
+condensation once, in the reverse topological order of the component ids,
+and every later reach is a lookup; from there on the strong components and
+a reach's hits come from numpy frontier sweeps.  A reach runs the DFS that
+records parents only for its first witness walk, so every walk is the one
+the DFS gives.
 
 Queries answered here:
 
 * which edges lie on some label-switching (nonrepetitive) closed walk
   (strong connectivity of the expansion),
 * which edges are reachable by nonrepetitive walks from a given
-  (vertex, first label) start (DFS in the expansion),
+  (vertex, first label) start (reachability in the expansion),
 * a minimum-edge-count nonrepetitive walk between two vertices
   (0/1 BFS, connector arcs cost 1).
 """
@@ -162,6 +162,8 @@ class LabelSwitchDigraph:
         # of (v, lv), v -> u the slot of (u, lu).
         self._arrival_slot = np.ascontiguousarray(flag_slot[:, ::-1][:, : conn.shape[1]])
         self._scc: Optional[np.ndarray] = None
+        self._reach_sets: Optional[list[int]] = None
+        self._arrivals_of: dict[int, dict] = {}
         self._slot_lists: Optional[tuple] = None
         self._transit: Optional[tuple] = None
 
@@ -191,12 +193,22 @@ class LabelSwitchDigraph:
             map(label, ends[rows, 3 - dirs].tolist()),
         )
 
-    def _slots(self, vid: int) -> slice:
-        return slice(int(self.vp_ptr[vid]), int(self.vp_ptr[vid + 1]))
+    def _slot(self, vertex: Any, label: Any) -> Optional[int]:
+        """The slot of (``vertex``, ``label``), or None; ``KeyError`` for an unknown vertex."""
+        if self.num_nodes < _kernels.FRONTIER_MIN_NODES:  # a lookup in the slot table
+            found = self._slot_table()[3].get((vertex, label))
+            if found is not None:
+                return found
+        vid = self.graph.vertex_id(vertex)
+        lo, hi = self.vp_ptr[vid : vid + 2].tolist()
+        lid = self.graph.label_id(label)
+        found = () if lid is None else np.flatnonzero(self.slot_label[lo:hi] == lid)
+        return lo + int(found[0]) if len(found) else None
 
-    def _slot_table(self) -> tuple[list[int], list[tuple[Any, Any]]]:
-        """Python lists over the slots, built on first use: ``vp_ptr`` and the
-        (vertex name, label name) of each slot."""
+    def _slot_table(self) -> tuple[list[int], list, list[list[int]], dict, list[int]]:
+        """Python lists over the slots, built on first use: ``vp_ptr``, the (vertex name,
+        label name) of each slot, per slot the connectors entering it (bit indices of
+        ``ReachResult.bits``), the slot of each name pair, and per connector its slot."""
         if self._slot_lists is None:
             graph = self.graph
             vp = self.vp_ptr.tolist()
@@ -206,7 +218,11 @@ class LabelSwitchDigraph:
             for v in range(graph.num_vertices):
                 vertex = graph.vertex_name(v)
                 names += [(vertex, label_names[x]) for x in labels[vp[v] : vp[v + 1]]]
-            self._slot_lists = vp, names
+            slot_of = self._arrival_slot.ravel().tolist()
+            into: list[list[int]] = [[] for _ in labels]
+            for bit, slot in enumerate(slot_of):
+                into[slot].append(bit)
+            self._slot_lists = vp, names, into, dict(zip(names, range(len(names)))), slot_of
         return self._slot_lists
 
     @property
@@ -248,7 +264,7 @@ class LabelSwitchDigraph:
         names and components are read from Python lists built on the first
         call.
         """
-        vp, names = self._slot_table()
+        vp, names = self._slot_table()[:2]
         if self._transit is None:
             comp = self.scc
             self._transit = comp[self.slot_entry].tolist(), comp[self.slot_exit].tolist()
@@ -263,16 +279,33 @@ class LabelSwitchDigraph:
         return pairs
 
     def reachable_from(self, vertex: Any, label: Any) -> "ReachResult":
-        """Edges on nonrepetitive walks starting at ``vertex`` with first
-        edge flag label ``label``; empty when no such incident edge exists."""
-        slots = self._slots(self.graph.vertex_id(vertex))
-        lid = self.graph.label_id(label)
-        starts = () if lid is None else self.slot_exit[slots][self.slot_label[slots] == lid]
-        if not len(starts):
-            return ReachResult(self, None, np.zeros(self._conn.shape, dtype=bool))
-        start = int(starts[0])
-        visited, parent = _kernels.reach_mask(self.indptr, self.indices, start)
-        return ReachResult(self, start, visited[self._tail_of_pos[self._conn]] != 0, parent)
+        """Edges on nonrepetitive walks starting at ``vertex`` with first edge flag label
+        ``label``, empty when no such edge exists: a ``_node_reach`` lookup or one sweep."""
+        slot = self._slot(vertex, label)
+        if slot is None:
+            return ReachResult(self, None, 0)
+        start = int(self.slot_exit[slot])
+        if self.num_nodes < _kernels.FRONTIER_MIN_NODES:
+            return ReachResult(self, start, self._node_reach()[start])
+        seen = _kernels.sweep_csr(self.indptr, self.indices, (start,))
+        packed = np.packbits(seen[self._tail_of_pos[self._conn]], axis=None, bitorder="little")
+        return ReachResult(self, start, int.from_bytes(packed.tobytes(), "little"))
+
+    def _node_reach(self) -> list[int]:
+        """Per node, the bitset of the connectors it reaches, built on first use in one pass
+        over the components in id order, reverse topological below ``FRONTIER_MIN_NODES``:
+        each takes the connectors leaving its nodes and its successors' finished sets."""
+        if self._reach_sets is None:
+            comp = self.scc
+            sets = [0] * (int(comp.max()) + 1)
+            for bit, c in enumerate(comp[self._tail_of_pos[self._conn]].ravel().tolist()):
+                sets[c] |= 1 << bit
+            # Arcs as (tail, head) component pairs, by tail; one inside a component is a no-op.
+            arcs = np.sort(comp[self._tail_of_pos] * len(sets) + comp[self.indices])
+            for t, h in zip((arcs // len(sets)).tolist(), (arcs % len(sets)).tolist()):
+                sets[t] |= sets[h]
+            self._reach_sets = [sets[c] for c in comp.tolist()]
+        return self._reach_sets
 
     def shortest_path(self, src: Any, dst: Any) -> Optional[list[ReachedEdge]]:
         """Minimum-edge-count nonrepetitive walk from src to dst, or None."""
@@ -280,8 +313,8 @@ class LabelSwitchDigraph:
         t = self.graph.vertex_id(dst)
         if s == t:
             return []
-        sources = np.sort(self.slot_exit[self._slots(s)])
-        targets = np.sort(self.slot_entry[self._slots(t)])
+        sources = np.sort(self.slot_exit[self.vp_ptr[s] : self.vp_ptr[s + 1]])
+        targets = np.sort(self.slot_entry[self.vp_ptr[t] : self.vp_ptr[t + 1]])
         if not len(sources) or not len(targets):
             return None
         dist, parent = _kernels.bfs01(self.indptr, self.indices, self._pos_edge >= 0, sources)
@@ -305,23 +338,28 @@ class LabelSwitchDigraph:
 class ReachResult:
     """Result of :meth:`LabelSwitchDigraph.reachable_from` plus witness walks.
 
-    The hits are kept in ``mask``, over the expansion's connector arcs (edge,
-    then direction).  ``.edges``, the ``ReachedEdge`` list in that order, is
-    built from ``traversal_rows`` on first read; ``len``, ``edge_ids`` and
-    ``arrivals`` answer from the mask, and ``arrival`` is a lookup in
-    ``arrivals``, making no ``ReachedEdge`` beyond the one it returns.  A
-    reach without a start flag refuses every walk.  Unless the reach came
-    with them, the parent arcs of the DFS from the start are computed for the
-    first witness walk.
+    The hits are kept in ``bits``, a Python-int bitset over the expansion's
+    connector arcs, bit ``eid * k + direction``.  ``mask`` unpacks it into a
+    bool array over (edge, direction) on each read; ``len``, ``edge_ids``,
+    ``arrival`` and ``arrivals`` answer from it, ``arrivals`` memoised per
+    distinct bitset on the expansion.  ``.edges``, the ``ReachedEdge`` list
+    in (edge, direction) order, is built from ``traversal_rows`` on first
+    read.  A reach without a start flag refuses every walk.  The DFS parents
+    from the start are computed for the first witness walk.
     """
 
-    def __init__(self, expansion, start, mask: np.ndarray, parent=None):
+    def __init__(self, expansion, start, bits: int):
         self._expansion = expansion
         self._start = start
-        self.mask = mask
-        self._parent = parent
+        self.bits = bits
+        self._parent: Optional[np.ndarray] = None
         self._edges: Optional[list[ReachedEdge]] = None
-        self._arrivals: Optional[dict] = None
+
+    @property
+    def mask(self) -> np.ndarray:
+        m, k = self._expansion._conn.shape
+        raw = np.frombuffer(self.bits.to_bytes((m * k + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, count=m * k, bitorder="little").view(bool).reshape(m, k)
 
     @property
     def edges(self) -> list[ReachedEdge]:
@@ -334,7 +372,7 @@ class ReachResult:
         return iter(self.edges)
 
     def __len__(self):
-        return int(np.count_nonzero(self.mask))
+        return self.bits.bit_count()
 
     def edge_ids(self) -> set[int]:
         return set(np.flatnonzero(self.mask.any(axis=1)).tolist())
@@ -346,26 +384,37 @@ class ReachResult:
     def arrival(self, vertex: Any, label: Any) -> Optional[ReachedEdge]:
         """The first traversal of ``.edges`` with head ``vertex`` and far
         label ``label``, or None; ``KeyError`` for an unknown vertex."""
-        found = self.arrivals().get((vertex, label))
-        if found is None:
-            self._expansion.graph.vertex_id(vertex)  # raises for an unknown vertex
-            return None
-        return self.traversal(*found)
+        ex = self._expansion
+        slot = ex._slot(vertex, label)
+        for bit in () if slot is None else ex._slot_table()[2][slot]:
+            if self.bits >> bit & 1:
+                return self.traversal(*divmod(bit, ex._conn.shape[1]))
+        return None
 
     def arrivals(self) -> dict[tuple[Any, Any], tuple[int, int]]:
         """(head, far label) -> (edge id, direction) of the first traversal
-        of ``.edges`` with that head and far label, for every pair reached.
-        Computed once; callers must not mutate it."""
-        if self._arrivals is None:
+        of ``.edges`` with that head and far label, in slot order.  Shared by
+        the reaches with the same bitset; callers must not mutate it."""
+        ex = self._expansion
+        found = ex._arrivals_of.get(self.bits)
+        if found is None:
+            _, names, _, _, slot_of = ex._slot_table()
+            digits = format(self.bits, "b")[::-1]  # digit i is bit i
+            first: dict[int, int] = {}
+            bit = digits.find("1")
+            while bit >= 0:
+                first.setdefault(slot_of[bit], bit)
+                bit = digits.find("1", bit + 1)
+            k = ex._conn.shape[1]
+            found = {names[s]: divmod(first[s], k) for s in sorted(first)}
+            ex._arrivals_of[self.bits] = found
+        return found
+
+    def _parents(self) -> np.ndarray:
+        if self._parent is None:  # the DFS parent arc of every node
             ex = self._expansion
-            names = ex._slot_table()[1]
-            at = np.flatnonzero(self.mask)
-            slots, first = np.unique(ex._arrival_slot.ravel()[at], return_index=True)
-            k = self.mask.shape[1]
-            self._arrivals = {
-                names[s]: divmod(pos, k) for s, pos in zip(slots.tolist(), at[first].tolist())
-            }
-        return self._arrivals
+            self._parent = _kernels.reach_csr(ex.indptr, ex.indices, self._start)[1]
+        return self._parent
 
     def walk_to(self, reached: ReachedEdge) -> list[ReachedEdge]:
         """A nonrepetitive walk from the start ending with ``reached``.
@@ -382,11 +431,9 @@ class ReachResult:
             direction = int(reached.tail != ex.graph.endpoints(eid)[0])
             if ex._oriented(eid, direction) == reached:
                 pos = ex.conn_pos[eid, direction]
-        if pos < 0 or not self.mask[eid, direction]:
+        if pos < 0 or not self.bits >> (eid * ex._conn.shape[1] + direction) & 1:
             raise ValueError(f"{reached} is not reached from the start")
-        if self._parent is None:
-            self._parent = _kernels.reach_csr(ex.indptr, ex.indices, self._start)[1]
-        steps = ex._walk_to_node(self._parent, int(ex._tail_of_pos[pos]))
+        steps = ex._walk_to_node(self._parents(), int(ex._tail_of_pos[pos]))
         steps.append(reached)
         return steps
 

@@ -11,8 +11,9 @@ uses the package's ``build_csr`` and gadget builders), the recursive
 ``classify_edges``, the numpy-scalar matchers, the 14 Sudoku rules as
 they were when each one rebuilt its own digit homes, graphs and reaches,
 the pair-indexed port graph of ``regular_reachable`` with the
-method-interning ``FlagLabeledGraph`` constructor, and the simple-path
-pipeline that binarized and built its skew instances anew on every query.
+method-interning ``FlagLabeledGraph`` constructor, the simple-path
+pipeline that binarized and built its skew instances anew on every query,
+and the reach that ran one DFS per start (``dfs_reachable_from``).
 """
 
 from __future__ import annotations
@@ -2407,3 +2408,93 @@ def _counting_available_digits(box: int, values: list[int], cell: int) -> list[i
             if values[i]:
                 used |= 1 << (values[i] - 1)
     return [d for d in range(1, geo.n + 1) if not used >> (d - 1) & 1]
+
+
+# ---------------------------------------------------------------------------
+# The reach that ran one DFS per start, kept as the reference for the reaches
+# the expansion answers from one pass over its strong components.
+# ---------------------------------------------------------------------------
+
+
+def dfs_reachable_from(self, vertex: Any, label: Any) -> "DfsReachResult":
+    """``LabelSwitchDigraph.reachable_from`` of the package's expansion
+    ``self`` as it was below ``FRONTIER_MIN_NODES`` nodes: one DFS from the
+    start, its visited nodes read at the connector tails."""
+    vid = self.graph.vertex_id(vertex)
+    slots = slice(int(self.vp_ptr[vid]), int(self.vp_ptr[vid + 1]))
+    lid = self.graph.label_id(label)
+    starts = () if lid is None else self.slot_exit[slots][self.slot_label[slots] == lid]
+    if not len(starts):
+        return DfsReachResult(self, None, np.zeros(self._conn.shape, dtype=bool))
+    start = int(starts[0])
+    visited, parent = nonrep_kernels.reach_csr(self.indptr, self.indices, start)
+    return DfsReachResult(self, start, visited[self._tail_of_pos[self._conn]] != 0, parent)
+
+
+class DfsReachResult:
+    """The ``ReachResult`` that kept its hits as a mask and came with its DFS
+    parents."""
+
+    def __init__(self, expansion, start, mask: np.ndarray, parent=None):
+        self._expansion = expansion
+        self._start = start
+        self.mask = mask
+        self._parent = parent
+        self._edges: Optional[list[ReachedEdge]] = None
+        self._arrivals: Optional[dict] = None
+
+    @property
+    def edges(self) -> list[ReachedEdge]:
+        if self._edges is None:
+            rows = self._expansion.traversal_rows(self.mask)
+            self._edges = [ReachedEdge(*row) for row in rows]
+        return self._edges
+
+    def __iter__(self):
+        return iter(self.edges)
+
+    def __len__(self):
+        return int(np.count_nonzero(self.mask))
+
+    def edge_ids(self) -> set[int]:
+        return set(np.flatnonzero(self.mask.any(axis=1)).tolist())
+
+    def traversal(self, eid: int, direction: int) -> ReachedEdge:
+        return self._expansion._oriented(eid, direction)
+
+    def arrival(self, vertex: Any, label: Any) -> Optional[ReachedEdge]:
+        found = self.arrivals().get((vertex, label))
+        if found is None:
+            self._expansion.graph.vertex_id(vertex)  # raises for an unknown vertex
+            return None
+        return self.traversal(*found)
+
+    def arrivals(self) -> dict[tuple[Any, Any], tuple[int, int]]:
+        if self._arrivals is None:
+            ex = self._expansion
+            names = ex._slot_table()[1]
+            at = np.flatnonzero(self.mask)
+            slots, first = np.unique(ex._arrival_slot.ravel()[at], return_index=True)
+            k = self.mask.shape[1]
+            self._arrivals = {
+                names[s]: divmod(pos, k) for s, pos in zip(slots.tolist(), at[first].tolist())
+            }
+        return self._arrivals
+
+    def walk_to(self, reached: ReachedEdge) -> list[ReachedEdge]:
+        if self._start is None:
+            raise ValueError("empty reach result has no walks")
+        ex = self._expansion
+        eid = reached.edge_id
+        pos = -1
+        if 0 <= eid < ex.graph.num_edges:
+            direction = int(reached.tail != ex.graph.endpoints(eid)[0])
+            if ex._oriented(eid, direction) == reached:
+                pos = ex.conn_pos[eid, direction]
+        if pos < 0 or not self.mask[eid, direction]:
+            raise ValueError(f"{reached} is not reached from the start")
+        if self._parent is None:
+            self._parent = nonrep_kernels.reach_csr(ex.indptr, ex.indices, self._start)[1]
+        steps = ex._walk_to_node(self._parent, int(ex._tail_of_pos[pos]))
+        steps.append(reached)
+        return steps

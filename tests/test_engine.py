@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from random import Random
 
 import pytest
@@ -328,7 +329,9 @@ def test_expansion_equals_per_vertex_dict_builder():
             want = old.reachable_from(vertex, label)
             assert got.edges == want.edges
             if want._parent is not None:
-                assert got._parent.tolist() == want._parent.tolist()
+                # The reach computes its DFS parents only when forced.
+                assert got._parent is None
+                assert got._parents().tolist() == want._parent.tolist()
                 for hit in want.edges:
                     assert got.walk_to(hit) == want.walk_to(hit)
         for _ in range(8 if names else 0):
@@ -463,3 +466,43 @@ def test_mask_answers_equal_the_object_answers(monkeypatch, frontier_min_nodes):
             assert ids == {e.edge_id for e in reach.edges}
             assert list(expansion.traversal_rows(reach.mask)) == [tuple(e) for e in reach.edges]
             assert reach.edges == oriented(expansion, reach.mask)
+
+
+def test_large_expansions_answer_reaches_by_sweep_not_by_condensation():
+    """At or above ``FRONTIER_MIN_NODES`` nodes a reach is one ``sweep_csr``:
+    the condensation memo is never built, and each reach's hits are the
+    connectors whose tails the sweep marks, the hits of one DFS too."""
+    rng = Random(90210)
+    edges = []
+    for _ in range(1500):
+        u, v = rng.sample(range(300), 2)
+        edges.append((u, v, rng.randrange(8)))
+    expansion = LabelSwitchDigraph(FlagLabeledGraph(False, edges))
+    assert expansion.num_nodes >= _kernels.FRONTIER_MIN_NODES
+    for vertex, label in rng.sample(_all_start_flags(expansion.graph), 12):
+        reach = expansion.reachable_from(vertex, label)
+        start = int(reach._start)
+        seen = _kernels.sweep_csr(expansion.indptr, expansion.indices, (start,))
+        want = seen[expansion._tail_of_pos[expansion._conn]]
+        assert reach.mask.tolist() == want.tolist()
+        assert len(reach) == int(want.sum()) > 0
+        dfs = oracles.dfs_reachable_from(expansion, vertex, label)
+        assert reach.mask.tolist() == dfs.mask.tolist()
+    assert expansion._reach_sets is None
+
+
+def test_condensation_of_a_long_chain_is_walked_without_recursion():
+    """A directed path whose flag labels alternate: every node of its
+    expansion is a strong component of its own, in one chain longer than the
+    recursion limit, and the reach from its first vertex takes every edge."""
+    n = 999
+    g = FlagLabeledGraph(True, [(i, i + 1, i % 2) for i in range(n - 1)])
+    expansion = LabelSwitchDigraph(g)
+    assert expansion.num_nodes < _kernels.FRONTIER_MIN_NODES
+    assert len(set(expansion.scc.tolist())) == expansion.num_nodes > sys.getrecursionlimit()
+    reach = expansion.reachable_from(0, 0)
+    assert expansion._reach_sets is not None
+    assert len(reach) == g.num_edges
+    middle = expansion.reachable_from(n // 2, (n // 2) % 2)
+    assert middle.edge_ids() == set(range(n // 2, n - 1))
+    assert middle.walk_to(middle.traversal(n - 2, 0))[0] == middle.traversal(n // 2, 0)

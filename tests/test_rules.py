@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 from collections import Counter
 from functools import cache
+from pathlib import Path
 from random import Random
 
 import oracles
@@ -505,14 +507,17 @@ def test_each_board_state_builds_graphs_expansions_and_reaches_once(monkeypatch)
             reaches[id(self), vertex, label] += 1
             return super().reachable_from(vertex, label)
 
+    # The rules build only the bipartite form of the bivalue graph.
     count_builds("build_bilocation_graph")
+    count_builds("build_bipartite_bivalue_graph")
     count_builds("build_bivalue_graphs")
     monkeypatch.setattr(rules, "LabelSwitchDigraph", CountingDigraph)
     trace = solve(generate(3, 3).puzzle)
     assert {3, 4} <= set(trace.tiers)
-    for name in ("build_bilocation_graph", "build_bivalue_graphs"):
+    for name in ("build_bilocation_graph", "build_bipartite_bivalue_graph"):
         per_state = [n for (built, *_), n in builds.items() if built == name]
         assert per_state and max(per_state) == 1, name
+    assert not [n for (built, *_), n in builds.items() if built == "build_bivalue_graphs"]
     assert len({id(ex.graph) for ex in expansions}) == len(expansions)
     assert reaches and max(reaches.values()) == 1
 
@@ -561,6 +566,22 @@ def test_matching_memo_shared_across_states_equals_fresh_states(monkeypatch):
     assert 0 < kernel_calls["shared"] < kernel_calls["fresh"] / 2
 
 
+def test_hard_corpus_solve_traces_equal_their_recorded_sha256():
+    """Every puzzle of the benchmark's hard corpus solves to the trace whose
+    sha256 the corpus records, rendered by the benchmark's ``trace_text``."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_common", bench / "common.py")
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    text = (bench / "data" / "hard_corpus.txt").read_text(encoding="utf-8")
+    assert common.sha256_text(text) == (bench / "data" / "hard_corpus.sha256").read_text().strip()
+    rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    assert len(rows) == 160
+    for seed, _grade, puzzle, digest in rows:
+        board = parse_board(puzzle)
+        assert common.sha256_text(common.trace_text(board, solve(board))) == digest, seed
+
+
 def test_back_to_back_solves_equal_solo_solves():
     puzzles_and_traces = _locally_stuck_traces(6, 4242)
     puzzles = [puzzle for puzzle, _ in puzzles_and_traces]
@@ -582,3 +603,33 @@ def test_arrival_queries_equal_a_scan_on_bilocation_and_bivalue_expansions():
             assert_arrival_queries_equal_edge_scan(state.bivalue_expansion, cell, ("d", d))
             checked += 1
     assert checked > 100
+
+
+def test_condensation_reaches_equal_per_start_dfs_along_stuck_solve_traces():
+    """Every start of every state: the reach read off the condensation pass
+    equals one DFS from the start (``oracles.dfs_reachable_from``) in its
+    mask, size, edge ids, arrivals (dict order too), arrival at the start and
+    at each pair reached, and DFS parents.  The witness walks to every hit
+    are compared on every fourth state: walks are made from the parents, and
+    comparing all of them would triple the test's time."""
+    starts = walks = 0
+    for i, board in enumerate(_stuck_trace_boards(3, 5150)):
+        state = rules._BoardState(board)
+        for expansion, flags in (
+            (state.bilocation_expansion, state.bilocation_starts),
+            (state.bivalue_expansion, [(c, ("d", d)) for c, d, _e in state.bivalue_starts]),
+        ):
+            for vertex, label in flags:
+                got = expansion.reachable_from(vertex, label)
+                want = oracles.dfs_reachable_from(expansion, vertex, label)
+                assert got.mask.tolist() == want.mask.tolist()
+                assert (len(got), got.edge_ids()) == (len(want), want.edge_ids())
+                assert list(got.arrivals().items()) == list(want.arrivals().items())
+                for key in [(vertex, label), (vertex, "no such label"), *want.arrivals()]:
+                    assert got.arrival(*key) == want.arrival(*key)
+                assert got._parents().tolist() == want._parent.tolist()
+                for hit in want.edges if i % 4 == 0 else ():
+                    assert got.walk_to(hit) == want.walk_to(hit)
+                    walks += 1
+                starts += 1
+    assert starts > 8000 and walks > 30000
