@@ -193,22 +193,13 @@ class LabelSwitchDigraph:
             map(label, ends[rows, 3 - dirs].tolist()),
         )
 
-    def _slot(self, vertex: Any, label: Any) -> Optional[int]:
-        """The slot of (``vertex``, ``label``), or None; ``KeyError`` for an unknown vertex."""
-        if self.num_nodes < _kernels.FRONTIER_MIN_NODES:  # a lookup in the slot table
-            found = self._slot_table()[3].get((vertex, label))
-            if found is not None:
-                return found
-        vid = self.graph.vertex_id(vertex)
-        lo, hi = self.vp_ptr[vid : vid + 2].tolist()
-        lid = self.graph.label_id(label)
-        found = () if lid is None else np.flatnonzero(self.slot_label[lo:hi] == lid)
-        return lo + int(found[0]) if len(found) else None
+    def _slots(self, vid: int) -> slice:
+        return slice(int(self.vp_ptr[vid]), int(self.vp_ptr[vid + 1]))
 
-    def _slot_table(self) -> tuple[list[int], list, list[list[int]], dict, list[int]]:
-        """Python lists over the slots, built on first use: ``vp_ptr``, the (vertex name,
-        label name) of each slot, per slot the connectors entering it (bit indices of
-        ``ReachResult.bits``), the slot of each name pair, and per connector its slot."""
+    def _slot_table(self) -> tuple[list[int], list[tuple[Any, Any]], list[int]]:
+        """Python lists built on first use: ``vp_ptr``, the (vertex name, label
+        name) of each slot, and the slot each connector enters, by bit of
+        ``ReachResult.bits``."""
         if self._slot_lists is None:
             graph = self.graph
             vp = self.vp_ptr.tolist()
@@ -218,11 +209,7 @@ class LabelSwitchDigraph:
             for v in range(graph.num_vertices):
                 vertex = graph.vertex_name(v)
                 names += [(vertex, label_names[x]) for x in labels[vp[v] : vp[v + 1]]]
-            slot_of = self._arrival_slot.ravel().tolist()
-            into: list[list[int]] = [[] for _ in labels]
-            for bit, slot in enumerate(slot_of):
-                into[slot].append(bit)
-            self._slot_lists = vp, names, into, dict(zip(names, range(len(names)))), slot_of
+            self._slot_lists = vp, names, self._arrival_slot.ravel().tolist()
         return self._slot_lists
 
     @property
@@ -281,10 +268,12 @@ class LabelSwitchDigraph:
     def reachable_from(self, vertex: Any, label: Any) -> "ReachResult":
         """Edges on nonrepetitive walks starting at ``vertex`` with first edge flag label
         ``label``, empty when no such edge exists: a ``_node_reach`` lookup or one sweep."""
-        slot = self._slot(vertex, label)
-        if slot is None:
+        slots = self._slots(self.graph.vertex_id(vertex))
+        lid = self.graph.label_id(label)
+        starts = () if lid is None else self.slot_exit[slots][self.slot_label[slots] == lid]
+        if not len(starts):
             return ReachResult(self, None, 0)
-        start = int(self.slot_exit[slot])
+        start = int(starts[0])
         if self.num_nodes < _kernels.FRONTIER_MIN_NODES:
             return ReachResult(self, start, self._node_reach()[start])
         seen = _kernels.sweep_csr(self.indptr, self.indices, (start,))
@@ -313,8 +302,8 @@ class LabelSwitchDigraph:
         t = self.graph.vertex_id(dst)
         if s == t:
             return []
-        sources = np.sort(self.slot_exit[self.vp_ptr[s] : self.vp_ptr[s + 1]])
-        targets = np.sort(self.slot_entry[self.vp_ptr[t] : self.vp_ptr[t + 1]])
+        sources = np.sort(self.slot_exit[self._slots(s)])
+        targets = np.sort(self.slot_entry[self._slots(t)])
         if not len(sources) or not len(targets):
             return None
         dist, parent = _kernels.bfs01(self.indptr, self.indices, self._pos_edge >= 0, sources)
@@ -340,12 +329,13 @@ class ReachResult:
 
     The hits are kept in ``bits``, a Python-int bitset over the expansion's
     connector arcs, bit ``eid * k + direction``.  ``mask`` unpacks it into a
-    bool array over (edge, direction) on each read; ``len``, ``edge_ids``,
-    ``arrival`` and ``arrivals`` answer from it, ``arrivals`` memoised per
-    distinct bitset on the expansion.  ``.edges``, the ``ReachedEdge`` list
-    in (edge, direction) order, is built from ``traversal_rows`` on first
-    read.  A reach without a start flag refuses every walk.  The DFS parents
-    from the start are computed for the first witness walk.
+    bool array over (edge, direction) on each read; ``len``, ``edge_ids``
+    and ``arrivals`` answer from it, ``arrivals`` memoised per distinct
+    bitset on the expansion, and ``arrival`` is a lookup in ``arrivals``.
+    ``.edges``, the ``ReachedEdge`` list in (edge, direction) order, is
+    built from ``traversal_rows`` on first read.  A reach without a start
+    flag refuses every walk.  The DFS parents from the start are computed
+    for the first witness walk.
     """
 
     def __init__(self, expansion, start, bits: int):
@@ -384,12 +374,11 @@ class ReachResult:
     def arrival(self, vertex: Any, label: Any) -> Optional[ReachedEdge]:
         """The first traversal of ``.edges`` with head ``vertex`` and far
         label ``label``, or None; ``KeyError`` for an unknown vertex."""
-        ex = self._expansion
-        slot = ex._slot(vertex, label)
-        for bit in () if slot is None else ex._slot_table()[2][slot]:
-            if self.bits >> bit & 1:
-                return self.traversal(*divmod(bit, ex._conn.shape[1]))
-        return None
+        found = self.arrivals().get((vertex, label))
+        if found is None:
+            self._expansion.graph.vertex_id(vertex)  # raises for an unknown vertex
+            return None
+        return self.traversal(*found)
 
     def arrivals(self) -> dict[tuple[Any, Any], tuple[int, int]]:
         """(head, far label) -> (edge id, direction) of the first traversal
@@ -398,7 +387,7 @@ class ReachResult:
         ex = self._expansion
         found = ex._arrivals_of.get(self.bits)
         if found is None:
-            _, names, _, _, slot_of = ex._slot_table()
+            _, names, slot_of = ex._slot_table()
             digits = format(self.bits, "b")[::-1]  # digit i is bit i
             first: dict[int, int] = {}
             bit = digits.find("1")

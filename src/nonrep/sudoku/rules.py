@@ -24,8 +24,7 @@ are exactly the nonrepetitive walks that the label-switch engine enumerates.
 Every rule reads a digit's homes in a group off the candidate masks of the
 group's empty cells, in group order.  Every rule takes a ``_BoardState``: the
 board plus what the rules derive from it, each piece computed on first use
-and at most once.  It holds each group's fold of those masks (read by hidden
-singles and hidden pairs), the OR of the candidate masks where each line
+and at most once.  It holds the OR of the candidate masks where each line
 meets each box (read by the tier-1 rules), the bilocation graph with its
 label-switch expansion, the expansion of the bipartite bivalue graph, the
 start pairs of both graphs and one reach result per (expansion, start vertex,
@@ -93,21 +92,18 @@ def _digits(mask: int) -> list[int]:
     return digits
 
 
-def _group_fold(board: Board, cells) -> tuple[int, int, int, int]:
-    """(once, twice, thrice, placed): the digits with at least one, two and
-    three empty homes among ``cells``, and the digits placed there."""
-    values, cand = board.values, board.cand
-    once = twice = thrice = placed = 0
+def _two_home_digits(cells, values, cand) -> int:
+    """The mask of the digits with exactly two empty homes among ``cells``:
+    the candidate masks of the empty cells folded once, twice and three
+    times."""
+    once = twice = thrice = 0
     for c in cells:
-        v = values[c]
-        if v:
-            placed |= 1 << (v - 1)
-        else:
+        if not values[c]:
             m = cand[c]
             thrice |= twice & m
             twice |= once & m
             once |= m
-    return once, twice, thrice, placed
+    return twice & ~thrice
 
 
 def _bivalued_cells(board: Board) -> list[int]:
@@ -127,13 +123,6 @@ class _BoardState:
         self.geo = geometry(board.box)
         self.memo = {} if memo is None else memo
         self._reaches: dict[tuple, ReachResult] = {}
-        self._folds: list[Optional[tuple]] = [None] * len(self.geo.group_cells)
-
-    def fold(self, g: int) -> tuple[int, int, int, int]:
-        """``_group_fold`` of group ``g``, computed once."""
-        if self._folds[g] is None:
-            self._folds[g] = _group_fold(self.board, self.geo.group_cells[g])
-        return self._folds[g]
 
     @cached_property
     def line_box_masks(self) -> list[int]:
@@ -205,16 +194,25 @@ class _BoardState:
 def hidden_singles(state: _BoardState) -> Iterator[Deduction]:
     """A digit with a single remaining home in some group is placed there.
 
-    Per group, the digits of ``once & ~twice & ~placed`` of the state's
-    ``fold`` have exactly one empty home and are not placed in the group;
-    they are yielded lowest first, each at that home, and a (cell, digit)
-    already yielded for an earlier group is skipped.
+    Per group, over the candidate masks m of its empty cells,
+    ``twice |= once & m; once |= m``.  The digits of
+    ``once & ~twice & ~placed`` have exactly one empty home and are not
+    placed in the group; they are yielded lowest first, each at that home,
+    and a (cell, digit) already yielded for an earlier group is skipped.
     """
     geo = state.geo
     values, cand = state.board.values, state.board.cand
     seen = set()
     for g, cells in enumerate(geo.group_cells):
-        once, twice, _thrice, placed = state.fold(g)
+        once = twice = placed = 0
+        for c in cells:
+            v = values[c]
+            if v:
+                placed |= 1 << (v - 1)
+            else:
+                m = cand[c]
+                twice |= once & m
+                once |= m
         single = once & ~twice & ~placed
         while single:
             bit = single & -single
@@ -386,15 +384,14 @@ def box_line(state: _BoardState) -> Iterator[Deduction]:
 def hidden_pairs(state: _BoardState) -> Iterator[Deduction]:
     """Two digits sharing the same two homes in a group own those cells.
 
-    Per group, ``twice & ~thrice`` of the state's ``fold`` marks the digits
-    with exactly two homes.  Two of them share their homes exactly when two
-    cells both hold both, so only cells holding at least two such digits are
-    paired up.  Firings come in group order, then digit pair order."""
+    Per group, ``_two_home_digits`` marks the digits with exactly two
+    homes.  Two of them share their homes exactly when two cells both hold
+    both, so only cells holding at least two such digits are paired up.
+    Firings come in group order, then digit pair order."""
     board, geo = state.board, state.geo
     values, cand = board.values, board.cand
     for g, cells in enumerate(geo.group_cells):
-        _once, twice, thrice, _placed = state.fold(g)
-        two = twice & ~thrice
+        two = _two_home_digits(cells, values, cand)
         if not two & (two - 1):
             continue  # fewer than two such digits
         held = [(c, cand[c] & two) for c in cells if not values[c]]
@@ -563,8 +560,10 @@ def build_bilocation_graph(board: Board) -> BilocationGraph:
     pair_digits: dict[tuple[int, int], list[int]] = {}
     contradiction = None
     for cells in geo.group_cells:
-        _once, twice, thrice, placed = _group_fold(board, cells)
-        two = twice & ~thrice & ~placed
+        two = _two_home_digits(cells, values, cand)
+        for c in cells:
+            if values[c]:
+                two &= ~(1 << (values[c] - 1))
         while two:
             bit = two & -two
             two ^= bit
