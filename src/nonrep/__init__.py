@@ -18,7 +18,6 @@ from .engine import (
     LabelSwitchDigraph,
     ReachedEdge,
     cyclic_edges,
-    cyclic_edge_directions,
     no_reversal_view,
     reachable_edges,
     shortest_nonrepetitive_path,
@@ -30,7 +29,6 @@ from .simple_paths import (
     build_skew_instance,
     has_nonrepetitive_simple_cycle,
     nonrepetitive_simple_path,
-    oracle_enumerate,
     regular_reachable,
     simple_cycle_edges,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "LabelSwitchDigraph",
     "ReachedEdge",
     "cyclic_edges",
-    "cyclic_edge_directions",
     "no_reversal_view",
     "reachable_edges",
     "shortest_nonrepetitive_path",
@@ -62,7 +59,6 @@ __all__ = [
     "build_skew_instance",
     "has_nonrepetitive_simple_cycle",
     "nonrepetitive_simple_path",
-    "oracle_enumerate",
     "regular_reachable",
     "simple_cycle_edges",
     "BipartiteInstance",

@@ -44,7 +44,7 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .gadget import build_dense_gadget, build_switch_gadget
+from .gadget import build_switch_gadget
 from .labeled_graph import FlagLabeledGraph
 
 
@@ -63,11 +63,10 @@ class LabelSwitchDigraph:
     Immutable after construction; all queries are read-only.
     """
 
-    def __init__(self, graph: FlagLabeledGraph, dense: bool = False):
+    def __init__(self, graph: FlagLabeledGraph):
         if graph.has_self_loops():
             raise ValueError("self-loops are not supported by the expansion")
         self.graph = graph
-        build = build_dense_gadget if dense else build_switch_gadget
         n = graph.num_vertices
         m = graph.num_edges
         ends = np.array(graph.edges, dtype=np.int64).reshape(m, 4)
@@ -96,7 +95,7 @@ class LabelSwitchDigraph:
 
         # One gadget per distinct label count; vertex v's gadget occupies
         # nodes off[v] .. off[v] + size - 1, vertices in id order.
-        gadgets = {k: build(k) for k in sorted(set(label_count.tolist())) if k}
+        gadgets = {k: build_switch_gadget(k) for k in sorted(set(label_count.tolist())) if k}
         gadget_size = np.zeros(int(label_count.max()) + 1 if n else 1, dtype=np.int64)
         for k, gadget in gadgets.items():
             gadget_size[k] = gadget.num_nodes
@@ -433,10 +432,6 @@ class ReachResult:
 def cyclic_edges(g: FlagLabeledGraph) -> set[int]:
     """Ids of edges lying on at least one nonrepetitive closed walk."""
     return LabelSwitchDigraph(g).cycle_edge_ids()
-
-
-def cyclic_edge_directions(g: FlagLabeledGraph) -> list[ReachedEdge]:
-    return LabelSwitchDigraph(g).cycle_directions()
 
 
 def reachable_edges(g: FlagLabeledGraph, vertex: Any, label: Any) -> list[ReachedEdge]:

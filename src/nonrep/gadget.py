@@ -7,9 +7,9 @@ then be routed through the vertex's gadget iff the labels differ.
 
 ``build_switch_gadget`` yields the linear-size construction (labels are
 paired up, pairs are wired directly, and the pair index recurses on a gadget
-half the size).  ``build_dense_gadget`` is the obvious quadratic wiring; it
-answers the same reachability questions and serves as an independent
-reference in tests.
+half the size).  The obvious quadratic wiring (``build_dense_gadget``) and
+the all-pairs entry-to-exit reach sweep (``exit_reach_sets``) are test
+references and live in ``tests/oracles.py``.
 
 Size of the linear gadget follows nodes(k) = 2k + nodes(ceil(k/2)) and grows
 as 4k + O(log k); the frozen test bounds are nodes <= 4k + 6 and
@@ -62,52 +62,3 @@ def build_switch_gadget(k: int) -> SwitchGadget:
             arcs.append((off + sub.exit[z], k + x))
     arcs.extend((off + a, off + b) for a, b in sub.arcs)
     return SwitchGadget(k, off + sub.num_nodes, entry, exit_, tuple(arcs))
-
-
-def build_dense_gadget(k: int) -> SwitchGadget:
-    """Quadratic gadget: every entry arcs directly to every other exit."""
-    if k < 1:
-        raise ValueError("gadget needs at least one label")
-    arcs = tuple((i, k + j) for i in range(k) for j in range(k) if i != j)
-    return SwitchGadget(k, 2 * k, tuple(range(k)), tuple(k + i for i in range(k)), arcs)
-
-
-def exit_reach_sets(gadget: SwitchGadget) -> list[frozenset[int]]:
-    """Per entry slot, the set of exit slots it reaches.
-
-    Gadgets are acyclic, so one reverse-topological bitset sweep answers all
-    pairs at once.
-    """
-    n = gadget.num_nodes
-    adj: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for a, b in gadget.arcs:
-        adj[a].append(b)
-        indeg[b] += 1
-    order = [v for v in range(n) if indeg[v] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    reach = [0] * n
-    for slot, node in enumerate(gadget.exit):
-        reach[node] |= 1 << slot
-    for v in reversed(order):
-        for w in adj[v]:
-            reach[v] |= reach[w]
-    result = []
-    for slot in range(gadget.label_count):
-        mask = reach[gadget.entry[slot]]
-        result.append(
-            frozenset(t for t in range(gadget.label_count) if mask >> t & 1)
-        )
-    return result
-
-
-def gadget_reaches(gadget: SwitchGadget, slot_from: int, slot_to: int) -> bool:
-    """Entry ``slot_from`` reaches exit ``slot_to``."""
-    return slot_to in exit_reach_sets(gadget)[slot_from]

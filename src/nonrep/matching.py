@@ -57,11 +57,6 @@ def max_bipartite_matching(inst: BipartiteInstance) -> tuple[int, ...]:
     return tuple(idx for idx, (l, r) in enumerate(inst.edges) if mate[l] == r)
 
 
-def matching_size(inst: BipartiteInstance) -> int:
-    mate, _ = _kernels.kuhn_bipartite(inst.left_size, inst.right_size, inst.edges)
-    return inst.left_size - mate.count(-1)
-
-
 def classify_edges(inst: BipartiteInstance) -> EdgeClassification:
     """Mandatory / forbidden / optional relative to maximum matchings.
 

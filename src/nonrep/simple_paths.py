@@ -286,22 +286,6 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
         port = sig[cur]
 
 
-def path_nodes(ssg: SkewSymmetricGraph, arc_path: list[int]) -> list[int]:
-    """Node sequence of an arc path, starting from the source."""
-    nodes = [ssg.source]
-    cur = ssg.source
-    for arc_idx in arc_path:
-        a, b = ssg.arcs[arc_idx]
-        if a == cur:
-            cur = b
-        else:
-            if ssg.sigma[b] != cur:
-                raise ValueError("arc path is not connected")
-            cur = ssg.sigma[a]
-        nodes.append(cur)
-    return nodes
-
-
 def _loopless(g: FlagLabeledGraph) -> tuple[FlagLabeledGraph, list[int]]:
     if not g.has_self_loops():
         return g, list(range(g.num_edges))
@@ -438,9 +422,15 @@ def _bridges(num_vertices: int, edge_list: list[tuple[int, int, int]]) -> set[in
 def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
     """Existence of a simple nonrepetitive cycle in a 0/1-labeled graph.
 
-    Peels vertices whose incident edges all share one label and bridge
-    edges until a fixed point; a nonempty remainder always contains such a
+    Peels vertices whose live incident edges all share one label, and bridge
+    edges, until a fixed point; a nonempty remainder always contains such a
     cycle.  Existence only: not every surviving edge is claimed cyclic.
+
+    Cutting an edge only makes more vertices peelable and more edges
+    bridges, so the fixed point does not depend on the order of the cuts.
+    Each vertex keeps a count of its live edges per label; a worklist holds
+    the vertices whose counts changed, and bridges are cut only when it runs
+    dry.
     """
     if g.directed:
         raise ValueError("peeling test is for undirected graphs")
@@ -448,109 +438,34 @@ def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
         lu, lv = g.edge_labels(eid)
         _binary_bit(lu)
         _binary_bit(lv)
-    alive = {e for e in range(g.num_edges) if not g.is_self_loop(e)}
-    removed_vertex = [False] * g.num_vertices
+    alive = [u != v for u, v, _, _ in g.edges]
+    live: list[dict[int, int]] = [{} for _ in range(g.num_vertices)]
+    for eid, (u, v, lu, lv) in enumerate(g.edges):
+        if alive[eid]:
+            live[u][lu] = live[u].get(lu, 0) + 1
+            live[v][lv] = live[v].get(lv, 0) + 1
+
+    def cut(eid: int) -> None:
+        alive[eid] = False
+        u, v, lu, lv = g.edges[eid]
+        for x, lx in ((u, lu), (v, lv)):
+            if live[x][lx] == 1:
+                del live[x][lx]
+            else:
+                live[x][lx] -= 1
+            work.append(x)
+
+    work = list(range(g.num_vertices))
     while True:
-        changed = False
-        for vid in range(g.num_vertices):
-            if removed_vertex[vid]:
-                continue
-            labels = set()
-            incident = []
-            for eid, end in g.incident(vid):
-                if eid in alive:
-                    labels.add(g.flag_label_id(eid, end))
-                    incident.append(eid)
-            if incident and len(labels) <= 1:
-                removed_vertex[vid] = True
-                alive.difference_update(incident)
-                changed = True
-        edge_list = [(eid, g.edges[eid][0], g.edges[eid][1]) for eid in sorted(alive)]
+        while work:
+            vid = work.pop()
+            if len(live[vid]) == 1:
+                for eid, _ in g.incident(vid):
+                    if alive[eid]:
+                        cut(eid)
+        edge_list = [(eid, u, v) for eid, (u, v, _, _) in enumerate(g.edges) if alive[eid]]
         bridges = _bridges(g.num_vertices, edge_list)
-        if bridges:
-            alive -= bridges
-            changed = True
-        if not changed:
-            return bool(alive)
-
-
-def oracle_enumerate(g: FlagLabeledGraph, kind: str, p=None, q=None, bound: int = 12):
-    """Exhaustive backtracking enumeration of simple nonrepetitive paths or cycles.
-
-    ``kind="paths"`` returns every p..q path as a tuple of edge ids;
-    ``kind="cycles"`` returns the set of cycles as frozensets of edge ids
-    (a simple cycle is determined by its edge set).  Intended as the ground
-    truth for small graphs; refuses more than ``bound`` vertices.
-    """
-    if g.directed:
-        raise ValueError("enumeration is for undirected graphs")
-    if g.num_vertices > bound:
-        raise ValueError(f"graph exceeds enumeration bound ({bound} vertices)")
-
-    def steps_from(vid: int):
-        for eid, end in g.incident(vid):
-            if g.is_self_loop(eid):
-                continue
-            near = g.flag_label_id(eid, end)
-            far = g.flag_label_id(eid, 1 - end)
-            other = g.edges[eid][1 - end]
-            yield eid, near, far, other
-
-    if kind == "paths":
-        pid = g.vertex_id(p)
-        qid = g.vertex_id(q)
-        if pid == qid:
-            return [()]
-        found: list[tuple[int, ...]] = []
-        path: list[int] = []
-        visited = {pid}
-
-        def extend(vid: int, last_label: Optional[int]):
-            for eid, near, far, other in steps_from(vid):
-                if last_label is not None and near == last_label:
-                    continue
-                if other in visited:
-                    continue
-                path.append(eid)
-                if other == qid:
-                    found.append(tuple(path))
-                else:
-                    visited.add(other)
-                    extend(other, far)
-                    visited.remove(other)
-                path.pop()
-
-        extend(pid, None)
-        return found
-
-    if kind == "cycles":
-        cycles: set[frozenset[int]] = set()
-        for start in range(g.num_vertices):
-            path_edges: list[int] = []
-            visited = {start}
-            on_path: set[int] = set()
-
-            def extend(vid: int, last_label: Optional[int], first_label: Optional[int]):
-                for eid, near, far, other in steps_from(vid):
-                    if last_label is not None and near == last_label:
-                        continue
-                    if eid in on_path:
-                        continue
-                    if other == start:
-                        if len(path_edges) >= 1 and far != first_label:
-                            cycles.add(frozenset(path_edges + [eid]))
-                        continue
-                    if other in visited or other < start:
-                        continue
-                    path_edges.append(eid)
-                    on_path.add(eid)
-                    visited.add(other)
-                    extend(other, far, near if first_label is None else first_label)
-                    visited.remove(other)
-                    on_path.remove(eid)
-                    path_edges.pop()
-
-            extend(start, None, None)
-        return cycles
-
-    raise ValueError(f"unknown enumeration kind {kind!r}")
+        if not bridges:
+            return bool(edge_list)
+        for eid in bridges:
+            cut(eid)

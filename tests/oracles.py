@@ -7,13 +7,15 @@ for matchings.  None of it shares code with the package's algorithms.
 The sections at the end are different: they keep earlier versions of package
 code as the reference its replacements must equal.  They are the numpy-scalar
 Sudoku and graph kernels, the per-vertex-dict expansion builder (which still
-uses the package's ``build_csr`` and gadget builders), the recursive
+uses the package's ``build_csr`` and linear gadget builder), the recursive
 ``classify_edges``, the numpy-scalar matchers, the 14 Sudoku rules as
 they were when each one rebuilt its own digit homes, graphs and reaches,
 the pair-indexed port graph of ``regular_reachable`` with the
 method-interning ``FlagLabeledGraph`` constructor, the simple-path
 pipeline that binarized and built its skew instances anew on every query,
-and the reach that ran one DFS per start (``dfs_reachable_from``).
+the reach that ran one DFS per start (``dfs_reachable_from``), and the
+references that once shipped in the package: the quadratic gadget, the
+gadget reach sweep, the simple-path enumerator and the rescanning peeling.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from nonrep import _kernels as nonrep_kernels
 from nonrep import engine as nonrep_engine
 from nonrep._kernels import build_csr
 from nonrep.engine import ReachedEdge
-from nonrep.gadget import build_dense_gadget, build_switch_gadget
+from nonrep.gadget import SwitchGadget, build_switch_gadget
 from nonrep.labeled_graph import FlagLabeledGraph
 from nonrep.matching import (
     FORBIDDEN,
@@ -39,7 +41,7 @@ from nonrep.matching import (
     EdgeClassification,
     perfect_matching_mate,
 )
-from nonrep.simple_paths import BinarizedGraph, SkewSymmetricGraph
+from nonrep.simple_paths import BinarizedGraph, SkewSymmetricGraph, _binary_bit, _bridges
 from nonrep.sudoku.board import Board, Contradiction, Deduction, cell_name, geometry
 from nonrep.sudoku.rules import BilocationGraph, BipartiteBivalueGraph, BivalueGraph
 
@@ -2498,3 +2500,212 @@ class DfsReachResult:
         steps = ex._walk_to_node(self._parent, int(ex._tail_of_pos[pos]))
         steps.append(reached)
         return steps
+
+
+# ---------------------------------------------------------------------------
+# Test references that once shipped in the package: the quadratic switch
+# gadget and the all-pairs gadget reach sweep (``nonrep.gadget``), the
+# node sequence of a skew arc path and the exhaustive simple-path and
+# simple-cycle enumerator (``nonrep.simple_paths``), each verbatim.  The
+# expansion built on the quadratic gadget comes from ``dense_expansion``.
+# ``has_nonrepetitive_simple_cycle`` is the peeling loop that rescanned
+# every vertex per round, kept as the reference for the worklist peeling.
+# ---------------------------------------------------------------------------
+
+
+def build_dense_gadget(k: int) -> SwitchGadget:
+    """Quadratic gadget: every entry arcs directly to every other exit."""
+    if k < 1:
+        raise ValueError("gadget needs at least one label")
+    arcs = tuple((i, k + j) for i in range(k) for j in range(k) if i != j)
+    return SwitchGadget(k, 2 * k, tuple(range(k)), tuple(k + i for i in range(k)), arcs)
+
+
+def exit_reach_sets(gadget: SwitchGadget) -> list[frozenset[int]]:
+    """Per entry slot, the set of exit slots it reaches.
+
+    Gadgets are acyclic, so one reverse-topological bitset sweep answers all
+    pairs at once.
+    """
+    n = gadget.num_nodes
+    adj: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in gadget.arcs:
+        adj[a].append(b)
+        indeg[b] += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for w in adj[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    reach = [0] * n
+    for slot, node in enumerate(gadget.exit):
+        reach[node] |= 1 << slot
+    for v in reversed(order):
+        for w in adj[v]:
+            reach[v] |= reach[w]
+    result = []
+    for slot in range(gadget.label_count):
+        mask = reach[gadget.entry[slot]]
+        result.append(
+            frozenset(t for t in range(gadget.label_count) if mask >> t & 1)
+        )
+    return result
+
+
+def gadget_reaches(gadget: SwitchGadget, slot_from: int, slot_to: int) -> bool:
+    """Entry ``slot_from`` reaches exit ``slot_to``."""
+    return slot_to in exit_reach_sets(gadget)[slot_from]
+
+
+def dense_expansion(graph: FlagLabeledGraph) -> "nonrep_engine.LabelSwitchDigraph":
+    """The package's expansion of ``graph`` with the quadratic gadget at every
+    vertex: ``nonrep.engine.build_switch_gadget`` is swapped for
+    ``build_dense_gadget`` while the expansion is built."""
+    linear = nonrep_engine.build_switch_gadget
+    nonrep_engine.build_switch_gadget = build_dense_gadget
+    try:
+        return nonrep_engine.LabelSwitchDigraph(graph)
+    finally:
+        nonrep_engine.build_switch_gadget = linear
+
+
+def path_nodes(ssg: SkewSymmetricGraph, arc_path: list[int]) -> list[int]:
+    """Node sequence of an arc path, starting from the source."""
+    nodes = [ssg.source]
+    cur = ssg.source
+    for arc_idx in arc_path:
+        a, b = ssg.arcs[arc_idx]
+        if a == cur:
+            cur = b
+        else:
+            if ssg.sigma[b] != cur:
+                raise ValueError("arc path is not connected")
+            cur = ssg.sigma[a]
+        nodes.append(cur)
+    return nodes
+
+
+def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
+    """Existence of a simple nonrepetitive cycle in a 0/1-labeled graph.
+
+    Peels vertices whose incident edges all share one label and bridge
+    edges until a fixed point; a nonempty remainder always contains such a
+    cycle.  Existence only: not every surviving edge is claimed cyclic.
+    """
+    if g.directed:
+        raise ValueError("peeling test is for undirected graphs")
+    for eid in range(g.num_edges):
+        lu, lv = g.edge_labels(eid)
+        _binary_bit(lu)
+        _binary_bit(lv)
+    alive = {e for e in range(g.num_edges) if not g.is_self_loop(e)}
+    removed_vertex = [False] * g.num_vertices
+    while True:
+        changed = False
+        for vid in range(g.num_vertices):
+            if removed_vertex[vid]:
+                continue
+            labels = set()
+            incident = []
+            for eid, end in g.incident(vid):
+                if eid in alive:
+                    labels.add(g.flag_label_id(eid, end))
+                    incident.append(eid)
+            if incident and len(labels) <= 1:
+                removed_vertex[vid] = True
+                alive.difference_update(incident)
+                changed = True
+        edge_list = [(eid, g.edges[eid][0], g.edges[eid][1]) for eid in sorted(alive)]
+        bridges = _bridges(g.num_vertices, edge_list)
+        if bridges:
+            alive -= bridges
+            changed = True
+        if not changed:
+            return bool(alive)
+
+
+def oracle_enumerate(g: FlagLabeledGraph, kind: str, p=None, q=None, bound: int = 12):
+    """Exhaustive backtracking enumeration of simple nonrepetitive paths or cycles.
+
+    ``kind="paths"`` returns every p..q path as a tuple of edge ids;
+    ``kind="cycles"`` returns the set of cycles as frozensets of edge ids
+    (a simple cycle is determined by its edge set).  Intended as the ground
+    truth for small graphs; refuses more than ``bound`` vertices.
+    """
+    if g.directed:
+        raise ValueError("enumeration is for undirected graphs")
+    if g.num_vertices > bound:
+        raise ValueError(f"graph exceeds enumeration bound ({bound} vertices)")
+
+    def steps_from(vid: int):
+        for eid, end in g.incident(vid):
+            if g.is_self_loop(eid):
+                continue
+            near = g.flag_label_id(eid, end)
+            far = g.flag_label_id(eid, 1 - end)
+            other = g.edges[eid][1 - end]
+            yield eid, near, far, other
+
+    if kind == "paths":
+        pid = g.vertex_id(p)
+        qid = g.vertex_id(q)
+        if pid == qid:
+            return [()]
+        found: list[tuple[int, ...]] = []
+        path: list[int] = []
+        visited = {pid}
+
+        def extend(vid: int, last_label: Optional[int]):
+            for eid, near, far, other in steps_from(vid):
+                if last_label is not None and near == last_label:
+                    continue
+                if other in visited:
+                    continue
+                path.append(eid)
+                if other == qid:
+                    found.append(tuple(path))
+                else:
+                    visited.add(other)
+                    extend(other, far)
+                    visited.remove(other)
+                path.pop()
+
+        extend(pid, None)
+        return found
+
+    if kind == "cycles":
+        cycles: set[frozenset[int]] = set()
+        for start in range(g.num_vertices):
+            path_edges: list[int] = []
+            visited = {start}
+            on_path: set[int] = set()
+
+            def extend(vid: int, last_label: Optional[int], first_label: Optional[int]):
+                for eid, near, far, other in steps_from(vid):
+                    if last_label is not None and near == last_label:
+                        continue
+                    if eid in on_path:
+                        continue
+                    if other == start:
+                        if len(path_edges) >= 1 and far != first_label:
+                            cycles.add(frozenset(path_edges + [eid]))
+                        continue
+                    if other in visited or other < start:
+                        continue
+                    path_edges.append(eid)
+                    on_path.add(eid)
+                    visited.add(other)
+                    extend(other, far, near if first_label is None else first_label)
+                    visited.remove(other)
+                    on_path.remove(eid)
+                    path_edges.pop()
+
+            extend(start, None, None)
+        return cycles
+
+    raise ValueError(f"unknown enumeration kind {kind!r}")

@@ -18,13 +18,9 @@ import numpy as np
 import pytest
 
 from nonrep.engine import LabelSwitchDigraph
-from nonrep.gadget import build_switch_gadget, exit_reach_sets
+from nonrep.gadget import build_switch_gadget
 from nonrep.labeled_graph import FlagLabeledGraph
-from nonrep.simple_paths import (
-    nonrepetitive_simple_path,
-    oracle_enumerate,
-    simple_cycle_edges,
-)
+from nonrep.simple_paths import nonrepetitive_simple_path, simple_cycle_edges
 from nonrep.sudoku.board import Board, apply_deduction
 from nonrep.sudoku.generate import (
     NONLOCAL_BAND,
@@ -35,7 +31,15 @@ from nonrep.sudoku.generate import (
     generate,
 )
 from nonrep.sudoku.rules import build_bilocation_graph, build_bivalue_graphs, solve
-from oracles import is_simple_nonrep_path, oracle_cyclic_edges, oracle_reachable, random_flag_graph
+from oracles import (
+    dense_expansion,
+    exit_reach_sets,
+    is_simple_nonrep_path,
+    oracle_cyclic_edges,
+    oracle_enumerate,
+    oracle_reachable,
+    random_flag_graph,
+)
 
 
 def _report(number: int, started: float, detail: str):
@@ -79,7 +83,7 @@ def test_acceptance_2_walk_queries_match_oracles():
             rng, max_vertices=8, max_labels=3, directed=directed, flag_labeled=flagged
         )
         linear = LabelSwitchDigraph(g)
-        dense = LabelSwitchDigraph(g, dense=True)
+        dense = dense_expansion(g)
         want_cyclic = oracle_cyclic_edges(g)
         assert linear.cycle_edge_ids() == want_cyclic
         assert dense.cycle_edge_ids() == want_cyclic

@@ -27,6 +27,11 @@ def _reach_set(edges):
     return {(e.edge_id, e.tail, e.head, e.far_label) for e in edges}
 
 
+def _expansion(g: FlagLabeledGraph, dense: bool) -> LabelSwitchDigraph:
+    """The expansion of ``g``, on the quadratic gadget when ``dense``."""
+    return oracles.dense_expansion(g) if dense else LabelSwitchDigraph(g)
+
+
 def test_triangle_distinct_labels_all_cyclic():
     g = FlagLabeledGraph(True, [("a", "b", "L1"), ("b", "c", "L2"), ("c", "a", "L3")])
     assert cyclic_edges(g) == {0, 1, 2}
@@ -125,7 +130,7 @@ def test_random_corpus_matches_state_oracle(flag_labeled):
     for _ in range(150):
         g = random_flag_graph(rng, flag_labeled=flag_labeled)
         expansion = LabelSwitchDigraph(g)
-        dense = LabelSwitchDigraph(g, dense=True)
+        dense = oracles.dense_expansion(g)
         expected_cyclic = oracle_cyclic_edges(g)
         assert expansion.cycle_edge_ids() == expected_cyclic
         assert dense.cycle_edge_ids() == expected_cyclic
@@ -307,7 +312,7 @@ def test_expansion_equals_per_vertex_dict_builder():
         g = _varied_graph(rng, trial)
         hubs += any(len(g.vertex_label_ids(v)) > 20 for v in range(g.num_vertices))
         dense = trial % 10 == 5
-        new = LabelSwitchDigraph(g, dense=dense)
+        new = _expansion(g, dense)
         old = oracles.LabelSwitchDigraph(g, dense=dense)
         assert (new.num_nodes, new.num_arcs) == (old.num_nodes, old.num_arcs)
         for name in ("indptr", "indices", "conn_pos", "_tail_of_pos"):
@@ -371,7 +376,7 @@ def test_arrival_queries_equal_a_scan_of_the_edges():
     rng = Random(2718)
     for trial in range(160):
         g = _varied_graph(rng, trial)
-        expansion = LabelSwitchDigraph(g, dense=trial % 10 == 5)
+        expansion = _expansion(g, trial % 10 == 5)
         flags = _all_start_flags(g)
         for vertex, label in rng.sample(flags, min(len(flags), 4)):
             assert_arrival_queries_equal_edge_scan(expansion, vertex, label)
@@ -383,7 +388,7 @@ def _walk_answers(g: FlagLabeledGraph, dense: bool, starts) -> dict:
     """Every answer of a fresh expansion of ``g`` that the frontier sweeps
     could change: cycle traversals and transit pairs, and per start the
     reached traversals, their witness walks and the traversals refused."""
-    expansion = LabelSwitchDigraph(g, dense=dense)
+    expansion = _expansion(g, dense)
     names = [g.vertex_name(v) for v in range(g.num_vertices)]
     every = [
         expansion._oriented(eid, d)
@@ -449,7 +454,7 @@ def test_mask_answers_equal_the_object_answers(monkeypatch, frontier_min_nodes):
     rng = Random(1414)
     for trial in range(160):
         g = _varied_graph(rng, trial)
-        expansion = LabelSwitchDigraph(g, dense=trial % 10 == 5)
+        expansion = _expansion(g, trial % 10 == 5)
         cycles = expansion.cycle_directions()
         assert cycles == oriented(expansion, expansion.cycle_mask())
         assert expansion.cycle_edge_ids() == {e.edge_id for e in cycles}

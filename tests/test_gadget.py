@@ -2,12 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from nonrep.gadget import (
-    build_dense_gadget,
-    build_switch_gadget,
-    exit_reach_sets,
-    gadget_reaches,
-)
+from nonrep.gadget import build_switch_gadget
+from oracles import build_dense_gadget, exit_reach_sets, gadget_reaches
 
 # Frozen size bounds for the linear construction, valid through k = 64;
 # growth is 4k + O(log k) so larger k would need a larger additive term.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import importlib.util
 import sys
+import time
 import weakref
 from itertools import combinations, permutations
 from pathlib import Path
@@ -17,8 +18,6 @@ from nonrep.simple_paths import (
     build_skew_instance,
     has_nonrepetitive_simple_cycle,
     nonrepetitive_simple_path,
-    oracle_enumerate,
-    path_nodes,
     regular_reachable,
     simple_cycle_edges,
 )
@@ -26,6 +25,8 @@ import oracles
 from oracles import (
     brute_regular_reachable,
     is_simple_nonrep_path,
+    oracle_enumerate,
+    path_nodes,
     random_flag_graph,
     random_skew_symmetric,
 )
@@ -485,6 +486,55 @@ def test_peeling_agrees_with_cycle_edges():
         assert has_nonrepetitive_simple_cycle(binary) == bool(
             simple_cycle_edges(binary)
         )
+
+
+def _random_binary_graph(rng: Random) -> FlagLabeledGraph:
+    """A small 0/1-labeled multigraph with loops, parallel edges, flag edges
+    whose ends differ, and the tokens 0, 1, "0" and "1" as labels."""
+    n = rng.randint(1, 9)
+    tokens = (0, 1) if rng.random() < 0.7 else (0, 1, "0", "1")
+    edges: list[tuple] = []
+    for _ in range(rng.randint(0, 16)):
+        if edges and rng.random() < 0.15:
+            edges.append(rng.choice(edges))
+            continue
+        u = rng.randrange(n)
+        v = u if rng.random() < 0.1 else rng.randrange(n)
+        if rng.random() < 0.2:
+            edges.append((u, v, rng.choice(tokens), rng.choice(tokens)))
+        else:
+            edges.append((u, v, rng.choice(tokens)))
+    return FlagLabeledGraph(False, edges, vertices=rng.sample(range(n), n))
+
+
+def test_peeling_equals_the_rescanning_reference():
+    rng = Random(27182)
+    found = 0
+    for _ in range(3000):
+        g = _random_binary_graph(rng)
+        want = oracles.has_nonrepetitive_simple_cycle(g)
+        assert has_nonrepetitive_simple_cycle(g) == want
+        found += want
+    assert 300 < found < 2700
+
+
+def _middle_out_chain(n: int) -> FlagLabeledGraph:
+    """n parallel-edge pairs in a path, pair i labeled i mod 2, with vertex
+    ids numbered from the middle of the path out to its ends."""
+    edges = [(i, i + 1, i % 2) for i in range(n) for _ in range(2)]
+    return FlagLabeledGraph(False, edges, vertices=sorted(range(n + 1), key=lambda i: abs(2 * i - n)))
+
+
+def test_peeling_a_middle_out_chain_is_linear():
+    """A rescan of every vertex per round peels one vertex per chain end;
+    the worklist peels the whole chain in one round."""
+    assert has_nonrepetitive_simple_cycle(_middle_out_chain(60)) is False
+    assert oracles.has_nonrepetitive_simple_cycle(_middle_out_chain(60)) is False
+    g = _middle_out_chain(4000)
+    started = time.perf_counter()
+    assert has_nonrepetitive_simple_cycle(g) is False
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"peeling the 4000-pair chain took {elapsed:.2f}s"
 
 
 # -- enumeration self-checks --------------------------------------------------------
