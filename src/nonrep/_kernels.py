@@ -306,12 +306,21 @@ def reach_csr(indptr, indices, start):
     return np.frombuffer(visited, np.uint8), np.array(parent_arc, np.int64)
 
 
-def bfs01(indptr, indices, unit, sources):
+def bfs01(indptr, indices, unit, sources, targets=()):
     """0/1-weighted BFS (``unit[arc]`` is the arc cost, 0 or 1).
 
     A node whose distance improves goes to the front of the deque over a
     0-arc and to the back over a 1-arc.  Returns (dist, parent CSR arc
     position); unreached nodes keep a distance of 2**62.
+
+    With ``targets``, the first target popped sets a bound D, its distance,
+    and the search breaks at the first popped node whose distance exceeds D.
+    The deque pops nodes in nondecreasing distance and a parent changes only
+    on a strict improvement, so every node at distance <= D then holds the
+    distance and parent the full search gives it, and every other node holds
+    a distance above D.  ``targets[argmin(dist[targets])]`` and its parent
+    chain are thus the full search's, ties included.  Without targets the
+    search runs until the deque is empty.
     """
     ip = indptr.tolist()
     ix = indices.tolist()
@@ -319,6 +328,8 @@ def bfs01(indptr, indices, unit, sources):
     n = len(ip) - 1
     dist = [_UNREACHED] * n
     parent_arc = [-1] * n
+    goal = set(np.asarray(targets).tolist())
+    bound = _UNREACHED
     queue = deque()
     for s in sources.tolist():
         dist[s] = 0
@@ -327,6 +338,10 @@ def bfs01(indptr, indices, unit, sources):
     while queue:
         v = popleft()
         dv = dist[v]
+        if dv > bound:
+            break
+        if v in goal:
+            bound = dv
         e = ip[v]
         end = ip[v + 1]
         while e < end:

@@ -34,7 +34,10 @@ Queries answered here:
 * which edges are reachable by nonrepetitive walks from a given
   (vertex, first label) start (reachability in the expansion),
 * a minimum-edge-count nonrepetitive walk between two vertices
-  (0/1 BFS, connector arcs cost 1).
+  (0/1 BFS, connector arcs cost 1).  The search breaks at the first node it
+  pops beyond the nearest target entry node; every node up to that distance
+  then holds its final distance and parent, so the walk is the full
+  search's.
 """
 
 from __future__ import annotations
@@ -64,12 +67,12 @@ class LabelSwitchDigraph:
     """
 
     def __init__(self, graph: FlagLabeledGraph):
-        if graph.has_self_loops():
-            raise ValueError("self-loops are not supported by the expansion")
-        self.graph = graph
         n = graph.num_vertices
         m = graph.num_edges
         ends = np.array(graph.edges, dtype=np.int64).reshape(m, 4)
+        if (ends[:, 0] == ends[:, 1]).any():
+            raise ValueError("self-loops are not supported by the expansion")
+        self.graph = graph
 
         # Flag 2*eid + end sits at vertex ends[eid, end] with label
         # ends[eid, 2 + end].  A vertex's slots are its distinct flag labels
@@ -308,7 +311,9 @@ class LabelSwitchDigraph:
         targets = np.sort(self.slot_entry[self._slots(t)])
         if not len(sources) or not len(targets):
             return None
-        dist, parent = _kernels.bfs01(self.indptr, self.indices, self._pos_edge >= 0, sources)
+        dist, parent = _kernels.bfs01(
+            self.indptr, self.indices, self._pos_edge >= 0, sources, targets
+        )
         best = int(targets[np.argmin(dist[targets])])
         if dist[best] >= _kernels._UNREACHED:
             return None

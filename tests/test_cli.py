@@ -382,6 +382,13 @@ def test_graph_commands_on_token_soup_exit_cleanly(argv, text):
             assert out == ""
 
 
+def _two_label_ring(n, directed):
+    """An n-edge ring v0 - v1 - ... - v0 whose edge labels alternate a|b."""
+    return f"graph {'directed' if directed else 'undirected'}\n" + "".join(
+        f"edge v{i} v{(i + 1) % n} {'ab'[i % 2]}\n" for i in range(n)
+    )
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_walk_commands_on_long_two_label_rings(monkeypatch, directed):
     """A 5*10^4-edge ring whose edge labels alternate a|b has an expansion
@@ -389,9 +396,7 @@ def test_walk_commands_on_long_two_label_rings(monkeypatch, directed):
     frontier path must give the scans' stdout, and not take a numpy round
     per node: each command runs in under 1.5 s."""
     n = 50_000
-    text = f"graph {'directed' if directed else 'undirected'}\n" + "".join(
-        f"edge v{i} v{(i + 1) % n} {'ab'[i % 2]}\n" for i in range(n)
-    )
+    text = _two_label_ring(n, directed)
     assert LabelSwitchDigraph(parse_labeled_graph(text)).num_nodes >= _kernels.FRONTIER_MIN_NODES
     for argv in (
         ["graph", "cycles", "-"],
@@ -406,6 +411,34 @@ def test_walk_commands_on_long_two_label_rings(monkeypatch, directed):
         assert got == want
         assert want[0] == 0 and len(want[1].splitlines()) >= n
         assert elapsed < 1.5, elapsed
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_shortest_on_a_long_two_label_ring_stops_at_its_target(monkeypatch, directed):
+    """With the target one edge away on the 5*10^4-edge two-label ring,
+    ``graph shortest``'s 0/1 BFS reaches fewer than 100 of the expansion's
+    2*10^5 nodes, where the search run until its deque is empty reaches more
+    than half of them, and it prints what that search prints."""
+    text = _two_label_ring(50_000, directed)
+    argv = ["graph", "shortest", "--from", "v0", "--to", "v1", "-"]
+    bfs01 = _kernels.bfs01
+    reached = []
+
+    def counting(indptr, indices, unit, sources, targets=()):
+        dist, parent = bfs01(indptr, indices, unit, sources, targets)
+        reached.append((len(dist), int((dist < _kernels._UNREACHED).sum())))
+        return dist, parent
+
+    def full_search(indptr, indices, unit, sources, targets=()):
+        return counting(indptr, indices, unit, sources)
+
+    monkeypatch.setattr(_kernels, "bfs01", counting)
+    got = _run(argv, stdin=text)
+    monkeypatch.setattr(_kernels, "bfs01", full_search)
+    want = _run(argv, stdin=text)
+    assert got == want == (0, "edge 0: v0 -> v1 label a\n", "")
+    (nodes, stopped), (_, full) = reached
+    assert nodes == 200_000 and stopped < 100 and full > 100_000, (stopped, full)
 
 
 def test_python_m_nonrep_runs_the_cli():

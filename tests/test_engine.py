@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 from random import Random
 
+import numpy as np
 import pytest
 
 from nonrep import FlagLabeledGraph, _kernels
@@ -343,6 +344,66 @@ def test_expansion_equals_per_vertex_dict_builder():
             src, dst = rng.choice(names), rng.choice(names)
             assert new.shortest_path(src, dst) == old.shortest_path(src, dst)
     assert hubs >= 20
+
+
+def _full_search_walk(ex: LabelSwitchDigraph, src, dst):
+    """``shortest_path`` with its 0/1 BFS run until the deque is empty."""
+    s, t = ex.graph.vertex_id(src), ex.graph.vertex_id(dst)
+    if s == t:
+        return []
+    sources = np.sort(ex.slot_exit[ex._slots(s)])
+    targets = np.sort(ex.slot_entry[ex._slots(t)])
+    if not len(sources) or not len(targets):
+        return None
+    dist, parent = _kernels.bfs01(ex.indptr, ex.indices, ex._pos_edge >= 0, sources)
+    best = int(targets[np.argmin(dist[targets])])
+    if dist[best] >= _kernels._UNREACHED:
+        return None
+    return ex._walk_to_node(parent, best)
+
+
+def test_stopped_shortest_search_equals_the_full_search():
+    """``shortest_path`` stops its 0/1 BFS after the nearest target entry
+    node; its walk equals the full search's for every (src, dst) pair,
+    unreachable pairs and ties between targets included.  On random
+    expansions the stopped search leaves every node up to the nearest
+    target's distance D with the full search's distance and parent, and
+    every other node farther than D."""
+    rng = Random(1818)
+    unreachable = tied = 0
+    for trial in range(160):
+        g = _varied_graph(rng, trial)
+        ex = LabelSwitchDigraph(g)
+        names = [g.vertex_name(v) for v in range(g.num_vertices)]
+        for src in names:
+            for dst in names:
+                want = _full_search_walk(ex, src, dst)
+                assert ex.shortest_path(src, dst) == want
+                unreachable += want is None
+    for trial in range(240):
+        g = random_flag_graph(
+            rng, max_vertices=24, max_labels=4, directed=trial % 2 == 0,
+            flag_labeled=trial % 4 >= 2, max_edges=60,
+        )
+        ex = LabelSwitchDigraph(g)
+        unit = ex._pos_edge >= 0
+        for _ in range(6):
+            s, t = rng.sample(range(g.num_vertices), 2)
+            sources = np.sort(ex.slot_exit[ex._slots(s)])
+            targets = np.sort(ex.slot_entry[ex._slots(t)])
+            if not len(sources) or not len(targets):
+                continue
+            full = _kernels.bfs01(ex.indptr, ex.indices, unit, sources)
+            dist, parent = _kernels.bfs01(ex.indptr, ex.indices, unit, sources, targets)
+            d = int(full[0][targets].min())
+            tied += int((full[0][targets] == d).sum()) > 1 and d < _kernels._UNREACHED
+            near = full[0] <= d
+            assert dist[near].tolist() == full[0][near].tolist()
+            assert parent[near].tolist() == full[1][near].tolist()
+            assert (dist[~near] > d).all()
+            src, dst = g.vertex_name(s), g.vertex_name(t)
+            assert ex.shortest_path(src, dst) == _full_search_walk(ex, src, dst)
+    assert unreachable >= 1000 and tied >= 100, (unreachable, tied)
 
 
 def assert_arrival_queries_equal_edge_scan(expansion, vertex, label):
