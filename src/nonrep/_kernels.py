@@ -6,7 +6,14 @@ No kernel is jitted.  The traversal kernels of the label-switch expansion
 arrays: the expansion is a CSR graph (``indptr`` and ``indices`` int64
 arrays) built with array operations, and ``build_csr`` sorts its arcs with
 one stable sort, so arcs with equal tails keep their input order.  Below
-``FRONTIER_MIN_NODES`` nodes they are plain CPython scans over lists.  From
+``FRONTIER_MIN_NODES`` nodes they are plain CPython scans over lists, except
+``bfs01``, which reads the CSR and its cost mask in place through
+memoryviews and keeps distances and parents in ``array('q')`` buffers: its
+searches stop early and settle few nodes of a large expansion, so copying
+the graph into lists would cost more than the search.  With target nodes it
+breaks at the first popped node at the nearest target's distance D; under
+its precondition that no 0-arc enters a target, every node nearer than D
+and every target at D then hold the full search's distance and parent.  From
 there on, the answers that do not depend on a visit order come from numpy
 frontier sweeps, one BFS level per round: ``sweep_csr`` marks the nodes a set
 of sources reaches, and ``scc_csr`` takes the largest component from a
@@ -39,6 +46,7 @@ on a 64 x 64 grid would not finish anyway.  Pure-Python board code
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from itertools import accumulate, chain
 
@@ -311,37 +319,45 @@ def bfs01(indptr, indices, unit, sources, targets=()):
 
     A node whose distance improves goes to the front of the deque over a
     0-arc and to the back over a 1-arc.  Returns (dist, parent CSR arc
-    position); unreached nodes keep a distance of 2**62.
+    position), both int64; unreached nodes keep a distance of 2**62.  The
+    CSR and ``unit`` are read in place through memoryviews (any integer
+    dtype for the CSR, bool or any integer dtype for ``unit``), and
+    ``dist`` and ``parent`` are ``array('q')`` buffers returned as numpy
+    views, so a search that settles few nodes copies nothing of the graph.
 
-    With ``targets``, the first target popped sets a bound D, its distance,
-    and the search breaks at the first popped node whose distance exceeds D.
+    With ``targets``, the bound is the smallest distance any target has been
+    given so far, a target source giving 0, and the search breaks at the
+    first popped node whose distance is at least the bound.  Precondition:
+    no 0-arc enters a target, so a target gets its distance over a 1-arc.
     The deque pops nodes in nondecreasing distance and a parent changes only
-    on a strict improvement, so every node at distance <= D then holds the
-    distance and parent the full search gives it, and every other node holds
-    a distance above D.  ``targets[argmin(dist[targets])]`` and its parent
-    chain are thus the full search's, ties included.  Without targets the
-    search runs until the deque is empty.
+    on a strict improvement, so when the first node at the nearest target's
+    distance D pops, every node nearer than D holds the distance and parent
+    the full search gives it, and so does every target at D, since its
+    in-arcs come from nodes nearer than D.  Every other node holds D or
+    2**62.  ``targets[argmin(dist[targets])]`` and its parent chain are thus
+    the full search's, ties included.  Without targets the bound never drops
+    and the search runs until the deque is empty.
     """
-    ip = indptr.tolist()
-    ix = indices.tolist()
-    cost = unit.tolist()
+    ip = memoryview(indptr)
+    ix = memoryview(indices)
+    cost = memoryview(unit)
     n = len(ip) - 1
-    dist = [_UNREACHED] * n
-    parent_arc = [-1] * n
+    dist = array("q", (_UNREACHED,)) * n
+    parent_arc = array("q", (-1,)) * n
     goal = set(np.asarray(targets).tolist())
     bound = _UNREACHED
     queue = deque()
     for s in sources.tolist():
         dist[s] = 0
         queue.append(s)
+        if s in goal:
+            bound = 0
     popleft = queue.popleft
     while queue:
         v = popleft()
         dv = dist[v]
-        if dv > bound:
+        if dv >= bound:
             break
-        if v in goal:
-            bound = dv
         e = ip[v]
         end = ip[v + 1]
         while e < end:
@@ -351,12 +367,14 @@ def bfs01(indptr, indices, unit, sources, targets=()):
                     dist[w] = dv + 1
                     parent_arc[w] = e
                     queue.append(w)
+                    if w in goal:
+                        bound = dv + 1
             elif dv < dist[w]:
                 dist[w] = dv
                 parent_arc[w] = e
                 queue.appendleft(w)
             e += 1
-    return np.array(dist, np.int64), np.array(parent_arc, np.int64)
+    return np.frombuffer(dist, np.int64), np.frombuffer(parent_arc, np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,13 @@ Queries answered here:
 * which edges are reachable by nonrepetitive walks from a given
   (vertex, first label) start (reachability in the expansion),
 * a minimum-edge-count nonrepetitive walk between two vertices
-  (0/1 BFS, connector arcs cost 1).  The search breaks at the first node it
-  pops beyond the nearest target entry node; every node up to that distance
-  then holds its final distance and parent, so the walk is the full
-  search's.
+  (0/1 BFS, connector arcs cost 1).  The targets are the destination's slot
+  entry nodes, and only connectors enter an entry node, so a target's first
+  distance comes over a 1-arc.  The search breaks at the first node it pops
+  at the nearest distance D any target has been given; every node nearer
+  than D and every target at D then hold their final distance and parent,
+  so the walk is the full search's, ties included.  The search reads the
+  CSR in place and copies nothing of the expansion.
 """
 
 from __future__ import annotations

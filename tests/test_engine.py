@@ -15,6 +15,7 @@ from nonrep.engine import (
     reachable_edges,
     shortest_nonrepetitive_path,
 )
+from nonrep.gadget import build_switch_gadget
 import oracles
 from oracles import (
     oracle_cyclic_edges,
@@ -363,12 +364,13 @@ def _full_search_walk(ex: LabelSwitchDigraph, src, dst):
 
 
 def test_stopped_shortest_search_equals_the_full_search():
-    """``shortest_path`` stops its 0/1 BFS after the nearest target entry
-    node; its walk equals the full search's for every (src, dst) pair,
-    unreachable pairs and ties between targets included.  On random
-    expansions the stopped search leaves every node up to the nearest
-    target's distance D with the full search's distance and parent, and
-    every other node farther than D."""
+    """``shortest_path`` stops its 0/1 BFS before the first node at the
+    nearest target's distance D pops; its walk equals the full search's for
+    every (src, dst) pair, unreachable pairs and ties between targets
+    included.  On random expansions the stopped search leaves every node
+    nearer than D, and every target at D, with the full search's distance
+    and parent.  Every other node holds D or stays unreached, so no node at
+    D was expanded."""
     rng = Random(1818)
     unreachable = tied = 0
     for trial in range(160):
@@ -397,13 +399,35 @@ def test_stopped_shortest_search_equals_the_full_search():
             dist, parent = _kernels.bfs01(ex.indptr, ex.indices, unit, sources, targets)
             d = int(full[0][targets].min())
             tied += int((full[0][targets] == d).sum()) > 1 and d < _kernels._UNREACHED
-            near = full[0] <= d
-            assert dist[near].tolist() == full[0][near].tolist()
-            assert parent[near].tolist() == full[1][near].tolist()
-            assert (dist[~near] > d).all()
+            final = full[0] < d
+            final[targets[full[0][targets] == d]] = True
+            assert dist[final].tolist() == full[0][final].tolist()
+            assert parent[final].tolist() == full[1][final].tolist()
+            assert np.isin(dist[~final], (d, _kernels._UNREACHED)).all()
             src, dst = g.vertex_name(s), g.vertex_name(t)
             assert ex.shortest_path(src, dst) == _full_search_walk(ex, src, dst)
     assert unreachable >= 1000 and tied >= 100, (unreachable, tied)
+
+
+def test_no_zero_cost_arc_enters_a_target():
+    """``bfs01``'s stop rule needs every arc into a target to cost 1.  The
+    targets of ``shortest_path`` are slot entry nodes: no switch gadget arc
+    enters an entry node, so every expansion arc into one is a connector."""
+    for k in range(1, 65):
+        gadget = build_switch_gadget(k)
+        assert not {head for _, head in gadget.arcs} & set(gadget.entry), k
+    rng = Random(1919)
+    into_entries = 0
+    for trial in range(200):
+        g = random_flag_graph(
+            rng, max_vertices=16, max_labels=3 if trial % 3 else 12,
+            directed=trial % 2 == 0, flag_labeled=trial % 4 >= 2, max_edges=48,
+        )
+        ex = LabelSwitchDigraph(g)
+        into = np.isin(ex.indices, ex.slot_entry)
+        assert (ex._pos_edge[into] >= 0).all()
+        into_entries += int(into.sum())
+    assert into_entries >= 2000, into_entries
 
 
 def assert_arrival_queries_equal_edge_scan(expansion, vertex, label):

@@ -287,6 +287,29 @@ def test_graph_kernels_equal_numpy_reference():
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
+def test_bfs01_reads_narrow_dtypes_in_place():
+    """``bfs01`` over an int32 CSR, int32 sources and targets and a bool or
+    uint8 ``unit`` returns the int64 (dist, parent) of the int64 run, with
+    and without targets."""
+    rng = Random(1919)
+    for _ in range(200):
+        n, _, _, indptr, indices = _random_csr(rng)
+        unit = np.array([rng.randint(0, 1) for _ in range(len(indices))], np.uint8)
+        sources = np.array(
+            sorted({rng.randrange(n) for _ in range(rng.randint(1, 3))}), np.int64
+        )
+        targets = np.array(sorted(rng.sample(range(n), min(n, rng.randint(1, 3)))), np.int64)
+        for goal in (np.empty(0, np.int64), targets):
+            want = K.bfs01(indptr, indices, unit, sources, goal)
+            for cost in (unit, unit.astype(bool)):
+                got = K.bfs01(
+                    indptr.astype(np.int32), indices.astype(np.int32), cost,
+                    sources.astype(np.int32), goal.astype(np.int32),
+                )
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype == np.int64 and g.tolist() == w.tolist()
+
+
 def test_matchers_equal_numpy_reference():
     """The list-based depth-first ``kuhn_bipartite`` finds the matching of the
     recursive Kuhn search, ``bipartite_forbidden`` gives the size and flags of
