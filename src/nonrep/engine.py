@@ -12,12 +12,14 @@ first occurrence, become each vertex's label slots; one gadget is built per
 distinct label count and its arc template is offset to every vertex with that
 count; connector arcs follow all gadget arcs, one row per edge.  Per-vertex
 slot arrays (``vp_ptr``, ``slot_label``, ``slot_entry``, ``slot_exit``) map
-slots to gadget nodes.  Per arc, the expansion keeps the tail node and the
-edge owning the arc (-1 for a gadget arc); ``conn_pos`` gives the CSR
-position of each (edge, direction).  The cycle query keeps its hits as a
-mask over (edge, direction) and a reach as a Python-int bitset over the same
-entries; ``traversal_rows`` reads the hit traversals straight from a mask,
-the ``ends`` array and the graph's name lists, and ``.edges`` and
+slots to gadget nodes.  Of its arcs the expansion keeps the CSR alone: an
+arc's tail is the node whose row holds it.  ``flag_slot`` gives the slot of
+each flag, so the connector of (edge, direction) leaves the exit node of one
+flag's slot and enters the entry node of the other's, and ``conn_pos`` gives
+its CSR position.  The cycle query keeps its hits as a mask over (edge,
+direction) and a reach as a Python-int bitset over the same entries;
+``traversal_rows`` reads the hit traversals straight from a mask, the
+``ends`` array and the graph's name lists, and ``.edges`` and
 ``cycle_directions`` make one ``ReachedEdge`` per row only when asked for.
 
 Below ``_kernels.FRONTIER_MIN_NODES`` nodes the first reach walks the
@@ -152,20 +154,13 @@ class LabelSwitchDigraph:
         indptr, indices, pos_of_arc = _kernels.build_csr(num_nodes, tails, heads)
         self.indptr = indptr
         self.indices = indices
-        self._tail_of_pos = np.repeat(
-            np.arange(num_nodes, dtype=np.int64), np.diff(indptr)
-        )
+        # Row eid: the slots of the flags at u and at v.  Connector (eid, d)
+        # leaves slot flag_slot[eid, d] and enters slot flag_slot[eid, 1 - d].
+        self.flag_slot = flag_slot
         conn = pos_of_arc[internal_arcs:].reshape(conn_tails.shape)
         self.conn_pos = np.full((m, 2), -1, dtype=np.int64)
         self.conn_pos[:, : conn.shape[1]] = conn
         self._conn = self.conn_pos[:, : conn.shape[1]]  # the directions that exist
-        # The edge owning each CSR position, -1 for gadget arcs; the direction
-        # is the column of ``conn_pos`` that holds the position.
-        self._pos_edge = np.full(self.num_arcs, -1, dtype=np.int64)
-        self._pos_edge[conn] = np.arange(m, dtype=np.int64)[:, None]
-        # The slot each connector of ``_conn`` enters: u -> v enters the slot
-        # of (v, lv), v -> u the slot of (u, lu).
-        self._arrival_slot = np.ascontiguousarray(flag_slot[:, ::-1][:, : conn.shape[1]])
         self._scc: Optional[np.ndarray] = None
         self._reach_sets: Optional[list[int]] = None
         self._arrivals_of: dict[int, dict] = {}
@@ -214,8 +209,14 @@ class LabelSwitchDigraph:
             for v in range(graph.num_vertices):
                 vertex = graph.vertex_name(v)
                 names += [(vertex, label_names[x]) for x in labels[vp[v] : vp[v + 1]]]
-            self._slot_lists = vp, names, self._arrival_slot.ravel().tolist()
+            k = self._conn.shape[1]
+            self._slot_lists = vp, names, self.flag_slot[:, ::-1][:, :k].ravel().tolist()
         return self._slot_lists
+
+    def _conn_tails(self) -> np.ndarray:
+        """The tail node of each connector of ``_conn``: the exit node of the
+        slot it leaves."""
+        return self.slot_exit[self.flag_slot[:, : self._conn.shape[1]]]
 
     @property
     def scc(self) -> np.ndarray:
@@ -236,8 +237,7 @@ class LabelSwitchDigraph:
         """Mask over (edge, direction): the traversals that lie on some
         nonrepetitive closed walk."""
         comp = self.scc
-        pos = self._conn
-        return comp[self._tail_of_pos[pos]] == comp[self.indices[pos]]
+        return comp[self._conn_tails()] == comp[self.indices[self._conn]]
 
     def cycle_directions(self) -> list[ReachedEdge]:
         """Edge traversals that lie on some nonrepetitive closed walk."""
@@ -282,7 +282,7 @@ class LabelSwitchDigraph:
         if self.num_nodes < _kernels.FRONTIER_MIN_NODES:
             return ReachResult(self, start, self._node_reach()[start])
         seen = _kernels.sweep_csr(self.indptr, self.indices, (start,))
-        packed = np.packbits(seen[self._tail_of_pos[self._conn]], axis=None, bitorder="little")
+        packed = np.packbits(seen[self._conn_tails()], axis=None, bitorder="little")
         return ReachResult(self, start, int.from_bytes(packed.tobytes(), "little"))
 
     def _node_reach(self) -> list[int]:
@@ -292,12 +292,12 @@ class LabelSwitchDigraph:
         if self._reach_sets is None:
             comp = self.scc
             sets = [0] * (int(comp.max()) + 1)
-            for bit, c in enumerate(comp[self._tail_of_pos[self._conn]].ravel().tolist()):
+            for bit, c in enumerate(comp[self._conn_tails()].ravel().tolist()):
                 sets[c] |= 1 << bit
             # Arcs as (tail, head) component pairs, by tail; one inside a component is a no-op.
             # A stable argsort, as build_csr runs: np.sort's default kind touches more code
             # pages, 0.3 MB of peak RSS on the Sudoku workloads.
-            tails = comp[self._tail_of_pos]
+            tails = np.repeat(comp, np.diff(self.indptr))
             by_tail = np.argsort(tails, kind="stable")
             for t, h in zip(tails[by_tail].tolist(), comp[self.indices[by_tail]].tolist()):
                 sets[t] |= sets[h]
@@ -314,24 +314,24 @@ class LabelSwitchDigraph:
         targets = np.sort(self.slot_entry[self._slots(t)])
         if not len(sources) or not len(targets):
             return None
-        dist, parent = _kernels.bfs01(
-            self.indptr, self.indices, self._pos_edge >= 0, sources, targets
-        )
+        unit = np.zeros(self.num_arcs, dtype=bool)
+        unit[self._conn] = True
+        dist, parent = _kernels.bfs01(self.indptr, self.indices, unit, sources, targets)
         best = int(targets[np.argmin(dist[targets])])
         if dist[best] >= _kernels._UNREACHED:
             return None
         return self._walk_to_node(parent, best)
 
     def _walk_to_node(self, parent: np.ndarray, node: int) -> list[ReachedEdge]:
-        steps = []
+        """The walk of parent arcs into ``node``; an arc's tail is the node
+        whose CSR row holds it, and ``_conn`` names its connectors."""
+        arcs = []
         while parent[node] != -1:
-            pos = parent[node]
-            eid = int(self._pos_edge[pos])
-            if eid != -1:
-                steps.append(self._oriented(eid, int(self.conn_pos[eid, 1] == pos)))
-            node = int(self._tail_of_pos[pos])
-        steps.reverse()
-        return steps
+            arcs.append(int(parent[node]))
+            node = int(np.searchsorted(self.indptr, arcs[-1], "right")) - 1
+        eids, dirs = np.nonzero(np.isin(self._conn, arcs))
+        step = dict(zip(self._conn[eids, dirs].tolist(), zip(eids.tolist(), dirs.tolist())))
+        return [self._oriented(*step[pos]) for pos in reversed(arcs) if pos in step]
 
 
 class ReachResult:
@@ -432,7 +432,7 @@ class ReachResult:
                 pos = ex.conn_pos[eid, direction]
         if pos < 0 or not self.bits >> (eid * ex._conn.shape[1] + direction) & 1:
             raise ValueError(f"{reached} is not reached from the start")
-        steps = ex._walk_to_node(self._parents(), int(ex._tail_of_pos[pos]))
+        steps = ex._walk_to_node(self._parents(), int(ex.slot_exit[ex.flag_slot[eid, direction]]))
         steps.append(reached)
         return steps
 

@@ -381,56 +381,66 @@ def simple_cycle_edges(g: FlagLabeledGraph) -> set[int]:
     return result
 
 
-def _bridges(num_vertices: int, edge_list: list[tuple[int, int, int]]) -> set[int]:
-    """Bridge edge ids via iterative lowlink; parallel edges are never bridges."""
+def _blocks(num_vertices: int, edge_list: list[tuple[int, int, int]]) -> list[list[int]]:
+    """Blocks (biconnected components) as edge id lists, via iterative lowlink
+    with an edge stack; a bridge is a one-edge block, parallel edges share one."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
     for eid, u, v in edge_list:
         adj[u].append((v, eid))
         adj[v].append((u, eid))
     disc = [-1] * num_vertices
     low = [0] * num_vertices
-    bridges: set[int] = set()
+    blocks: list[list[int]] = []
+    edges: list[int] = []  # tree and back edges not yet in a block
     counter = 0
     for root in range(num_vertices):
         if disc[root] != -1 or not adj[root]:
             continue
         disc[root] = low[root] = counter
         counter += 1
-        stack = [(root, -1, 0)]
+        stack = [(root, -1, 0, 0)]
         while stack:
-            v, in_edge, i = stack.pop()
+            v, in_edge, i, mark = stack.pop()
             if i < len(adj[v]):
-                stack.append((v, in_edge, i + 1))
+                stack.append((v, in_edge, i + 1, mark))
                 w, eid = adj[v][i]
                 if eid == in_edge:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, eid, 0))
-                else:
+                    stack.append((w, eid, 0, len(edges)))
+                    edges.append(eid)
+                elif disc[w] < disc[v]:
                     low[v] = min(low[v], disc[w])
+                    edges.append(eid)
             elif in_edge != -1:
                 # leaving v: propagate lowlink to the parent frame
                 parent = stack[-1][0]
                 low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    bridges.add(in_edge)
-    return bridges
+                if low[v] >= disc[parent]:
+                    blocks.append(edges[mark:])
+                    del edges[mark:]
+    return blocks
 
 
 def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
     """Existence of a simple nonrepetitive cycle in a 0/1-labeled graph.
 
-    Peels vertices whose live incident edges all share one label, and bridge
-    edges, until a fixed point; a nonempty remainder always contains such a
-    cycle.  Existence only: not every surviving edge is claimed cyclic.
+    A simple cycle lies inside one block (biconnected component) of the live
+    edges, so a vertex whose live edges inside a block all share one label
+    lies on no such cycle of that block, and those edges are cut.  At the
+    fixed point every vertex keeps two labels inside each of its blocks, and
+    a block like that has a simple nonrepetitive cycle (Grossman and
+    Häggkvist, JCTB 34, 1983, for two labels; Yeo, JCTB 69, 1997, for any
+    number), so the answer is exact.  A bridge is a one-edge block, and is
+    always cut.
 
-    Cutting an edge only makes more vertices peelable and more edges
-    bridges, so the fixed point does not depend on the order of the cuts.
-    Each vertex keeps a count of its live edges per label; a worklist holds
-    the vertices whose counts changed, and bridges are cut only when it runs
-    dry.
+    Cutting an edge only makes more edges cuttable, so the fixed point does
+    not depend on the order of the cuts.  Each vertex keeps a count of its
+    live edges per label; a worklist holds the vertices whose counts changed
+    and peels those left with one label over all their blocks, and the
+    blocks are found only when it runs dry.
     """
     if g.directed:
         raise ValueError("peeling test is for undirected graphs")
@@ -464,8 +474,15 @@ def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
                     if alive[eid]:
                         cut(eid)
         edge_list = [(eid, u, v) for eid, (u, v, _, _) in enumerate(g.edges) if alive[eid]]
-        bridges = _bridges(g.num_vertices, edge_list)
-        if not bridges:
+        doomed = []
+        for block in _blocks(g.num_vertices, edge_list):
+            labels: dict[int, set] = {}
+            for eid in block:
+                u, v, lu, lv = g.edges[eid]
+                labels.setdefault(u, set()).add(lu)
+                labels.setdefault(v, set()).add(lv)
+            doomed += [eid for eid in block if any(len(labels[x]) == 1 for x in g.edges[eid][:2])]
+        if not doomed:
             return bool(edge_list)
-        for eid in bridges:
+        for eid in doomed:
             cut(eid)

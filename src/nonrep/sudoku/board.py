@@ -303,7 +303,7 @@ class SolveTrace:
         return max(self.tiers, default=0)
 
 
-def deduction_line(box: int, d: Deduction, witness: bool = True) -> str:
+def deduction_line(box: int, d: Deduction) -> str:
     """One stable machine-parseable line per deduction."""
     parts = [f"rule={d.rule}"]
     if d.contradiction:
@@ -312,6 +312,6 @@ def deduction_line(box: int, d: Deduction, witness: bool = True) -> str:
     elim = ",".join(f"{cell_name(box, c)}!={v}" for c, v in d.eliminations)
     parts.append(f"place={place}")
     parts.append(f"elim={elim}")
-    if witness and d.witness is not None:
+    if d.witness is not None:
         parts.append(f"witness={d.witness}")
     return ";".join(parts)

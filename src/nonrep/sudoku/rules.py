@@ -850,23 +850,6 @@ def mixed_conflict_rule(state: _BoardState) -> Iterator[Deduction]:
 # Scheduler
 # ---------------------------------------------------------------------------
 
-RULES: tuple[tuple[int, str], ...] = (
-    (TIER_SINGLES, "hidden_single"),
-    (TIER_SINGLES, "naked_single"),
-    (TIER_LOCAL, "intersection_triple"),
-    (TIER_LOCAL, "box_line"),
-    (TIER_LOCAL, "hidden_pair"),
-    (TIER_MATCHING, "digit_matching"),
-    (TIER_MATCHING, "group_matching"),
-    (TIER_BILOCATION, "biloc_cycle"),
-    (TIER_BILOCATION, "biloc_repeat"),
-    (TIER_BILOCATION, "biloc_conflict"),
-    (TIER_BIVALUE, "bivalue_cycle"),
-    (TIER_BIVALUE, "bivalue_repeat"),
-    (TIER_BIVALUE, "bivalue_conflict"),
-    (TIER_BIVALUE, "mixed_conflict"),
-)
-
 
 def _listed(rule: Callable[[_BoardState], Iterator[Deduction]]):
     """The registry entry of a rule: its first ``limit`` firings as a list,
@@ -878,27 +861,26 @@ def _listed(rule: Callable[[_BoardState], Iterator[Deduction]]):
     return run
 
 
-_RULE_FUNCTIONS = {
-    name: _listed(rule)
-    for name, rule in (
-        ("hidden_single", hidden_singles),
-        ("naked_single", naked_singles),
-        ("intersection_triple", intersection_triples),
-        ("box_line", box_line),
-        ("hidden_pair", hidden_pairs),
-        ("digit_matching", digit_grid_matching),
-        ("group_matching", group_matching),
-        ("biloc_cycle", bilocation_cycle_rule),
-        ("biloc_repeat", bilocation_repeat_rule),
-        ("biloc_conflict", bilocation_conflict_rule),
-        ("bivalue_cycle", bivalue_cycle_rule),
-        ("bivalue_repeat", bivalue_repeat_rule),
-        ("bivalue_conflict", bivalue_conflict_rule),
-        ("mixed_conflict", mixed_conflict_rule),
-    )
-}
-
+# (tier, name, rule) in scheduling order: ``solve`` tries them in this order.
+_RULE_TABLE = (
+    (TIER_SINGLES, "hidden_single", hidden_singles),
+    (TIER_SINGLES, "naked_single", naked_singles),
+    (TIER_LOCAL, "intersection_triple", intersection_triples),
+    (TIER_LOCAL, "box_line", box_line),
+    (TIER_LOCAL, "hidden_pair", hidden_pairs),
+    (TIER_MATCHING, "digit_matching", digit_grid_matching),
+    (TIER_MATCHING, "group_matching", group_matching),
+    (TIER_BILOCATION, "biloc_cycle", bilocation_cycle_rule),
+    (TIER_BILOCATION, "biloc_repeat", bilocation_repeat_rule),
+    (TIER_BILOCATION, "biloc_conflict", bilocation_conflict_rule),
+    (TIER_BIVALUE, "bivalue_cycle", bivalue_cycle_rule),
+    (TIER_BIVALUE, "bivalue_repeat", bivalue_repeat_rule),
+    (TIER_BIVALUE, "bivalue_conflict", bivalue_conflict_rule),
+    (TIER_BIVALUE, "mixed_conflict", mixed_conflict_rule),
+)
+RULES: tuple[tuple[int, str], ...] = tuple((tier, name) for tier, name, _ in _RULE_TABLE)
 RULE_TIER = {name: tier for tier, name in RULES}
+_RULE_FUNCTIONS = {name: _listed(rule) for _, name, rule in _RULE_TABLE}
 
 
 def rule_deductions(board: Board, rule: str) -> list[Deduction]:

@@ -41,7 +41,7 @@ from nonrep.matching import (
     EdgeClassification,
     perfect_matching_mate,
 )
-from nonrep.simple_paths import BinarizedGraph, SkewSymmetricGraph, _binary_bit, _bridges
+from nonrep.simple_paths import BinarizedGraph, SkewSymmetricGraph, _binary_bit
 from nonrep.sudoku.board import Board, Contradiction, Deduction, cell_name, geometry
 from nonrep.sudoku.rules import BilocationGraph, BipartiteBivalueGraph, BivalueGraph
 
@@ -2418,6 +2418,18 @@ def _counting_available_digits(box: int, values: list[int], cell: int) -> list[i
 # ---------------------------------------------------------------------------
 
 
+def csr_tails(expansion) -> np.ndarray:
+    """The tail node of every CSR position of an expansion: the node whose
+    row holds it."""
+    return np.repeat(np.arange(expansion.num_nodes, dtype=np.int64), np.diff(expansion.indptr))
+
+
+def connector_arcs(expansion) -> np.ndarray:
+    """Per CSR position of an expansion, whether it is a connector arc."""
+    conn = expansion.conn_pos[expansion.conn_pos >= 0]
+    return np.isin(np.arange(expansion.num_arcs), conn)
+
+
 def dfs_reachable_from(self, vertex: Any, label: Any) -> "DfsReachResult":
     """``LabelSwitchDigraph.reachable_from`` of the package's expansion
     ``self`` as it was below ``FRONTIER_MIN_NODES`` nodes: one DFS from the
@@ -2430,7 +2442,7 @@ def dfs_reachable_from(self, vertex: Any, label: Any) -> "DfsReachResult":
         return DfsReachResult(self, None, np.zeros(self._conn.shape, dtype=bool))
     start = int(starts[0])
     visited, parent = nonrep_kernels.reach_csr(self.indptr, self.indices, start)
-    return DfsReachResult(self, start, visited[self._tail_of_pos[self._conn]] != 0, parent)
+    return DfsReachResult(self, start, visited[csr_tails(self)[self._conn]] != 0, parent)
 
 
 class DfsReachResult:
@@ -2476,8 +2488,9 @@ class DfsReachResult:
             ex = self._expansion
             names = ex._slot_table()[1]
             at = np.flatnonzero(self.mask)
-            slots, first = np.unique(ex._arrival_slot.ravel()[at], return_index=True)
             k = self.mask.shape[1]
+            # Connector (edge, d) enters the slot of the flag at the other end.
+            slots, first = np.unique(ex.flag_slot[:, ::-1][:, :k].ravel()[at], return_index=True)
             self._arrivals = {
                 names[s]: divmod(pos, k) for s, pos in zip(slots.tolist(), at[first].tolist())
             }
@@ -2497,7 +2510,7 @@ class DfsReachResult:
             raise ValueError(f"{reached} is not reached from the start")
         if self._parent is None:
             self._parent = nonrep_kernels.reach_csr(ex.indptr, ex.indices, self._start)[1]
-        steps = ex._walk_to_node(self._parent, int(ex._tail_of_pos[pos]))
+        steps = ex._walk_to_node(self._parent, int(csr_tails(ex)[pos]))
         steps.append(reached)
         return steps
 
@@ -2509,7 +2522,8 @@ class DfsReachResult:
 # simple-cycle enumerator (``nonrep.simple_paths``), each verbatim.  The
 # expansion built on the quadratic gadget comes from ``dense_expansion``.
 # ``has_nonrepetitive_simple_cycle`` is the peeling loop that rescanned
-# every vertex per round, kept as the reference for the worklist peeling.
+# every vertex per round and cut bridges, with its ``_bridges``, kept as a
+# speed reference for the worklist peeling.
 # ---------------------------------------------------------------------------
 
 
@@ -2590,12 +2604,52 @@ def path_nodes(ssg: SkewSymmetricGraph, arc_path: list[int]) -> list[int]:
     return nodes
 
 
-def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
-    """Existence of a simple nonrepetitive cycle in a 0/1-labeled graph.
+def _bridges(num_vertices: int, edge_list: list[tuple[int, int, int]]) -> set[int]:
+    """Bridge edge ids via iterative lowlink; parallel edges are never bridges."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+    for eid, u, v in edge_list:
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    disc = [-1] * num_vertices
+    low = [0] * num_vertices
+    bridges: set[int] = set()
+    counter = 0
+    for root in range(num_vertices):
+        if disc[root] != -1 or not adj[root]:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, 0)]
+        while stack:
+            v, in_edge, i = stack.pop()
+            if i < len(adj[v]):
+                stack.append((v, in_edge, i + 1))
+                w, eid = adj[v][i]
+                if eid == in_edge:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack.append((w, eid, 0))
+                else:
+                    low[v] = min(low[v], disc[w])
+            elif in_edge != -1:
+                # leaving v: propagate lowlink to the parent frame
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] > disc[parent]:
+                    bridges.add(in_edge)
+    return bridges
 
-    Peels vertices whose incident edges all share one label and bridge
-    edges until a fixed point; a nonempty remainder always contains such a
-    cycle.  Existence only: not every surviving edge is claimed cyclic.
+
+def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
+    """Peels vertices whose incident edges all share one label and bridge
+    edges until a fixed point, and answers whether edges remain.
+
+    A speed reference, not ground truth: a vertex with both labels only
+    across two blocks survives it, so it answers True on two triangles that
+    share a vertex, with each triangle's labels at that vertex equal.  The
+    package's peeling works per block and is exact.
     """
     if g.directed:
         raise ValueError("peeling test is for undirected graphs")

@@ -318,10 +318,11 @@ def test_expansion_equals_per_vertex_dict_builder():
         old = oracles.LabelSwitchDigraph(g, dense=dense)
         assert (new.num_nodes, new.num_arcs) == (old.num_nodes, old.num_arcs)
         for name in ("indptr", "indices", "conn_pos", "_tail_of_pos"):
-            got, want = getattr(new, name), getattr(old, name)
+            got = oracles.csr_tails(new) if name == "_tail_of_pos" else getattr(new, name)
+            want = getattr(old, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert (got == want).all(), name
-        assert (new._pos_edge >= 0).tolist() == old.is_connector.astype(bool).tolist()
+        assert oracles.connector_arcs(new).tolist() == old.is_connector.astype(bool).tolist()
         assert new.scc.tolist() == old.scc.tolist()
         assert new.cycle_directions() == old.cycle_directions()
         names = [g.vertex_name(v) for v in range(g.num_vertices)]
@@ -356,7 +357,7 @@ def _full_search_walk(ex: LabelSwitchDigraph, src, dst):
     targets = np.sort(ex.slot_entry[ex._slots(t)])
     if not len(sources) or not len(targets):
         return None
-    dist, parent = _kernels.bfs01(ex.indptr, ex.indices, ex._pos_edge >= 0, sources)
+    dist, parent = _kernels.bfs01(ex.indptr, ex.indices, oracles.connector_arcs(ex), sources)
     best = int(targets[np.argmin(dist[targets])])
     if dist[best] >= _kernels._UNREACHED:
         return None
@@ -388,7 +389,7 @@ def test_stopped_shortest_search_equals_the_full_search():
             flag_labeled=trial % 4 >= 2, max_edges=60,
         )
         ex = LabelSwitchDigraph(g)
-        unit = ex._pos_edge >= 0
+        unit = oracles.connector_arcs(ex)
         for _ in range(6):
             s, t = rng.sample(range(g.num_vertices), 2)
             sources = np.sort(ex.slot_exit[ex._slots(s)])
@@ -425,9 +426,43 @@ def test_no_zero_cost_arc_enters_a_target():
         )
         ex = LabelSwitchDigraph(g)
         into = np.isin(ex.indices, ex.slot_entry)
-        assert (ex._pos_edge[into] >= 0).all()
+        assert oracles.connector_arcs(ex)[into].all()
         into_entries += int(into.sum())
     assert into_entries >= 2000, into_entries
+
+
+def test_expansion_keeps_no_per_arc_array_but_indices():
+    """Every array an expansion holds, also after every query has filled its
+    memos, is as long as the edge, vertex, slot or node table it indexes; only
+    ``indices`` is as long as the arc list.  Each connector leaves the exit
+    node of its ``flag_slot`` slot, which is the node whose CSR row holds it,
+    and enters the entry node of the other flag's slot."""
+    rng = Random(2020)
+    for trial in range(80):
+        g = random_flag_graph(
+            rng, max_vertices=24, max_labels=3 if trial % 3 else 12,
+            directed=trial % 2 == 0, flag_labeled=trial % 4 >= 2, max_edges=80,
+        )
+        ex = LabelSwitchDigraph(g)
+        names = [g.vertex_name(v) for v in range(g.num_vertices)]
+        ex.cycle_mask()
+        ex.cycle_transit_pairs(names[0])
+        for vertex, label in _all_start_flags(g)[:3]:
+            reach = ex.reachable_from(vertex, label)
+            for hit in reach.edges[:2]:
+                reach.walk_to(hit)
+        ex.shortest_path(names[0], names[-1])
+        m, slots = g.num_edges, len(ex.slot_label)
+        assert {
+            name: len(value) for name, value in vars(ex).items() if isinstance(value, np.ndarray)
+        } == {
+            "ends": m, "vp_ptr": g.num_vertices + 1, "slot_label": slots, "slot_entry": slots,
+            "slot_exit": slots, "indptr": ex.num_nodes + 1, "indices": ex.num_arcs,
+            "flag_slot": m, "conn_pos": m, "_conn": m, "_scc": ex.num_nodes,
+        }
+        k = ex._conn.shape[1]
+        assert (ex._conn_tails() == oracles.csr_tails(ex)[ex._conn]).all()
+        assert (ex.slot_entry[ex.flag_slot[:, ::-1][:, :k]] == ex.indices[ex._conn]).all()
 
 
 def assert_arrival_queries_equal_edge_scan(expansion, vertex, label):
@@ -573,7 +608,7 @@ def test_large_expansions_answer_reaches_by_sweep_not_by_condensation():
         reach = expansion.reachable_from(vertex, label)
         start = int(reach._start)
         seen = _kernels.sweep_csr(expansion.indptr, expansion.indices, (start,))
-        want = seen[expansion._tail_of_pos[expansion._conn]]
+        want = seen[oracles.csr_tails(expansion)[expansion._conn]]
         assert reach.mask.tolist() == want.tolist()
         assert len(reach) == int(want.sum()) > 0
         dfs = oracles.dfs_reachable_from(expansion, vertex, label)

@@ -488,6 +488,40 @@ def test_peeling_agrees_with_cycle_edges():
         )
 
 
+def test_peeling_works_per_block():
+    """A vertex with both labels only across two blocks lies on no simple
+    nonrepetitive cycle; a peeling that counts labels over the whole graph
+    keeps it, and answers True."""
+    shared = FlagLabeledGraph(
+        False,
+        [("z", "a", 0), ("a", "b", 1), ("b", "z", 0), ("z", "c", 1), ("c", "d", 0), ("d", "z", 1)],
+    )
+    knotted = FlagLabeledGraph(
+        False, [(4, 2, 1), (0, 4, 0), (2, 3, 0), (4, 0, 0), (0, 1, 1), (3, 4, 1), (1, 4, 0), (0, 1, 1)]
+    )
+    for g in (shared, knotted):
+        assert simple_cycle_edges(g) == set()
+        assert oracle_enumerate(g, "cycles") == set()
+        assert has_nonrepetitive_simple_cycle(g) is False
+        assert oracles.has_nonrepetitive_simple_cycle(g) is True
+
+
+def test_peeling_equals_cycle_edges_on_random_binary_graphs():
+    """On 20,160 random 0/1-labeled multigraphs of 2..8 vertices, the peeling
+    answers True exactly when ``simple_cycle_edges`` finds an edge."""
+    rng = Random(1)
+    found = 0
+    for n in range(2, 9):
+        for draws in range(1, 13):
+            for _ in range(240):
+                edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(2)) for _ in range(draws)]
+                g = FlagLabeledGraph(False, [e for e in edges if e[0] != e[1]], vertices=range(n))
+                want = bool(simple_cycle_edges(g))
+                assert has_nonrepetitive_simple_cycle(g) == want, g.edges
+                found += want
+    assert 5000 < found < 15000, found
+
+
 def _random_binary_graph(rng: Random) -> FlagLabeledGraph:
     """A small 0/1-labeled multigraph with loops, parallel edges, flag edges
     whose ends differ, and the tokens 0, 1, "0" and "1" as labels."""
