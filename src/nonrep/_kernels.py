@@ -483,31 +483,42 @@ def bipartite_forbidden(num_left, num_right, edges):
     return size, mate_l, mate_r, forbidden
 
 
-def blossom_matching(n, edges, require_perfect):
+def blossom_matching(n, edges, require_perfect, start=None):
     """Maximum matching in a general graph (Edmonds' blossom contraction).
 
     ``edges`` lists undirected (u, v) pairs, and each vertex scans its
-    neighbours in edge order.  A greedy pass first matches each exposed
-    vertex, in index order, to its first exposed neighbour.  Then every
-    vertex still exposed, in index order, roots one breadth-first search for
-    an augmenting path.  Returns (mate list, perfect).  With
-    ``require_perfect`` set, the search stops as soon as some exposed vertex
-    admits no augmenting path: such a vertex stays exposed in some maximum
-    matching, so no perfect matching exists.
+    neighbours in edge order.  Unless a ``start`` matching is given (a mate
+    list, -1 for an exposed vertex; it is copied, not changed), a greedy
+    pass first matches each exposed vertex, in index order, to its first
+    exposed neighbour.  Then every vertex still exposed, in index order,
+    roots one breadth-first search for an augmenting path.  Returns (mate
+    list, perfect).  With ``require_perfect`` set, the search stops as soon
+    as some exposed vertex admits no augmenting path: such a vertex stays
+    exposed in some maximum matching, so no perfect matching exists.  A
+    start that leaves two vertices exposed is thus decided by one search
+    (Berge; Edmonds 1965).
     """
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    mate = [-1] * n
-    for v in range(n):
-        if mate[v] != -1:
-            continue
-        for u in adj[v]:
-            if u != v and mate[u] == -1:
-                mate[v] = u
-                mate[u] = v
-                break
+    if start is None:
+        mate = [-1] * n
+        for v in range(n):
+            if mate[v] != -1:
+                continue
+            for u in adj[v]:
+                if u != v and mate[u] == -1:
+                    mate[v] = u
+                    mate[u] = v
+                    break
+    else:
+        mate = list(start)
+        if len(mate) != n or any(
+            u != -1 and not (0 <= u < n and u != v and mate[u] == v and u in adj[v])
+            for v, u in enumerate(mate)
+        ):
+            raise ValueError("the start is not a matching of the graph")
     for root in range(n):
         if mate[root] != -1:
             continue

@@ -15,8 +15,12 @@ its arcs.  The preparation is kept on the graph object, so it is dropped
 with the graph, and equal but distinct graphs each prepare their own.
 Every instance then adds only its four endpoint arcs to that shared base,
 and their port edges to the shared port graph.  A path query asks four
-instances, one per (start label, end label) between the two centers;
-``simple_cycle_edges`` asks one per edge, between the edge's two ports.
+instances, one per (start label, end label) between the two centers, unless
+the two vertices lie in different components, which no instance is asked
+about.  ``simple_cycle_edges`` first peels away the edges that lie on no
+such cycle for any labels, and asks one instance, between the edge's two
+ports, per remaining edge that no earlier witness has already put on a
+cycle.
 
 The matching reduction runs on a port graph that reuses the skew-symmetric
 graph's node ids: node x stands for "enter x" and for "leave sigma(x)",
@@ -27,7 +31,11 @@ and t gives the same edge as its mirror.  Each sigma-pair other than {s, t}
 adds the idle edge {x, sigma(x)}.  A perfect matching exists iff a regular
 source-to-mirror path does.  The witness is traced from s: standing at x,
 the mate of port sigma(x) (of s at the start) names the matched arc, which
-leads to the next node.
+leads to the next node.  A path query's matching starts from a greedy one,
+which fixes the witness it reports.  A cycle edge's starts from the idle
+edges, which leave only s and t exposed, so one augmenting search from s
+decides it (Berge; Edmonds 1965; the regular-reachability view of Goldberg
+and Karzanov, Combinatorica 16, 1996).
 
 The directed versions of these questions are NP-complete and deliberately
 not offered.
@@ -146,6 +154,22 @@ class SkewSymmetricGraph:
         idle = [(x, sig[x]) for x in range(self.num_nodes) if x < sig[x] and x not in (s, t)]
         return _port_edges(self, 0, {}), idle
 
+    @cached_property
+    def _components(self) -> list[int]:
+        """A component id per node, joining the ends of every arc and every
+        node with its mirror.  On a base made by ``_skew_base``, nodes 2u and
+        2v share an id iff vertices u and v are connected."""
+        root = list(range(self.num_nodes))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        for a, b in (*self.arcs, *enumerate(self.sigma)):
+            root[find(a)] = find(b)
+        return [find(x) for x in range(self.num_nodes)]
+
 
 def _port_edges(ssg: SkewSymmetricGraph, first: int, known: dict) -> dict:
     """Port edges of the arcs from index ``first`` on that ``known`` lacks,
@@ -252,6 +276,12 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
     arcs between the base's arc edges and the idle edges, which is where a
     port graph built from scratch would have them.
     """
+    return _traced_witness(ssg, False)
+
+
+def _traced_witness(ssg: SkewSymmetricGraph, idle_start: bool) -> Optional[list[int]]:
+    """``regular_reachable``, whose matching starts from a greedy one, or
+    with ``idle_start`` from the idle edges (see the module docstring)."""
     sig = ssg.sigma
     s = ssg.source
     t = sig[s]
@@ -259,7 +289,13 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
     edge_arc, idle = base._ports
     extra = _port_edges(ssg, len(base.arcs), edge_arc)
 
-    mate, perfect = perfect_matching_mate(ssg.num_nodes, [*edge_arc, *extra, *idle])
+    start = None
+    if idle_start:
+        start = list(sig)
+        start[s] = start[t] = -1
+    mate, perfect = perfect_matching_mate(
+        ssg.num_nodes, [*edge_arc, *extra, *idle], start
+    )
     if not perfect:
         return None
 
@@ -297,7 +333,9 @@ def _prepared(g: FlagLabeledGraph) -> SkewSymmetricGraph:
     on the first query and kept in ``g``'s instance dict (where
     ``cached_property`` keeps ``g._incidence``).  Its ``arc_origin`` maps an
     arc to the edge id of ``g`` it traverses, or None for gadget wiring.
-    Vertex v of ``g`` is vertex v of the binarized graph (its center)."""
+    Vertex v of ``g`` is vertex v of the binarized graph (its center), whose
+    nodes are 2v and 2v+1, so ``base._components[2 * v]`` names the
+    component of v, kept on the base once a path query has asked for it."""
     cache = vars(g)
     base = cache.get("_simple_path_base")
     if base is None:
@@ -314,8 +352,9 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
 
     Tries the four endpoint-label combinations of the skew-symmetric
     reduction and returns the shortest witness found.  ``p == q`` is a
-    zero-length path.  Self loops never occur on simple paths and are
-    dropped up front.
+    zero-length path, and vertices in different components have none, which
+    is answered without an instance.  Self loops never occur on simple
+    paths and are dropped up front.
 
     The first query on ``g`` prepares it: the loopless, binarized,
     endpoint-free skew base and its port graph.  ``g`` keeps the preparation
@@ -332,6 +371,8 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
     if pid == qid:
         return []
     base = _prepared(g)
+    if base._components[2 * pid] != base._components[2 * qid]:
+        return None
     best: Optional[list[int]] = None
     for start_bit in (0, 1):
         for end_bit in (0, 1):
@@ -353,15 +394,22 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
 def simple_cycle_edges(g: FlagLabeledGraph) -> set[int]:
     """Edges that belong to some simple nonrepetitive cycle.
 
-    Answered from the same preparation as ``nonrepetitive_simple_path``,
-    with one skew instance per non-loop edge.  Edge e is 0-labeled in the
-    binarized graph between pu and pv, the label-0 ports of its two flags.
-    A simple nonrepetitive pu..pv path that starts and ends on 1-labeled
-    gadget edges passes the center of every gadget it enters, so it enters
-    each at most once; such paths are exactly the simple paths of ``g``
-    that close a nonrepetitive cycle with e.  They cannot use e itself,
-    whose ends are the path's own endpoints, so nothing is masked.
-    Parallel edges count as 2-cycles when their labels differ at both ends.
+    Answered from the same preparation as ``nonrepetitive_simple_path``.
+    Edge e is 0-labeled in the binarized graph between pu and pv, the
+    label-0 ports of its two flags.  A simple nonrepetitive pu..pv path that
+    starts and ends on 1-labeled gadget edges passes the center of every
+    gadget it enters, so it enters each at most once; such paths are exactly
+    the simple paths of ``g`` that close a nonrepetitive cycle with e.  They
+    cannot use e itself, whose ends are the path's own endpoints, so nothing
+    is masked.  Parallel edges count as 2-cycles when their labels differ at
+    both ends.
+
+    Only the edges that survive ``_peeled`` are candidates.  Each candidate
+    that no earlier witness has put in the answer asks one skew instance,
+    decided by one augmenting search from the idle matching (see the module
+    docstring).  A witness closes a cycle with its candidate, so the
+    candidate and every edge on the witness join the answer.  The answer is
+    the set of edges on such cycles, whichever witnesses are found.
     """
     if g.directed:
         raise ValueError(
@@ -369,15 +417,22 @@ def simple_cycle_edges(g: FlagLabeledGraph) -> set[int]:
             "directed variant is NP-complete"
         )
     base = _prepared(g)
+    live = _peeled(g)
     loopless = g.num_edges - sum(map(g.is_self_loop, range(g.num_edges)))
     result: set[int] = set()
     # The base's arcs start with the loopless edges, two per edge; arc 2i
     # runs (2 pu + 1, 2 pv).
     for arc in range(0, 2 * loopless, 2):
+        edge = base.arc_origin[arc]
+        if not live[edge] or edge in result:
+            continue
         a, b = base.arcs[arc]
         ssg = build_skew_instance(base, a >> 1, b >> 1, 1, 1)
-        if regular_reachable(ssg) is not None:
-            result.add(base.arc_origin[arc])
+        witness = _traced_witness(ssg, True)
+        if witness is not None:
+            origin = ssg.arc_origin
+            result.add(edge)
+            result.update(origin[x] for x in witness if origin[x] is not None)
     return result
 
 
@@ -427,20 +482,11 @@ def _blocks(num_vertices: int, edge_list: list[tuple[int, int, int]]) -> list[li
 def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
     """Existence of a simple nonrepetitive cycle in a 0/1-labeled graph.
 
-    A simple cycle lies inside one block (biconnected component) of the live
-    edges, so a vertex whose live edges inside a block all share one label
-    lies on no such cycle of that block, and those edges are cut.  At the
-    fixed point every vertex keeps two labels inside each of its blocks, and
-    a block like that has a simple nonrepetitive cycle (Grossman and
-    Häggkvist, JCTB 34, 1983, for two labels; Yeo, JCTB 69, 1997, for any
-    number), so the answer is exact.  A bridge is a one-edge block, and is
-    always cut.
-
-    Cutting an edge only makes more edges cuttable, so the fixed point does
-    not depend on the order of the cuts.  Each vertex keeps a count of its
-    live edges per label; a worklist holds the vertices whose counts changed
-    and peels those left with one label over all their blocks, and the
-    blocks are found only when it runs dry.
+    True iff some edge survives ``_peeled``.  At its fixed point every
+    vertex keeps two labels inside each of its blocks, and a block like that
+    has a simple nonrepetitive cycle (Grossman and Häggkvist, JCTB 34, 1983,
+    for two labels; Yeo, JCTB 69, 1997, for any number), so the answer is
+    exact.
     """
     if g.directed:
         raise ValueError("peeling test is for undirected graphs")
@@ -448,6 +494,25 @@ def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
         lu, lv = g.edge_labels(eid)
         _binary_bit(lu)
         _binary_bit(lv)
+    return any(_peeled(g))
+
+
+def _peeled(g: FlagLabeledGraph) -> list[bool]:
+    """Per edge of the undirected graph ``g``, whether it survives peeling;
+    a peeled edge lies on no simple nonrepetitive cycle, whatever the labels.
+
+    Self-loops are peeled first.  A simple cycle lies inside one block
+    (biconnected component) of the live edges and uses two of a vertex's
+    edges there, with different labels, so a vertex whose live edges inside
+    a block all share one label lies on no such cycle of that block, and
+    those edges are cut.  A bridge is a one-edge block, and is always cut.
+
+    Cutting an edge only makes more edges cuttable, so the fixed point does
+    not depend on the order of the cuts.  Each vertex keeps a count of its
+    live edges per label; a worklist holds the vertices whose counts changed
+    and peels those left with one label over all their blocks, and the
+    blocks are found only when it runs dry.
+    """
     alive = [u != v for u, v, _, _ in g.edges]
     live: list[dict[int, int]] = [{} for _ in range(g.num_vertices)]
     for eid, (u, v, lu, lv) in enumerate(g.edges):
@@ -483,6 +548,6 @@ def has_nonrepetitive_simple_cycle(g: FlagLabeledGraph) -> bool:
                 labels.setdefault(v, set()).add(lv)
             doomed += [eid for eid in block if any(len(labels[x]) == 1 for x in g.edges[eid][:2])]
         if not doomed:
-            return bool(edge_list)
+            return alive
         for eid in doomed:
             cut(eid)

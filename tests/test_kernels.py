@@ -153,6 +153,32 @@ def test_blossom_against_brute_force():
         assert bool(perfect2) == bool(perfect)
 
 
+def test_blossom_from_a_start_matching():
+    """Any start matching leads to the same verdict on perfection, and a
+    perfect result is a perfect matching of the graph; a start that is not
+    a matching of the graph is refused."""
+    rng = Random(52)
+    for _ in range(300):
+        n = rng.randint(2, 11)
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pool)
+        edges = sorted(pool[: rng.randint(1, min(len(pool), 16))])
+        greedy, _ = K.blossom_matching(n, edges, 0)
+        start = list(greedy)
+        for u in range(n):
+            if start[u] > u and rng.random() < 0.5:
+                start[start[u]] = start[u] = -1
+        kept = list(start)
+        mate, perfect = K.blossom_matching(n, edges, 1, start)
+        assert start == kept
+        assert perfect == (2 * brute_general_max(n, edges) == n)
+        if perfect:
+            assert all(mate[mate[v]] == v and tuple(sorted((v, mate[v]))) in edges for v in range(n))
+    for bad in ([1, 0], [1, -1, -1], [2, -1, 0], [3, -1, -1], [-1, 1, -1]):
+        with pytest.raises(ValueError, match="not a matching"):
+            K.blossom_matching(3, [(0, 1), (1, 2)], 1, bad)
+
+
 def _brute_count_solutions(box: int, values: list[int], cap: int) -> int:
     n = box * box
     size = n * n

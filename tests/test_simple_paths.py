@@ -353,6 +353,50 @@ def test_benchmark_pool_equals_per_query_reference():
         assert _new_answers(g, combinations) == _per_query_answers(g, combinations)
 
 
+def _split_flag_graph(rng: Random) -> FlagLabeledGraph:
+    """2..11 vertices, small counts likelier, in one to three groups, and up
+    to 3n (at most 29) edges inside the groups, so the graph often has
+    several components; 2..4 labels, edge and flag labels mixed, self-loops
+    and parallel edges."""
+    n = min(rng.randint(2, 11), rng.randint(2, 11))
+    group = [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+    members = [[v for v in range(n) if group[v] == k] for k in set(group)]
+    labels = range(rng.randint(2, 4))
+    edges: list[tuple] = []
+    for _ in range(rng.randint(0, min(29, 3 * n))):
+        if edges and rng.random() < 0.15:
+            u, v = edges[-1][:2]
+        else:
+            side = rng.choice(members)
+            u = rng.choice(side)
+            v = u if rng.random() < 0.1 else rng.choice(side)
+        if rng.random() < 0.5:
+            edges.append((u, v, rng.choice(labels)))
+        else:
+            edges.append((u, v, rng.choice(labels), rng.choice(labels)))
+    return FlagLabeledGraph(False, edges, vertices=range(n))
+
+
+def test_skipped_matchings_change_no_answer():
+    """Skipping the pairs in different components, peeling the cycle
+    candidates and deciding each by one search from the idle matching
+    changes no witness and no cycle set; a peeled edge is on no cycle."""
+    rng = Random(21)
+    split = peeled = parallel = enumerated = 0
+    for _ in range(3000):
+        g = _split_flag_graph(rng)
+        assert _new_answers(g, permutations) == _per_query_answers(g, permutations)
+        live = simple_paths._peeled(g)
+        split += len(set(simple_paths._prepared(g)._components[: 2 * g.num_vertices : 2])) > 1
+        peeled += not all(live[e] for e in range(g.num_edges) if not g.is_self_loop(e))
+        parallel += len({frozenset(g.edges[e][:2]) for e in range(g.num_edges)}) < g.num_edges
+        if g.num_edges <= 16:
+            enumerated += 1
+            for cycle in oracle_enumerate(g, "cycles"):
+                assert all(live[e] for e in cycle)
+    assert min(split, peeled, parallel, enumerated) > 1000
+
+
 def test_graph_is_prepared_once_and_matched_four_times_per_query(monkeypatch):
     calls = {"binarize": 0, "match": 0, "subgraph": 0}
     binarize, match = simple_paths.binarize_labels, simple_paths.perfect_matching_mate
@@ -362,9 +406,9 @@ def test_graph_is_prepared_once_and_matched_four_times_per_query(monkeypatch):
         calls["binarize"] += 1
         return binarize(g)
 
-    def counted_match(num_vertices, edges):
+    def counted_match(num_vertices, edges, start=None):
         calls["match"] += 1
-        return match(num_vertices, edges)
+        return match(num_vertices, edges, start)
 
     def counted_subgraph(self, edge_ids):
         calls["subgraph"] += 1
@@ -381,15 +425,21 @@ def test_graph_is_prepared_once_and_matched_four_times_per_query(monkeypatch):
     names = [g.vertex_name(v) for v in range(g.num_vertices)]
     pairs = list(permutations(names, 2))
     answers = [nonrepetitive_simple_path(g, p, q) for p, q in pairs]
-    # The one copy is the loopless part the preparation binarizes.
-    assert calls == {"binarize": 1, "match": 4 * len(pairs), "subgraph": 1}
+    # The one copy is the loopless part the preparation binarizes.  Pairs
+    # with the isolated e lie in two components and ask no matching.
+    connected = [pair for pair in pairs if "e" not in pair]
+    assert calls == {"binarize": 1, "match": 4 * len(connected), "subgraph": 1}
+    assert all(answer is None for pair, answer in zip(pairs, answers) if "e" in pair)
     assert nonrepetitive_simple_path(g, "a", "a") == []
     assert calls["binarize"] == 1
-    # Cycles ask the same preparation, one matching per non-loop edge.
+    # Cycles ask the same preparation.  The peel cuts the loop and d's two
+    # edges, both labeled 1 at d.  Of the four left, edge 0's witness is its
+    # parallel edge 6 and edge 1's covers edges 0 and 4, so two ask a
+    # matching.
     before = dict(calls)
-    loopless = sum(not g.is_self_loop(e) for e in range(g.num_edges))
-    simple_cycle_edges(g)
-    assert calls == {**before, "match": before["match"] + loopless}
+    assert simple_paths._peeled(g) == [True, True, False, False, True, False, True]
+    assert simple_cycle_edges(g) == {0, 1, 4, 6}
+    assert calls == {**before, "match": before["match"] + 2}
     # An equal graph and a subgraph with every edge are other objects: each
     # prepares its own, and answers as ``g`` does.
     twin = FlagLabeledGraph(False, edges, vertices=["e"])
@@ -451,6 +501,27 @@ def test_cycle_edges_match_enumeration():
         for cycle in oracle_enumerate(g, "cycles"):
             want |= cycle
         assert simple_cycle_edges(g) == want
+
+
+def _random_three_label_graph(num_edges: int, seed: int) -> FlagLabeledGraph:
+    """num_edges random edges between distinct vertices of num_edges / 4,
+    each with one of three labels."""
+    rng = Random(seed)
+    n = num_edges // 4
+    edges = [(*rng.sample(range(n), 2), rng.randrange(3)) for _ in range(num_edges)]
+    return FlagLabeledGraph(False, edges, vertices=range(n))
+
+
+def test_cycle_edges_of_800_edges_take_seconds_not_minutes():
+    """A full matching per edge took about 100 s on a 2-core host under
+    CPython 3.11; one search per surviving edge not yet covered takes about
+    3 s there."""
+    g = _random_three_label_graph(800, 1)
+    started = time.perf_counter()
+    found = simple_cycle_edges(g)
+    elapsed = time.perf_counter() - started
+    assert len(found) == 797
+    assert elapsed < 10.0, f"simple_cycle_edges took {elapsed:.2f}s at 800 edges"
 
 
 def test_peeling_tree_false():
