@@ -514,11 +514,11 @@ def blossom_matching(n, edges, require_perfect, start=None):
                     break
     else:
         mate = list(start)
-        if len(mate) != n or any(
-            u != -1 and not (0 <= u < n and u != v and mate[u] == v and u in adj[v])
-            for v, u in enumerate(mate)
-        ):
+        if len(mate) != n:
             raise ValueError("the start is not a matching of the graph")
+        for v, u in enumerate(mate):
+            if u != -1 and not (0 <= u < n and u != v and mate[u] == v and u in adj[v]):
+                raise ValueError("the start is not a matching of the graph")
     for root in range(n):
         if mate[root] != -1:
             continue
