@@ -17,10 +17,10 @@ Every instance then adds only its four endpoint arcs to that shared base,
 and their port edges to the shared port graph.  A path query asks four
 instances, one per (start label, end label) between the two centers, unless
 the two vertices lie in different components, which no instance is asked
-about.  ``simple_cycle_edges`` first peels away the edges that lie on no
-such cycle for any labels, and asks one instance, between the edge's two
-ports, per remaining edge that no earlier witness has already put on a
-cycle.
+about.  ``simple_cycle_edges`` first peels away edges that the block
+structure and the labels at their ends rule out (``_peeled``), and asks
+one instance, between the edge's two ports, per remaining edge that no
+earlier witness has already put on a cycle.
 
 The matching reduction runs on a port graph that reuses the skew-symmetric
 graph's node ids: node x stands for "enter x" and for "leave sigma(x)",

@@ -503,20 +503,13 @@ def test_cycle_edges_match_enumeration():
         assert simple_cycle_edges(g) == want
 
 
-def _random_three_label_graph(num_edges: int, seed: int) -> FlagLabeledGraph:
-    """num_edges random edges between distinct vertices of num_edges / 4,
-    each with one of three labels."""
-    rng = Random(seed)
-    n = num_edges // 4
-    edges = [(*rng.sample(range(n), 2), rng.randrange(3)) for _ in range(num_edges)]
-    return FlagLabeledGraph(False, edges, vertices=range(n))
-
-
 def test_cycle_edges_of_800_edges_take_seconds_not_minutes():
-    """A full matching per edge took about 100 s on a 2-core host under
-    CPython 3.11; one search per surviving edge not yet covered takes about
-    3 s there."""
-    g = _random_three_label_graph(800, 1)
+    """800 random 3-labeled edges between distinct vertices of 200.  A full
+    matching per edge took about 100 s on a 2-core host under CPython 3.11;
+    one search per surviving edge not yet covered takes about 3 s there."""
+    rng = Random(1)
+    edges = [(*rng.sample(range(200), 2), rng.randrange(3)) for _ in range(800)]
+    g = FlagLabeledGraph(False, edges, vertices=range(200))
     started = time.perf_counter()
     found = simple_cycle_edges(g)
     elapsed = time.perf_counter() - started
