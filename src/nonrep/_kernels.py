@@ -4,31 +4,26 @@ generator.
 No kernel is jitted.  The traversal kernels of the label-switch expansion
 (``scc_csr``, ``reach_csr``, ``sweep_csr``, ``bfs01``) take and return numpy
 arrays: the expansion is a CSR graph (``indptr`` and ``indices`` int64
-arrays) built with array operations, and ``build_csr`` sorts its arcs with
-one stable sort, so arcs with equal tails keep their input order.  Below
-``FRONTIER_MIN_NODES`` nodes they are plain CPython scans over lists, except
-``bfs01``, which reads the CSR and its cost mask in place through
-memoryviews and keeps distances and parents in ``array('q')`` buffers: its
-searches stop early and settle few nodes of a large expansion, so copying
-the graph into lists would cost more than the search.  With target nodes it
-breaks at the first popped node at the nearest target's distance D; under
-its precondition that no 0-arc enters a target, every node nearer than D
-and every target at D then hold the full search's distance and parent.  From
-there on, the answers that do not depend on a visit order come from numpy
-frontier sweeps, one BFS level per round: ``sweep_csr`` marks the nodes a set
-of sources reaches, and ``scc_csr`` takes the largest component from a
-forward and a backward sweep (Fleischer, Hendrickson & Pinar 2000), peels
-trivial components for a bounded number of rounds (McLendon et al. 2005) and
-leaves the rest to the scan.  A sweep whose frontiers stay thin hands the
-rest to the scan as well, so a long path or ring costs about what the scan
-costs.  Parents and distances (``reach_csr``, ``bfs01``) always come from
-the scans, and the expansion runs ``reach_csr`` only for witness walks.  The
-matching kernels take edge lists and return Python lists, since their
-instances are too small for numpy to pay off; they append each vertex's
-successors in edge order, the order ``build_csr`` gives, and share the
-strong-component and DFS loops (``_tarjan``, ``_dfs``) with the traversal
-kernels.  The Sudoku kernels take the grid as a list of ints and
-keep digit sets as Python-int bitmasks (bit d = digit d+1).
+arrays) that ``build_csr`` makes with one stable sort, so arcs with equal
+tails keep their input order.  Below ``FRONTIER_MIN_NODES`` nodes they are
+plain CPython scans over lists, except ``bfs01``, which reads the CSR in
+place: its searches stop early and settle few nodes of a large expansion, so
+copying the graph into lists would cost more than the search.  From there
+on, the answers that do not depend on a visit order come from numpy frontier
+sweeps, one BFS level per round: ``sweep_csr`` marks the nodes a set of
+sources reaches, and ``scc_csr`` takes the largest component from a forward
+and a backward sweep (Fleischer, Hendrickson & Pinar 2000), peels trivial
+components for a bounded number of rounds (McLendon et al. 2005) and leaves
+the rest to the scan.  A sweep whose frontiers stay thin hands the rest to
+the scan as well, so a long path or ring costs about what the scan costs.
+Parents and distances (``reach_csr``, ``bfs01``) always come from the scans,
+and the expansion runs ``reach_csr`` only for witness walks.  The matching
+kernels take edge lists and return Python lists, since their instances are
+too small for numpy to pay off; they append each vertex's successors in edge
+order, the order ``build_csr`` gives, and share the strong-component and DFS
+loops (``_tarjan``, ``_dfs``) with the traversal kernels.  The Sudoku
+kernels take the grid as a list of ints and keep digit sets as Python-int
+bitmasks (bit d = digit d+1).
 
 Scan orders are fixed (arcs in CSR order, roots in index order, the stack,
 queue and deque disciplines documented on each kernel), so component ids,
@@ -67,22 +62,16 @@ _TRIM_ROUNDS = 3  # peeling rounds of ``scc_csr`` before ``_tarjan``
 
 
 def build_csr(num_nodes: int, tails: np.ndarray, heads: np.ndarray):
-    """Sort arcs by tail (stable) and return (indptr, indices, pos_of_arc).
+    """Sort arcs by tail (stable) and return (indptr, indices).
 
-    ``pos_of_arc[i]`` is the CSR position of input arc ``i``; stability keeps
-    arcs with equal tails in insertion order, which makes every downstream
-    traversal deterministic.
+    Stability keeps arcs with equal tails in input order, which makes every
+    downstream traversal deterministic.
     """
     tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
-    order = np.argsort(tails, kind="stable")
-    indices = heads[order]
-    counts = np.bincount(tails, minlength=num_nodes)
+    indices = np.asarray(heads, dtype=np.int64)[np.argsort(tails, kind="stable")]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    pos_of_arc = np.empty(len(order), dtype=np.int64)
-    pos_of_arc[order] = np.arange(len(order), dtype=np.int64)
-    return indptr, indices, pos_of_arc
+    np.cumsum(np.bincount(tails, minlength=num_nodes), out=indptr[1:])
+    return indptr, indices
 
 
 # ---------------------------------------------------------------------------
@@ -314,37 +303,40 @@ def reach_csr(indptr, indices, start):
     return np.frombuffer(visited, np.uint8), np.array(parent_arc, np.int64)
 
 
-def bfs01(indptr, indices, unit, sources, targets=()):
-    """0/1-weighted BFS (``unit[arc]`` is the arc cost, 0 or 1).
+def bfs01(indptr, indices, cost, sources, targets=()):
+    """0/1-weighted BFS: entering node ``w`` costs ``cost[w]``, 0 or 1.
 
-    A node whose distance improves goes to the front of the deque over a
-    0-arc and to the back over a 1-arc.  Returns (dist, parent CSR arc
-    position), both int64; unreached nodes keep a distance of 2**62.  The
-    CSR and ``unit`` are read in place through memoryviews (any integer
-    dtype for the CSR, bool or any integer dtype for ``unit``), and
-    ``dist`` and ``parent`` are ``array('q')`` buffers returned as numpy
-    views, so a search that settles few nodes copies nothing of the graph.
+    A node whose distance improves goes to the front of the deque when it
+    costs 0 to enter and to the back when it costs 1.  Returns (dist, parent
+    CSR arc position), both int64; unreached nodes keep a distance of 2**62.
+    The CSR and ``cost`` are read in place through memoryviews (any integer
+    dtype for the CSR, bool or any integer dtype for ``cost``), and ``dist``
+    and ``parent`` are ``array('q')`` buffers returned as numpy views, so a
+    search that settles few nodes copies nothing of the graph.
 
     With ``targets``, the bound is the smallest distance any target has been
     given so far, a target source giving 0, and the search breaks at the
-    first popped node whose distance is at least the bound.  Precondition:
-    no 0-arc enters a target, so a target gets its distance over a 1-arc.
-    The deque pops nodes in nondecreasing distance and a parent changes only
-    on a strict improvement, so when the first node at the nearest target's
-    distance D pops, every node nearer than D holds the distance and parent
-    the full search gives it, and so does every target at D, since its
-    in-arcs come from nodes nearer than D.  Every other node holds D or
-    2**62.  ``targets[argmin(dist[targets])]`` and its parent chain are thus
-    the full search's, ties included.  Without targets the bound never drops
-    and the search runs until the deque is empty.
+    first popped node whose distance is at least the bound.  Precondition,
+    checked (``ValueError``): every target costs 1 to enter, so a target gets
+    its distance over a 1-arc.  The deque pops nodes in nondecreasing
+    distance and a parent changes only on a strict improvement, so when the
+    first node at the nearest target's distance D pops, every node nearer
+    than D holds the distance and parent the full search gives it, and so
+    does every target at D, since its in-arcs come from nodes nearer than D.
+    Every other node holds D or 2**62.  ``targets[argmin(dist[targets])]``
+    and its parent chain are thus the full search's, ties included.  Without
+    targets the bound never drops and the search runs until the deque is
+    empty.
     """
     ip = memoryview(indptr)
     ix = memoryview(indices)
-    cost = memoryview(unit)
+    cost = memoryview(cost)
     n = len(ip) - 1
     dist = array("q", (_UNREACHED,)) * n
     parent_arc = array("q", (-1,)) * n
     goal = set(np.asarray(targets).tolist())
+    if not all(cost[t] for t in goal):
+        raise ValueError("every target must cost 1 to enter")
     bound = _UNREACHED
     queue = deque()
     for s in sources.tolist():
@@ -362,7 +354,7 @@ def bfs01(indptr, indices, unit, sources, targets=()):
         end = ip[v + 1]
         while e < end:
             w = ix[e]
-            if cost[e]:
+            if cost[w]:
                 if dv + 1 < dist[w]:
                     dist[w] = dv + 1
                     parent_arc[w] = e

@@ -15,11 +15,11 @@ slot arrays (``vp_ptr``, ``slot_label``, ``slot_entry``, ``slot_exit``) map
 slots to gadget nodes.  Of its arcs the expansion keeps the CSR alone: an
 arc's tail is the node whose row holds it.  ``flag_slot`` gives the slot of
 each flag, so the connector of (edge, direction) leaves the exit node of one
-flag's slot and enters the entry node of the other's, and ``conn_pos`` gives
-its CSR position.  The cycle query keeps its hits as a mask over (edge,
-direction) and a reach as a Python-int bitset over the same entries;
-``traversal_rows`` reads the hit traversals straight from a mask, the
-``ends`` array and the graph's name lists, and ``.edges`` and
+flag's slot and enters the entry node of the other's; connectors are named
+by their slots, never by CSR position.  The cycle query keeps its hits as a
+mask over (edge, direction) and a reach as a Python-int bitset over the same
+entries; ``traversal_rows`` reads the hit traversals straight from a mask,
+the ``ends`` array and the graph's name lists, and ``.edges`` and
 ``cycle_directions`` make one ``ReachedEdge`` per row only when asked for.
 
 Below ``_kernels.FRONTIER_MIN_NODES`` nodes the first reach walks the
@@ -36,17 +36,15 @@ Queries answered here:
 * which edges are reachable by nonrepetitive walks from a given
   (vertex, first label) start (reachability in the expansion),
 * a minimum-edge-count nonrepetitive walk between two vertices
-  (0/1 BFS, connector arcs cost 1).  The targets are the destination's slot
-  entry nodes, and only connectors enter an entry node, so a target's first
-  distance comes over a 1-arc.  The search breaks at the first node it pops
-  at the nearest distance D any target has been given; every node nearer
-  than D and every target at D then hold their final distance and parent,
-  so the walk is the full search's, ties included.  The search reads the
-  CSR in place and copies nothing of the expansion.
+  (0/1 BFS; entering a slot entry node costs 1, which only connectors do).
+  The targets are the destination's slot entry nodes; the search stops at
+  the nearest target's distance with the full search's walk, ties included
+  (``_kernels.bfs01``), and copies nothing of the expansion.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -111,6 +109,8 @@ class LabelSwitchDigraph:
         np.cumsum(gadget_size[label_count], out=off[1:])
         num_nodes = int(off[-1])
 
+        # A gadget lists its entry nodes, then its exit nodes, each in slot
+        # order, so slot_entry and slot_exit increase with the slot.
         slot_entry = np.empty(len(keys), dtype=np.int64)
         slot_exit = np.empty(len(keys), dtype=np.int64)
         tail_blocks = []
@@ -126,24 +126,8 @@ class LabelSwitchDigraph:
                 bases = off[:-1][label_count == k][:, None]
                 tail_blocks.append((bases + template[:, 0]).ravel())
                 head_blocks.append((bases + template[:, 1]).ravel())
-        internal_arcs = sum(len(block) for block in tail_blocks)
-
-        # Connector arcs, one row per edge after all gadget arcs: a walk
-        # leaves the near vertex through the exit node of the near flag
-        # label and enters the far vertex at the entry node of the far flag
-        # label.  Column 0 runs u -> v, column 1 (undirected only) v -> u.
-        flag_slot = slot_of_flag.reshape(m, 2)
-        if graph.directed:
-            conn_tails = slot_exit[flag_slot[:, :1]]
-            conn_heads = slot_entry[flag_slot[:, 1:]]
-        else:
-            conn_tails = slot_exit[flag_slot]
-            conn_heads = slot_entry[flag_slot[:, ::-1]]
-        tails = np.concatenate(tail_blocks + [conn_tails.ravel()])
-        heads = np.concatenate(head_blocks + [conn_heads.ravel()])
 
         self.num_nodes = num_nodes
-        self.num_arcs = len(tails)
         # Row eid: u, v, label at u, label at v (vertex and label ids).
         self.ends = ends
         # Slots of vertex v are vp_ptr[v] .. vp_ptr[v + 1] - 1.
@@ -151,16 +135,18 @@ class LabelSwitchDigraph:
         self.slot_label = slot_label
         self.slot_entry = slot_entry
         self.slot_exit = slot_exit
-        indptr, indices, pos_of_arc = _kernels.build_csr(num_nodes, tails, heads)
-        self.indptr = indptr
-        self.indices = indices
-        # Row eid: the slots of the flags at u and at v.  Connector (eid, d)
-        # leaves slot flag_slot[eid, d] and enters slot flag_slot[eid, 1 - d].
-        self.flag_slot = flag_slot
-        conn = pos_of_arc[internal_arcs:].reshape(conn_tails.shape)
-        self.conn_pos = np.full((m, 2), -1, dtype=np.int64)
-        self.conn_pos[:, : conn.shape[1]] = conn
-        self._conn = self.conn_pos[:, : conn.shape[1]]  # the directions that exist
+        # Row eid: the slots of the flags at u and at v.
+        self.flag_slot = slot_of_flag.reshape(m, 2)
+        # Connector directions per edge: 0 runs u -> v, 1 (undirected only) v -> u.
+        self._k = 1 if graph.directed else 2
+        # Connector arcs, one row per edge after all gadget arcs: a walk
+        # leaves the near vertex through the exit node of the near flag
+        # label and enters the far vertex at the entry node of the far flag
+        # label.  No gadget arc leaves an exit node or enters an entry node.
+        tails = np.concatenate(tail_blocks + [self._conn_tails().ravel()])
+        heads = np.concatenate(head_blocks + [slot_entry[self._conn_slots()[1]].ravel()])
+        self.num_arcs = len(tails)
+        self.indptr, self.indices = _kernels.build_csr(num_nodes, tails, heads)
         self._scc: Optional[np.ndarray] = None
         self._reach_sets: Optional[list[int]] = None
         self._arrivals_of: dict[int, dict] = {}
@@ -209,14 +195,17 @@ class LabelSwitchDigraph:
             for v in range(graph.num_vertices):
                 vertex = graph.vertex_name(v)
                 names += [(vertex, label_names[x]) for x in labels[vp[v] : vp[v + 1]]]
-            k = self._conn.shape[1]
-            self._slot_lists = vp, names, self.flag_slot[:, ::-1][:, :k].ravel().tolist()
+            self._slot_lists = vp, names, self._conn_slots()[1].ravel().tolist()
         return self._slot_lists
 
+    def _conn_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, ``_k``) arrays: connector (eid, d) leaves slot
+        flag_slot[eid, d] and enters slot flag_slot[eid, 1 - d]."""
+        return self.flag_slot[:, : self._k], self.flag_slot[:, ::-1][:, : self._k]
+
     def _conn_tails(self) -> np.ndarray:
-        """The tail node of each connector of ``_conn``: the exit node of the
-        slot it leaves."""
-        return self.slot_exit[self.flag_slot[:, : self._conn.shape[1]]]
+        """The tail node of each connector: the exit node of the slot it leaves."""
+        return self.slot_exit[self._conn_slots()[0]]
 
     @property
     def scc(self) -> np.ndarray:
@@ -237,7 +226,7 @@ class LabelSwitchDigraph:
         """Mask over (edge, direction): the traversals that lie on some
         nonrepetitive closed walk."""
         comp = self.scc
-        return comp[self._conn_tails()] == comp[self.indices[self._conn]]
+        return comp[self._conn_tails()] == comp[self.slot_entry[self._conn_slots()[1]]]
 
     def cycle_directions(self) -> list[ReachedEdge]:
         """Edge traversals that lie on some nonrepetitive closed walk."""
@@ -314,24 +303,41 @@ class LabelSwitchDigraph:
         targets = np.sort(self.slot_entry[self._slots(t)])
         if not len(sources) or not len(targets):
             return None
-        unit = np.zeros(self.num_arcs, dtype=bool)
-        unit[self._conn] = True
-        dist, parent = _kernels.bfs01(self.indptr, self.indices, unit, sources, targets)
+        entry = np.zeros(self.num_nodes, dtype=bool)  # connectors enter exactly these
+        entry[self.slot_entry] = True
+        dist, parent = _kernels.bfs01(self.indptr, self.indices, entry, sources, targets)
         best = int(targets[np.argmin(dist[targets])])
         if dist[best] >= _kernels._UNREACHED:
             return None
         return self._walk_to_node(parent, best)
 
     def _walk_to_node(self, parent: np.ndarray, node: int) -> list[ReachedEdge]:
-        """The walk of parent arcs into ``node``; an arc's tail is the node
-        whose CSR row holds it, and ``_conn`` names its connectors."""
-        arcs = []
-        while parent[node] != -1:
-            arcs.append(int(parent[node]))
-            node = int(np.searchsorted(self.indptr, arcs[-1], "right")) - 1
-        eids, dirs = np.nonzero(np.isin(self._conn, arcs))
-        step = dict(zip(self._conn[eids, dirs].tolist(), zip(eids.tolist(), dirs.tolist())))
-        return [self._oriented(*step[pos]) for pos in reversed(arcs) if pos in step]
+        """The walk of parent arcs into ``node``.  An arc's tail is the node
+        whose CSR row holds it.  The arcs out of slot s's exit node are the
+        connectors leaving slot s, in (edge, direction) order, so the arc at
+        rank r of that row is the r-th connector that leaves slot s."""
+        ip = memoryview(self.indptr)
+        exits = memoryview(self.slot_exit)
+        slots, ranks = [], []
+        pos = int(parent[node])
+        while pos != -1:
+            tail = bisect_right(ip, pos) - 1
+            slot = bisect_left(exits, tail)
+            if slot < len(exits) and exits[slot] == tail:
+                slots.append(slot)
+                ranks.append(pos - ip[tail])
+            pos = int(parent[tail])
+        if not slots:
+            return []
+        # One pass over the connectors, however long the walk: the bits of
+        # those leaving the walk's slots, grouped by slot in bit order.
+        leave = self._conn_slots()[0].ravel()
+        on_walk = np.zeros(len(exits), dtype=bool)
+        on_walk[slots] = True
+        bits = np.flatnonzero(on_walk[leave])
+        bits = bits[np.argsort(leave[bits], kind="stable")]
+        steps = bits[np.searchsorted(leave[bits], slots) + ranks].tolist()
+        return [self._oriented(*divmod(bit, self._k)) for bit in reversed(steps)]
 
 
 class ReachResult:
@@ -357,7 +363,7 @@ class ReachResult:
 
     @property
     def mask(self) -> np.ndarray:
-        m, k = self._expansion._conn.shape
+        m, k = self._expansion.graph.num_edges, self._expansion._k
         raw = np.frombuffer(self.bits.to_bytes((m * k + 7) // 8, "little"), np.uint8)
         return np.unpackbits(raw, count=m * k, bitorder="little").view(bool).reshape(m, k)
 
@@ -404,7 +410,7 @@ class ReachResult:
             while bit >= 0:
                 first.setdefault(slot_of[bit], bit)
                 bit = digits.find("1", bit + 1)
-            k = ex._conn.shape[1]
+            k = ex._k
             found = {names[s]: divmod(first[s], k) for s in sorted(first)}
             ex._arrivals_of[self.bits] = found
         return found
@@ -424,13 +430,13 @@ class ReachResult:
             raise ValueError("empty reach result has no walks")
         ex = self._expansion
         eid = reached.edge_id
-        pos = -1
+        direction = k = ex._k
         if 0 <= eid < ex.graph.num_edges:
             # The orientation that starts at ``reached.tail``, if any.
-            direction = int(reached.tail != ex.graph.endpoints(eid)[0])
-            if ex._oriented(eid, direction) == reached:
-                pos = ex.conn_pos[eid, direction]
-        if pos < 0 or not self.bits >> (eid * ex._conn.shape[1] + direction) & 1:
+            turn = int(reached.tail != ex.graph.endpoints(eid)[0])
+            if ex._oriented(eid, turn) == reached:
+                direction = turn
+        if direction >= k or not self.bits >> (eid * k + direction) & 1:
             raise ValueError(f"{reached} is not reached from the start")
         steps = ex._walk_to_node(self._parents(), int(ex.slot_exit[ex.flag_slot[eid, direction]]))
         steps.append(reached)

@@ -759,11 +759,12 @@ class LabelSwitchDigraph:
         self.entry_node = entry_node
         self.exit_node = exit_node
         self.node_origin = node_origin
-        indptr, indices, pos_of_arc = _kernels.build_csr(
+        indptr, indices = _kernels.build_csr(
             num_nodes, np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
         )
         self.indptr = indptr
         self.indices = indices
+        pos_of_arc = arc_positions(tails)
         self._tail_of_pos = np.array(tails, dtype=np.int64)[np.argsort(pos_of_arc)]
         self.is_connector = np.zeros(self.num_arcs, dtype=np.uint8)
         self.is_connector[pos_of_arc[internal_arcs:]] = 1
@@ -1144,7 +1145,7 @@ def bipartite_forbidden(num_left, num_right, indptr, indices):
             else:
                 tails.append(num_left + r)
                 heads.append(l)
-    o_indptr, o_indices, _ = build_csr(num_left + num_right, tails, heads)
+    o_indptr, o_indices = build_csr(num_left + num_right, tails, heads)
     comp = scc_csr(o_indptr, o_indices).tolist()
     for l in range(num_left):
         for e in range(ip[l], ip[l + 1]):
@@ -2418,6 +2419,15 @@ def _counting_available_digits(box: int, values: list[int], cell: int) -> list[i
 # ---------------------------------------------------------------------------
 
 
+def arc_positions(tails) -> np.ndarray:
+    """The CSR position of every input arc: ``build_csr`` sorts the arcs
+    stably by tail."""
+    order = np.argsort(np.asarray(tails, dtype=np.int64), kind="stable")
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[order] = np.arange(len(order), dtype=np.int64)
+    return pos
+
+
 def csr_tails(expansion) -> np.ndarray:
     """The tail node of every CSR position of an expansion: the node whose
     row holds it."""
@@ -2425,9 +2435,25 @@ def csr_tails(expansion) -> np.ndarray:
 
 
 def connector_arcs(expansion) -> np.ndarray:
-    """Per CSR position of an expansion, whether it is a connector arc."""
-    conn = expansion.conn_pos[expansion.conn_pos >= 0]
-    return np.isin(np.arange(expansion.num_arcs), conn)
+    """Per CSR position of an expansion, whether it is a connector arc: one
+    whose tail is a slot exit node."""
+    return np.isin(csr_tails(expansion), expansion.slot_exit)
+
+
+def connector_positions(expansion) -> np.ndarray:
+    """The CSR position of connector (edge, direction) as an (edges, 2) int64
+    array, -1 for the v -> u direction of a directed graph.  The connectors
+    that leave one slot sit in its exit node's row, in (edge, direction)
+    order; the rank of each among them comes from a stable argsort."""
+    k = 1 if expansion.graph.directed else 2
+    leave = expansion.flag_slot[:, :k].ravel()
+    by_slot = np.argsort(leave, kind="stable")
+    first = np.searchsorted(leave[by_slot], leave[by_slot])
+    rank = np.empty(len(leave), dtype=np.int64)
+    rank[by_slot] = np.arange(len(leave)) - first
+    pos = np.full((expansion.graph.num_edges, 2), -1, dtype=np.int64)
+    pos[:, :k] = (expansion.indptr[expansion.slot_exit[leave]] + rank).reshape(-1, k)
+    return pos
 
 
 def dfs_reachable_from(self, vertex: Any, label: Any) -> "DfsReachResult":
@@ -2438,11 +2464,13 @@ def dfs_reachable_from(self, vertex: Any, label: Any) -> "DfsReachResult":
     slots = slice(int(self.vp_ptr[vid]), int(self.vp_ptr[vid + 1]))
     lid = self.graph.label_id(label)
     starts = () if lid is None else self.slot_exit[slots][self.slot_label[slots] == lid]
+    k = 1 if self.graph.directed else 2
     if not len(starts):
-        return DfsReachResult(self, None, np.zeros(self._conn.shape, dtype=bool))
+        return DfsReachResult(self, None, np.zeros((self.graph.num_edges, k), dtype=bool))
     start = int(starts[0])
     visited, parent = nonrep_kernels.reach_csr(self.indptr, self.indices, start)
-    return DfsReachResult(self, start, visited[csr_tails(self)[self._conn]] != 0, parent)
+    # Connector (edge, d) leaves the exit node of the slot of flag (edge, d).
+    return DfsReachResult(self, start, visited[self.slot_exit[self.flag_slot[:, :k]]] != 0, parent)
 
 
 class DfsReachResult:
@@ -2501,16 +2529,17 @@ class DfsReachResult:
             raise ValueError("empty reach result has no walks")
         ex = self._expansion
         eid = reached.edge_id
-        pos = -1
+        direction = -1
         if 0 <= eid < ex.graph.num_edges:
             direction = int(reached.tail != ex.graph.endpoints(eid)[0])
-            if ex._oriented(eid, direction) == reached:
-                pos = ex.conn_pos[eid, direction]
-        if pos < 0 or not self.mask[eid, direction]:
+            if ex._oriented(eid, direction) != reached or direction >= self.mask.shape[1]:
+                direction = -1
+        if direction < 0 or not self.mask[eid, direction]:
             raise ValueError(f"{reached} is not reached from the start")
         if self._parent is None:
             self._parent = nonrep_kernels.reach_csr(ex.indptr, ex.indices, self._start)[1]
-        steps = ex._walk_to_node(self._parent, int(csr_tails(ex)[pos]))
+        tail = ex.slot_exit[ex.flag_slot[eid, direction]]
+        steps = ex._walk_to_node(self._parent, int(tail))
         steps.append(reached)
         return steps
 

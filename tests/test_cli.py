@@ -424,13 +424,13 @@ def test_shortest_on_a_long_two_label_ring_stops_at_its_target(monkeypatch, dire
     bfs01 = _kernels.bfs01
     reached = []
 
-    def counting(indptr, indices, unit, sources, targets=()):
-        dist, parent = bfs01(indptr, indices, unit, sources, targets)
+    def counting(indptr, indices, cost, sources, targets=()):
+        dist, parent = bfs01(indptr, indices, cost, sources, targets)
         reached.append((len(dist), int((dist < _kernels._UNREACHED).sum())))
         return dist, parent
 
-    def full_search(indptr, indices, unit, sources, targets=()):
-        return counting(indptr, indices, unit, sources)
+    def full_search(indptr, indices, cost, sources, targets=()):
+        return counting(indptr, indices, cost, sources)
 
     monkeypatch.setattr(_kernels, "bfs01", counting)
     got = _run(argv, stdin=text)

@@ -317,8 +317,11 @@ def test_expansion_equals_per_vertex_dict_builder():
         new = _expansion(g, dense)
         old = oracles.LabelSwitchDigraph(g, dense=dense)
         assert (new.num_nodes, new.num_arcs) == (old.num_nodes, old.num_arcs)
-        for name in ("indptr", "indices", "conn_pos", "_tail_of_pos"):
-            got = oracles.csr_tails(new) if name == "_tail_of_pos" else getattr(new, name)
+        got_of = {
+            "indptr": new.indptr, "indices": new.indices,
+            "conn_pos": oracles.connector_positions(new), "_tail_of_pos": oracles.csr_tails(new),
+        }
+        for name, got in got_of.items():
             want = getattr(old, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert (got == want).all(), name
@@ -348,6 +351,13 @@ def test_expansion_equals_per_vertex_dict_builder():
     assert hubs >= 20
 
 
+def _entry_cost(ex: LabelSwitchDigraph) -> np.ndarray:
+    """The node costs of ``shortest_path``'s 0/1 BFS: 1 on slot entry nodes."""
+    cost = np.zeros(ex.num_nodes, dtype=bool)
+    cost[ex.slot_entry] = True
+    return cost
+
+
 def _full_search_walk(ex: LabelSwitchDigraph, src, dst):
     """``shortest_path`` with its 0/1 BFS run until the deque is empty."""
     s, t = ex.graph.vertex_id(src), ex.graph.vertex_id(dst)
@@ -357,7 +367,7 @@ def _full_search_walk(ex: LabelSwitchDigraph, src, dst):
     targets = np.sort(ex.slot_entry[ex._slots(t)])
     if not len(sources) or not len(targets):
         return None
-    dist, parent = _kernels.bfs01(ex.indptr, ex.indices, oracles.connector_arcs(ex), sources)
+    dist, parent = _kernels.bfs01(ex.indptr, ex.indices, _entry_cost(ex), sources)
     best = int(targets[np.argmin(dist[targets])])
     if dist[best] >= _kernels._UNREACHED:
         return None
@@ -389,15 +399,15 @@ def test_stopped_shortest_search_equals_the_full_search():
             flag_labeled=trial % 4 >= 2, max_edges=60,
         )
         ex = LabelSwitchDigraph(g)
-        unit = oracles.connector_arcs(ex)
+        unit, cost = oracles.connector_arcs(ex), _entry_cost(ex)
         for _ in range(6):
             s, t = rng.sample(range(g.num_vertices), 2)
             sources = np.sort(ex.slot_exit[ex._slots(s)])
             targets = np.sort(ex.slot_entry[ex._slots(t)])
             if not len(sources) or not len(targets):
                 continue
-            full = _kernels.bfs01(ex.indptr, ex.indices, unit, sources)
-            dist, parent = _kernels.bfs01(ex.indptr, ex.indices, unit, sources, targets)
+            full = oracles.bfs01(ex.indptr, ex.indices, unit, sources)
+            dist, parent = _kernels.bfs01(ex.indptr, ex.indices, cost, sources, targets)
             d = int(full[0][targets].min())
             tied += int((full[0][targets] == d).sum()) > 1 and d < _kernels._UNREACHED
             final = full[0] < d
@@ -411,9 +421,10 @@ def test_stopped_shortest_search_equals_the_full_search():
 
 
 def test_no_zero_cost_arc_enters_a_target():
-    """``bfs01``'s stop rule needs every arc into a target to cost 1.  The
-    targets of ``shortest_path`` are slot entry nodes: no switch gadget arc
-    enters an entry node, so every expansion arc into one is a connector."""
+    """``shortest_path`` costs a connector 1 by charging 1 for entering a
+    slot entry node, its targets among them.  That is exact: no switch
+    gadget arc enters an entry node, so an expansion arc enters one exactly
+    when it is a connector, an arc out of a slot exit node."""
     for k in range(1, 65):
         gadget = build_switch_gadget(k)
         assert not {head for _, head in gadget.arcs} & set(gadget.entry), k
@@ -426,7 +437,7 @@ def test_no_zero_cost_arc_enters_a_target():
         )
         ex = LabelSwitchDigraph(g)
         into = np.isin(ex.indices, ex.slot_entry)
-        assert oracles.connector_arcs(ex)[into].all()
+        assert (oracles.connector_arcs(ex) == into).all()
         into_entries += int(into.sum())
     assert into_entries >= 2000, into_entries
 
@@ -436,7 +447,8 @@ def test_expansion_keeps_no_per_arc_array_but_indices():
     memos, is as long as the edge, vertex, slot or node table it indexes; only
     ``indices`` is as long as the arc list.  Each connector leaves the exit
     node of its ``flag_slot`` slot, which is the node whose CSR row holds it,
-    and enters the entry node of the other flag's slot."""
+    and enters the entry node of the other flag's slot.  Slot exit nodes
+    increase with the slot, which ``_walk_to_node``'s search relies on."""
     rng = Random(2020)
     for trial in range(80):
         g = random_flag_graph(
@@ -458,11 +470,13 @@ def test_expansion_keeps_no_per_arc_array_but_indices():
         } == {
             "ends": m, "vp_ptr": g.num_vertices + 1, "slot_label": slots, "slot_entry": slots,
             "slot_exit": slots, "indptr": ex.num_nodes + 1, "indices": ex.num_arcs,
-            "flag_slot": m, "conn_pos": m, "_conn": m, "_scc": ex.num_nodes,
+            "flag_slot": m, "_scc": ex.num_nodes,
         }
-        k = ex._conn.shape[1]
-        assert (ex._conn_tails() == oracles.csr_tails(ex)[ex._conn]).all()
-        assert (ex.slot_entry[ex.flag_slot[:, ::-1][:, :k]] == ex.indices[ex._conn]).all()
+        k = ex._k
+        pos = oracles.connector_positions(ex)[:, :k]
+        assert (ex._conn_tails() == oracles.csr_tails(ex)[pos]).all()
+        assert (ex.slot_entry[ex.flag_slot[:, ::-1][:, :k]] == ex.indices[pos]).all()
+        assert (np.diff(ex.slot_exit) > 0).all()
 
 
 def assert_arrival_queries_equal_edge_scan(expansion, vertex, label):
@@ -608,7 +622,8 @@ def test_large_expansions_answer_reaches_by_sweep_not_by_condensation():
         reach = expansion.reachable_from(vertex, label)
         start = int(reach._start)
         seen = _kernels.sweep_csr(expansion.indptr, expansion.indices, (start,))
-        want = seen[oracles.csr_tails(expansion)[expansion._conn]]
+        pos = oracles.connector_positions(expansion)
+        want = seen[oracles.csr_tails(expansion)[pos]]
         assert reach.mask.tolist() == want.tolist()
         assert len(reach) == int(want.sum()) > 0
         dfs = oracles.dfs_reachable_from(expansion, vertex, label)

@@ -23,19 +23,21 @@ def _random_csr(rng: Random, n_max=30, m_max=80):
     m = rng.randint(0, m_max)
     tails = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
     heads = np.array([rng.randrange(n) for _ in range(m)], dtype=np.int64)
-    indptr, indices, _ = K.build_csr(n, tails, heads)
+    indptr, indices = K.build_csr(n, tails, heads)
     return n, tails, heads, indptr, indices
 
 
-def test_build_csr_positions_are_inverse():
+def test_build_csr_rows_keep_input_order():
+    """``build_csr`` returns (indptr, indices) only, and row t lists the
+    heads of the arcs with tail t in input order (the sort is stable)."""
     rng = Random(3)
     for _ in range(50):
         n, tails, heads, indptr, indices = _random_csr(rng)
-        pos = K.build_csr(n, tails, heads)[2]
-        for i in range(len(tails)):
-            p = pos[i]
-            assert indptr[tails[i]] <= p < indptr[tails[i] + 1]
-            assert indices[p] == heads[i]
+        assert len(K.build_csr(n, tails, heads)) == 2
+        assert indptr[0] == 0 and indptr[-1] == len(indices) == len(heads)
+        for t in range(n):
+            want = [h for tail, h in zip(tails.tolist(), heads.tolist()) if tail == t]
+            assert indices[indptr[t] : indptr[t + 1]].tolist() == want
 
 
 def test_scc_matches_networkx():
@@ -84,20 +86,17 @@ def test_bfs01_matches_dijkstra():
         n, tails, heads, indptr, indices = _random_csr(rng)
         if len(tails) == 0:
             continue
-        unit = np.array([rng.randint(0, 1) for _ in range(len(tails))], dtype=np.uint8)
-        # unit applies to CSR positions
-        pos = K.build_csr(n, tails, heads)[2]
-        unit_sorted = np.zeros_like(unit)
-        unit_sorted[pos] = unit
+        # Entering node v costs cost[v]: an arc weighs the cost of its head.
+        cost = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.uint8)
         sources = np.array(
             sorted({rng.randrange(n) for _ in range(rng.randint(1, 3))}),
             dtype=np.int64,
         )
-        dist, parent = K.bfs01(indptr, indices, unit_sorted, sources)
+        dist, parent = K.bfs01(indptr, indices, cost, sources)
         g = nx.DiGraph()
         g.add_nodes_from(range(n))
         for i in range(len(tails)):
-            u, v, w = int(tails[i]), int(heads[i]), int(unit[i])
+            u, v, w = int(tails[i]), int(heads[i]), int(cost[heads[i]])
             if g.has_edge(u, v):
                 w = min(w, g[u][v]["weight"])
             g.add_edge(u, v, weight=w)
@@ -302,38 +301,83 @@ def test_graph_kernels_equal_numpy_reference():
                 oracles.reach_csr(indptr, indices, start),
             ):
                 assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        unit = np.array([rng.randint(0, 1) for _ in range(len(indices))], np.uint8)
+        cost = np.array([rng.randint(0, 1) for _ in range(n)], np.uint8)
         sources = np.array(
             sorted({rng.randrange(n) for _ in range(rng.randint(1, 3))}), np.int64
         )
         for got, want in zip(
-            K.bfs01(indptr, indices, unit, sources),
-            oracles.bfs01(indptr, indices, unit, sources),
+            K.bfs01(indptr, indices, cost, sources),
+            oracles.bfs01(indptr, indices, cost[indices], sources),
         ):
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
+def _bfs01_instance(rng: Random):
+    """A random CSR with random 0/1 node costs, 1-3 sources and 1-3 targets,
+    every target costing 1 to enter."""
+    n, _, _, indptr, indices = _random_csr(rng)
+    cost = np.array([rng.randint(0, 1) for _ in range(n)], np.uint8)
+    sources = np.array(sorted({rng.randrange(n) for _ in range(rng.randint(1, 3))}), np.int64)
+    targets = np.array(sorted(rng.sample(range(n), min(n, rng.randint(1, 3)))), np.int64)
+    cost[targets] = 1
+    return indptr, indices, cost, sources, targets
+
+
 def test_bfs01_reads_narrow_dtypes_in_place():
-    """``bfs01`` over an int32 CSR, int32 sources and targets and a bool or
-    uint8 ``unit`` returns the int64 (dist, parent) of the int64 run, with
+    """``bfs01`` over an int32 CSR, int32 sources and targets and bool or
+    uint8 node costs returns the int64 (dist, parent) of the int64 run, with
     and without targets."""
     rng = Random(1919)
     for _ in range(200):
-        n, _, _, indptr, indices = _random_csr(rng)
-        unit = np.array([rng.randint(0, 1) for _ in range(len(indices))], np.uint8)
-        sources = np.array(
-            sorted({rng.randrange(n) for _ in range(rng.randint(1, 3))}), np.int64
-        )
-        targets = np.array(sorted(rng.sample(range(n), min(n, rng.randint(1, 3)))), np.int64)
+        indptr, indices, uint8_cost, sources, targets = _bfs01_instance(rng)
         for goal in (np.empty(0, np.int64), targets):
-            want = K.bfs01(indptr, indices, unit, sources, goal)
-            for cost in (unit, unit.astype(bool)):
+            want = K.bfs01(indptr, indices, uint8_cost, sources, goal)
+            for cost in (uint8_cost, uint8_cost.astype(bool)):
                 got = K.bfs01(
                     indptr.astype(np.int32), indices.astype(np.int32), cost,
                     sources.astype(np.int32), goal.astype(np.int32),
                 )
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype == np.int64 and g.tolist() == w.tolist()
+
+
+def test_bfs01_with_node_costs_equals_the_arc_cost_reference():
+    """``bfs01`` with node costs is the arc-cost reference search run with
+    every arc weighing the cost of its head, ``cost[indices]``: equal arrays
+    without targets; with targets, the reference's distance and parent on
+    every node nearer than the nearest target's distance D and on every
+    target at D, D or unreached elsewhere, and the same nearest target."""
+    rng = Random(2222)
+    stopped = 0
+    for _ in range(300):
+        indptr, indices, cost, sources, targets = _bfs01_instance(rng)
+        full = oracles.bfs01(indptr, indices, cost[indices], sources)
+        for got, want in zip(K.bfs01(indptr, indices, cost, sources), full):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        dist, parent = K.bfs01(indptr, indices, cost, sources, targets)
+        d = int(full[0][targets].min())
+        final = full[0] < d
+        final[targets[full[0][targets] == d]] = True
+        assert dist[final].tolist() == full[0][final].tolist()
+        assert parent[final].tolist() == full[1][final].tolist()
+        assert np.isin(dist[~final], (d, K._UNREACHED)).all()
+        assert targets[np.argmin(dist[targets])] == targets[np.argmin(full[0][targets])]
+        stopped += int((dist < K._UNREACHED).sum()) < int((full[0] < K._UNREACHED).sum())
+    assert stopped >= 50, stopped
+
+
+def test_bfs01_refuses_a_target_that_costs_0_to_enter():
+    """The stop rule holds only when every target costs 1 to enter, and
+    ``bfs01`` checks that before it searches."""
+    indptr, indices = K.build_csr(3, np.array([0, 1]), np.array([1, 2]))
+    cost = np.array([0, 1, 0], np.uint8)
+    sources = np.array([0], np.int64)
+    dist, parent = K.bfs01(indptr, indices, cost, sources, np.array([1]))
+    assert (dist[1], parent[1]) == (1, 0)
+    for targets in (np.array([2]), np.array([1, 2]), np.array([0])):
+        with pytest.raises(ValueError, match="cost 1"):
+            K.bfs01(indptr, indices, cost, sources, targets)
+    assert K.bfs01(indptr, indices, cost, sources)[0].tolist() == [0, 1, 1]
 
 
 def test_matchers_equal_numpy_reference():
@@ -351,9 +395,8 @@ def test_matchers_equal_numpy_reference():
         pool = [(l, r) for l in range(nl) for r in range(nr)]
         rng.shuffle(pool)
         edges = pool[: rng.randint(0, len(pool))]
-        indptr, indices, pos = K.build_csr(
-            nl, [l for l, _ in edges], [r for _, r in edges]
-        )
+        indptr, indices = K.build_csr(nl, [l for l, _ in edges], [r for _, r in edges])
+        pos = oracles.arc_positions([l for l, _ in edges])
         mate_l, mate_r = K.kuhn_bipartite(nl, nr, edges)
         want_l, want_r = oracles._kuhn(BipartiteInstance(nl, nr, tuple(edges)))
         assert mate_l == want_l and mate_r == want_r
@@ -377,7 +420,7 @@ def test_matchers_equal_numpy_reference():
             edges.append((u, v))
             tails += (u, v)
             heads += (v, u)
-        indptr, indices, _ = K.build_csr(n, tails, heads)
+        indptr, indices = K.build_csr(n, tails, heads)
         for require_perfect in (0, 1):
             mate, got_perfect = K.blossom_matching(n, edges, require_perfect)
             want, want_perfect = oracles.blossom_matching(
@@ -566,7 +609,7 @@ def test_refutation_equals_counting_each_alternative():
 def _csr(n, arcs):
     tails = np.array([t for t, _ in arcs], dtype=np.int64)
     heads = np.array([h for _, h in arcs], dtype=np.int64)
-    indptr, indices, _ = K.build_csr(n, tails, heads)
+    indptr, indices = K.build_csr(n, tails, heads)
     return indptr, indices
 
 
