@@ -489,6 +489,13 @@ def blossom_matching(n, edges, require_perfect, start=None):
     exposed in some maximum matching, so no perfect matching exists.  A
     start that leaves two vertices exposed is thus decided by one search
     (Berge; Edmonds 1965).
+
+    The searches share one parent, base, queued and member list, and each
+    records the nodes it labels; only those are reset for the next root.
+    A blossom base keeps the nodes of its blossom.  Contracting a blossom
+    relabels only the members of the bases it joins, and queues those not
+    yet queued in index order, as a scan over all n nodes would.  So a
+    search costs what it touches, not n per root and per blossom.
     """
     adj = [[] for _ in range(n)]
     for u, v in edges:
@@ -511,14 +518,16 @@ def blossom_matching(n, edges, require_perfect, start=None):
         for v, u in enumerate(mate):
             if u != -1 and not (0 <= u < n and u != v and mate[u] == v and u in adj[v]):
                 raise ValueError("the start is not a matching of the graph")
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    members = [None] * n  # the nodes of each blossom, at its base
     for root in range(n):
         if mate[root] != -1:
             continue
-        p = [-1] * n
-        base = list(range(n))
-        used = [False] * n
         used[root] = True
         queue = [root]
+        touched = [root]
         qh = 0
         finish = -1
         while qh < len(queue) and finish == -1:
@@ -547,14 +556,24 @@ def blossom_matching(n, edges, require_perfect, start=None):
                             p[x] = child
                             child = mate[x]
                             x = p[child]
-                    for i in range(n):
-                        if base[i] in in_blossom:
+                    merged = members[lca] or [lca]
+                    joined = []
+                    for b in in_blossom:
+                        if b == lca:
+                            continue  # its nodes are labeled and queued
+                        inner = members[b] or [b]
+                        merged += inner
+                        for i in inner:
                             base[i] = lca
                             if not used[i]:
                                 used[i] = True
-                                queue.append(i)
+                                joined.append(i)
+                    members[lca] = merged
+                    joined.sort()
+                    queue += joined
                 elif p[to] == -1:
                     p[to] = v
+                    touched.append(to)
                     if mate[to] == -1:
                         finish = to
                         break
@@ -562,6 +581,7 @@ def blossom_matching(n, edges, require_perfect, start=None):
                     if not used[nxt]:
                         used[nxt] = True
                         queue.append(nxt)
+                        touched.append(nxt)
         if finish == -1:
             if require_perfect:
                 return mate, False
@@ -573,6 +593,11 @@ def blossom_matching(n, edges, require_perfect, start=None):
                 mate[v] = pv
                 mate[pv] = v
                 v = nxt
+        for i in touched:
+            p[i] = -1
+            base[i] = i
+            used[i] = False
+            members[i] = None
     return mate, -1 not in mate
 
 # ---------------------------------------------------------------------------

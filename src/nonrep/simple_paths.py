@@ -14,13 +14,17 @@ binarized, and the endpoint-free skew graph is built with the port graph of
 its arcs.  The preparation is kept on the graph object, so it is dropped
 with the graph, and equal but distinct graphs each prepare their own.
 Every instance then adds only its four endpoint arcs to that shared base,
-and their port edges to the shared port graph.  A path query asks four
-instances, one per (start label, end label) between the two centers, unless
-the two vertices lie in different components, which no instance is asked
-about.  ``simple_cycle_edges`` first peels away edges that the block
-structure and the labels at their ends rule out (``_peeled``), and asks
-one instance, between the edge's two ports, per remaining edge that no
-earlier witness has already put on a cycle.
+and their port edges to the shared port graph.  A path query asks up to
+four instances, one per (start label, end label) between the two centers,
+in the order 00, 01, 10, 11, and keeps the first shortest witness.  It
+first finds the fewest edges of a nonrepetitive walk between the two
+vertices (``_walk_distance``), which no simple nonrepetitive path
+undercuts: with no such walk, or with the vertices in different
+components, no instance is asked, and the query stops at the first
+witness that is that short.  ``simple_cycle_edges`` first peels away
+edges that the block structure and the labels at their ends rule out
+(``_peeled``), and asks one instance, between the edge's two ports, per
+remaining edge that no earlier witness has already put on a cycle.
 
 The matching reduction runs on a port graph that reuses the skew-symmetric
 graph's node ids: node x stands for "enter x" and for "leave sigma(x)",
@@ -351,15 +355,20 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
     """Edge ids of a simple nonrepetitive p..q path in ``g``, or None.
 
     Tries the four endpoint-label combinations of the skew-symmetric
-    reduction and returns the shortest witness found.  ``p == q`` is a
-    zero-length path, and vertices in different components have none, which
-    is answered without an instance.  Self loops never occur on simple
+    reduction in turn and returns the first shortest witness found.
+    ``p == q`` is a zero-length path.  Self loops never occur on simple
     paths and are dropped up front.
+
+    A simple nonrepetitive path is a nonrepetitive walk, so none is shorter
+    than ``_walk_distance``.  Vertices in different components, or with no
+    nonrepetitive walk between them, have none, which is answered without
+    an instance.  Otherwise the tries stop at the first witness of that
+    length: a later one would replace it only if it were strictly shorter.
 
     The first query on ``g`` prepares it: the loopless, binarized,
     endpoint-free skew base and its port graph.  ``g`` keeps the preparation
     until it is itself dropped, so later queries on the same object skip
-    that work; the four instances of every query share it.
+    that work; the instances of every query share it.
     """
     if g.directed:
         raise ValueError(
@@ -372,6 +381,9 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
         return []
     base = _prepared(g)
     if base._components[2 * pid] != base._components[2 * qid]:
+        return None
+    bound = _walk_distance(g, pid, qid)
+    if bound is None:
         return None
     best: Optional[list[int]] = None
     for start_bit in (0, 1):
@@ -388,7 +400,54 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
                 edge_ids.reverse()
             if best is None or len(edge_ids) < len(best):
                 best = edge_ids
+                # No later witness is shorter than the walk distance, and
+                # only a shorter one would replace this one.
+                if len(best) == bound:
+                    return best
     return best
+
+
+def _walk_distance(g: FlagLabeledGraph, p: int, q: int) -> Optional[int]:
+    """The fewest edges of a nonrepetitive walk from vertex id ``p`` to
+    vertex id ``q != p`` over the loopless edges of ``g``, or None.
+
+    A breadth-first search over (vertex, arriving flag label) states.  A
+    vertex is expanded on its first arrival, along its flags of other
+    labels, and once more on its first arrival with a different label,
+    which follows the flags the first one skipped.  A later arrival, at no
+    shorter distance, could only follow flags that one of those two has
+    followed already.  ``p`` is expanded once, along all its flags.  Each
+    vertex is thus expanded at most twice, and the search is linear, like
+    the paper's expansion.
+    """
+    edges = g.edges
+    first_label: list[Optional[int]] = [None] * g.num_vertices
+    closed = [False] * g.num_vertices
+    closed[p] = True
+    frontier = [(p, -1)]
+    distance = 0
+    while frontier:
+        distance += 1
+        reached = []
+        for v, arrived in frontier:
+            for eid, end in g.incident(v):
+                u, w, lu, lw = edges[eid]
+                if u == w:
+                    continue
+                at, to, label = (lu, w, lw) if end == 0 else (lw, u, lu)
+                if at == arrived or closed[to]:
+                    continue
+                if to == q:
+                    return distance
+                seen = first_label[to]
+                if seen is None:
+                    first_label[to] = label
+                    reached.append((to, label))
+                elif seen != label:
+                    closed[to] = True
+                    reached.append((to, label))
+        frontier = reached
+    return None
 
 
 def simple_cycle_edges(g: FlagLabeledGraph) -> set[int]:

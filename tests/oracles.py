@@ -2243,20 +2243,30 @@ def per_query_nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[l
             "simple-path search is restricted to undirected graphs; the "
             "directed variant is NP-complete"
         )
-    pid = g.vertex_id(p)
-    qid = g.vertex_id(q)
-    if pid == qid:
+    if g.vertex_id(p) == g.vertex_id(q):
         return []
+    best: Optional[list[int]] = None
+    for edge_ids in per_query_instance_witnesses(g, p, q):
+        if edge_ids is not None and (best is None or len(edge_ids) < len(best)):
+            best = edge_ids
+    return best
+
+
+def per_query_instance_witnesses(g: FlagLabeledGraph, p, q) -> list[Optional[list[int]]]:
+    """The witness of each of the four skew instances of the distinct
+    vertices p and q of the undirected ``g``, as edge ids from p's side, or
+    None; instances in (start label, end label) order 00, 01, 10, 11."""
     base, orig_ids = per_query_loopless(g)
     binarized = per_query_binarize_labels(base)
     cp = binarized.center[p]
     cq = binarized.center[q]
-    best: Optional[list[int]] = None
+    witnesses: list[Optional[list[int]]] = []
     for start_bit in (0, 1):
         for end_bit in (0, 1):
             ssg = per_query_build_skew_instance(binarized.graph, cp, cq, start_bit, end_bit)
             witness = per_query_regular_reachable(ssg)
             if witness is None:
+                witnesses.append(None)
                 continue
             edge_ids = []
             for arc_idx in witness:
@@ -2271,9 +2281,15 @@ def per_query_nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[l
             # traced q-to-p; report it from p's side.
             if len(edge_ids) > 1 and p not in g.endpoints(edge_ids[0]):
                 edge_ids.reverse()
-            if best is None or len(edge_ids) < len(best):
-                best = edge_ids
-    return best
+            witnesses.append(edge_ids)
+    return witnesses
+
+
+def loopless_walk_distance(g: FlagLabeledGraph, p, q) -> Optional[int]:
+    """Edge count of a shortest nonrepetitive p..q walk over the loopless
+    edges of ``g``, from the paper's expansion, or None when there is none."""
+    walk = nonrep_engine.LabelSwitchDigraph(per_query_loopless(g)[0]).shortest_path(p, q)
+    return None if walk is None else len(walk)
 
 
 def per_query_simple_cycle_edges(g: FlagLabeledGraph) -> set[int]:
