@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice
 
 from .engine import LabelSwitchDigraph
 from .labeled_graph import FlagLabeledGraph, GraphParseError, parse_labeled_graph
@@ -58,26 +59,34 @@ def _require_vertices(g: FlagLabeledGraph, *tokens) -> None:
             raise ValueError(f"unknown vertex {token!r}")
 
 
+# Lines per stdout write: output of any length holds at most one chunk of text.
+CHUNK_LINES = 1 << 13
+
+
+def _write_lines(lines) -> None:
+    """Write the lines to stdout, ``CHUNK_LINES`` lines per write."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, CHUNK_LINES)):
+        sys.stdout.write(chunk)
+
+
 def _write_traversals(rows) -> None:
     """One ``edge <id>: <tail> -> <head> label <far label>`` line per
-    (edge id, tail, head, far label) row, such as a ``ReachedEdge``, written
-    to stdout at once."""
-    sys.stdout.write(
-        "".join([f"edge {e}: {t} -> {h} label {x}\n" for e, t, h, x in rows])
-    )
+    (edge id, tail, head, far label) row, such as a ``ReachedEdge``."""
+    _write_lines(f"edge {e}: {t} -> {h} label {x}\n" for e, t, h, x in rows)
 
 
 def _write_edges(g: FlagLabeledGraph, eids) -> None:
-    """One ``edge <id>: <u> -- <v> label <label>`` line per edge id, written
-    to stdout at once; an edge with two flag labels shows them as
-    ``<label at u>/<label at v>``."""
-    lines = []
-    for eid in eids:
-        u, v = g.endpoints(eid)
-        lu, lv = g.edge_labels(eid)
-        label = lu if lu == lv else f"{lu}/{lv}"
-        lines.append(f"edge {eid}: {u} -- {v} label {label}\n")
-    sys.stdout.write("".join(lines))
+    """One ``edge <id>: <u> -- <v> label <label>`` line per edge id; an edge
+    with two flag labels shows them as ``<label at u>/<label at v>``."""
+    _write_lines(_edge_line(g, eid) for eid in eids)
+
+
+def _edge_line(g: FlagLabeledGraph, eid: int) -> str:
+    u, v = g.endpoints(eid)
+    lu, lv = g.edge_labels(eid)
+    label = lu if lu == lv else f"{lu}/{lv}"
+    return f"edge {eid}: {u} -- {v} label {label}\n"
 
 
 # -- graph subcommands ---------------------------------------------------------

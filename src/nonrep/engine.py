@@ -8,19 +8,22 @@ their shared vertex.  The expansion has O(m) nodes and arcs.
 
 It is built with array operations, without a Python loop over vertices or
 edges: the distinct (vertex, flag label) pairs, ordered by vertex and then by
-first occurrence, become each vertex's label slots; one gadget is built per
-distinct label count and its arc template is offset to every vertex with that
-count; connector arcs follow all gadget arcs, one row per edge.  Per-vertex
-slot arrays (``vp_ptr``, ``slot_label``, ``slot_entry``, ``slot_exit``) map
-slots to gadget nodes.  Of its arcs the expansion keeps the CSR alone: an
-arc's tail is the node whose row holds it.  ``flag_slot`` gives the slot of
-each flag, so the connector of (edge, direction) leaves the exit node of one
-flag's slot and enters the entry node of the other's; connectors are named
-by their slots, never by CSR position.  The cycle query keeps its hits as a
-mask over (edge, direction) and a reach as a Python-int bitset over the same
-entries; ``traversal_rows`` reads the hit traversals straight from a mask,
-the ``ends`` array and the graph's name lists, and ``.edges`` and
-``cycle_directions`` make one ``ReachedEdge`` per row only when asked for.
+first occurrence, become each vertex's label slots.  They come from one
+stable sort of the flags by (vertex, label), whose groups of equal keys start
+at each pair's first flag, and one sort of the groups by (vertex, first flag).
+One gadget is built per distinct label count and its arc template is offset
+to every vertex with that count; connector arcs follow all gadget arcs, one
+row per edge.  Per-vertex slot arrays (``vp_ptr``, ``slot_label``,
+``slot_entry``, ``slot_exit``) map slots to gadget nodes.  Of its arcs the
+expansion keeps the CSR alone: an arc's tail is the node whose row holds it.
+``flag_slot`` gives the slot of each flag, so the connector of (edge,
+direction) leaves the exit node of one flag's slot and enters the entry node
+of the other's; connectors are named by their slots, never by CSR position.
+The cycle query keeps its hits as a mask over (edge, direction) and a reach
+as a Python-int bitset over the same entries; ``traversal_rows`` reads the
+hit traversals straight from a mask, the ``ends`` array and the graph's name
+lists, and ``.edges`` and ``cycle_directions`` make one ``ReachedEdge`` per
+row only when asked for.
 
 Below ``_kernels.FRONTIER_MIN_NODES`` nodes the first reach walks the
 condensation once, in the reverse topological order of the component ids,
@@ -45,6 +48,7 @@ Queries answered here:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -72,7 +76,7 @@ class LabelSwitchDigraph:
     def __init__(self, graph: FlagLabeledGraph):
         n = graph.num_vertices
         m = graph.num_edges
-        ends = np.array(graph.edges, dtype=np.int64).reshape(m, 4)
+        ends = np.fromiter(chain.from_iterable(graph.edges), np.int64, 4 * m).reshape(m, 4)
         if (ends[:, 0] == ends[:, 1]).any():
             raise ValueError("self-loops are not supported by the expansion")
         self.graph = graph
@@ -80,24 +84,36 @@ class LabelSwitchDigraph:
         # Flag 2*eid + end sits at vertex ends[eid, end] with label
         # ends[eid, 2 + end].  A vertex's slots are its distinct flag labels
         # in first-occurrence order over its flags (edge id order), which is
-        # the order of ``graph.vertex_label_ids``.
+        # the order of ``graph.vertex_label_ids``.  One stable sort of the
+        # (vertex, label) keys lists each key's flags in id order, so a group
+        # of equal keys starts with the key's first flag; the groups, ordered
+        # by vertex and then by that flag, are the slots.
         flag_vertex = ends[:, :2].ravel()
         flag_label = ends[:, 2:].ravel()
         width = int(flag_label.max()) + 1 if m else 1
-        keys, first, slot_of_key = np.unique(
-            flag_vertex * width + flag_label, return_index=True, return_inverse=True
-        )
-        by_slot = np.lexsort((first, keys // width))
-        slot_vertex = keys[by_slot] // width
-        slot_label = keys[by_slot] % width
-        slot_of_flag = np.empty(len(keys), dtype=np.int64)
-        slot_of_flag[by_slot] = np.arange(len(keys), dtype=np.int64)
-        slot_of_flag = slot_of_flag[slot_of_key]
+        key = flag_vertex * width + flag_label
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        group_key = key[starts]
+        group_vertex = group_key // width
+        # These keys are unique, so any sort kind would do; the stable one is
+        # the sort build_csr runs, and the default kind's code adds 0.3 MB of
+        # peak RSS on the Sudoku workloads.
+        by_slot = np.argsort(group_vertex * len(key) + order[starts], kind="stable")
+        num_slots = len(group_key)
+        slot_vertex = group_vertex[by_slot]
+        slot_label = group_key[by_slot] % width
+        slot_of_group = np.empty(num_slots, dtype=np.int64)
+        slot_of_group[by_slot] = np.arange(num_slots, dtype=np.int64)
+        slot_of_flag = np.empty(len(key), dtype=np.int64)
+        slot_of_flag[order] = slot_of_group[np.cumsum(starts) - 1]
 
         label_count = np.bincount(slot_vertex, minlength=n)
         vp_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(label_count, out=vp_ptr[1:])
-        rank = np.arange(len(keys), dtype=np.int64) - vp_ptr[slot_vertex]
+        rank = np.arange(num_slots, dtype=np.int64) - vp_ptr[slot_vertex]
 
         # One gadget per distinct label count; vertex v's gadget occupies
         # nodes off[v] .. off[v] + size - 1, vertices in id order.
@@ -111,8 +127,8 @@ class LabelSwitchDigraph:
 
         # A gadget lists its entry nodes, then its exit nodes, each in slot
         # order, so slot_entry and slot_exit increase with the slot.
-        slot_entry = np.empty(len(keys), dtype=np.int64)
-        slot_exit = np.empty(len(keys), dtype=np.int64)
+        slot_entry = np.empty(num_slots, dtype=np.int64)
+        slot_exit = np.empty(num_slots, dtype=np.int64)
         tail_blocks = []
         head_blocks = []
         slot_k = label_count[slot_vertex]

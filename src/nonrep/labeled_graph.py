@@ -5,14 +5,17 @@ label to every flag, so the two ends of an edge may carry different labels.
 An edge-labeled graph is the special case where both flags of an edge agree.
 
 Vertices and labels are opaque hashable tokens; they are interned to dense
-integers at construction time so the analysis modules can work with plain
-array indices.  Graphs are immutable after construction.
+integers at construction time, in order of first appearance, so the analysis
+modules can work with plain array indices.  ``parse_labeled_graph`` feeds the
+lines of a graph file straight into that interning, so a file's vertices and
+labels are numbered as they first appear in it.  Graphs are immutable after
+construction.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 
 class GraphParseError(ValueError):
@@ -47,23 +50,31 @@ class FlagLabeledGraph:
         label_ids: dict[Any, int] = {}
         for v in vertices:
             vertex_ids.setdefault(v, len(vertex_ids))
+        # One lookup per token, and an insert of the next id only on a miss.
+        vertex_id = vertex_ids.get
+        label_id = label_ids.get
         edge_list: list[tuple[int, int, int, int]] = []
         for spec in edges:
             if len(spec) == 3:
-                u, v, label = spec
-                lu = lv = label
+                u, v, lu = spec
+                lv = lu
             elif len(spec) == 4:
                 u, v, lu, lv = spec
             else:
                 raise ValueError(f"edge spec must have 3 or 4 fields, got {spec!r}")
-            edge_list.append(
-                (
-                    vertex_ids.setdefault(u, len(vertex_ids)),
-                    vertex_ids.setdefault(v, len(vertex_ids)),
-                    label_ids.setdefault(lu, len(label_ids)),
-                    label_ids.setdefault(lv, len(label_ids)),
-                )
-            )
+            a = vertex_id(u)
+            if a is None:
+                a = vertex_ids[u] = len(vertex_ids)
+            b = vertex_id(v)
+            if b is None:
+                b = vertex_ids[v] = len(vertex_ids)
+            x = label_id(lu)
+            if x is None:
+                x = label_ids[lu] = len(label_ids)
+            y = label_id(lv)
+            if y is None:
+                y = label_ids[lv] = len(label_ids)
+            edge_list.append((a, b, x, y))
         self.edges: tuple[tuple[int, int, int, int], ...] = tuple(edge_list)
         self._vertex_ids = vertex_ids
         self._label_ids = label_ids
@@ -206,42 +217,51 @@ def parse_labeled_graph(text: str) -> FlagLabeledGraph:
     every further line is ``edge <u> <v> <label>`` or
     ``flagedge <u> <v> <labelAtU> <labelAtV>``.  ``#`` starts a comment and
     tokens are whitespace-delimited.
+
+    The lines after the header are parsed while ``FlagLabeledGraph`` interns
+    them, one line at a time, so no list of string tuples is made: vertex
+    and label ids are given in order of first appearance in the file, and a
+    malformed line raises ``GraphParseError`` as the constructor reaches it.
     """
-    directed: bool | None = None
-    edges: list[tuple] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "graph":
-            if directed is not None:
-                raise GraphParseError("duplicate graph header", lineno)
-            if len(tokens) != 2 or tokens[1] not in ("directed", "undirected"):
-                raise GraphParseError(
-                    "graph header must be 'graph directed' or 'graph undirected'",
-                    lineno,
-                )
-            directed = tokens[1] == "directed"
+        if tokens[0] in ("edge", "flagedge"):
+            raise GraphParseError(f"{tokens[0]} line before graph header", lineno)
+        if tokens[0] != "graph":
+            raise GraphParseError(f"unknown keyword {tokens[0]!r}", lineno)
+        if len(tokens) != 2 or tokens[1] not in ("directed", "undirected"):
+            raise GraphParseError(
+                "graph header must be 'graph directed' or 'graph undirected'", lineno
+            )
+        return FlagLabeledGraph(tokens[1] == "directed", _edge_specs(lines))
+    raise GraphParseError("missing 'graph' header", max(1, text.count("\n") + 1))
+
+
+def _edge_specs(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[str, ...]]:
+    """The edge tuples of the (line number, line) pairs after the header."""
+    for lineno, raw in lines:
+        if "#" in raw:  # cheaper than splitting every line at "#"
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if len(tokens) == 4 and tokens[0] == "edge":
+            yield tokens[1], tokens[2], tokens[3]
+        elif len(tokens) == 5 and tokens[0] == "flagedge":
+            yield tokens[1], tokens[2], tokens[3], tokens[4]
+        elif not tokens:
+            continue
+        elif tokens[0] == "graph":
+            raise GraphParseError("duplicate graph header", lineno)
         elif tokens[0] == "edge":
-            if directed is None:
-                raise GraphParseError("edge line before graph header", lineno)
-            if len(tokens) != 4:
-                raise GraphParseError("edge line needs '<u> <v> <label>'", lineno)
-            edges.append((tokens[1], tokens[2], tokens[3]))
+            raise GraphParseError("edge line needs '<u> <v> <label>'", lineno)
         elif tokens[0] == "flagedge":
-            if directed is None:
-                raise GraphParseError("flagedge line before graph header", lineno)
-            if len(tokens) != 5:
-                raise GraphParseError(
-                    "flagedge line needs '<u> <v> <labelAtU> <labelAtV>'", lineno
-                )
-            edges.append((tokens[1], tokens[2], tokens[3], tokens[4]))
+            raise GraphParseError(
+                "flagedge line needs '<u> <v> <labelAtU> <labelAtV>'", lineno
+            )
         else:
             raise GraphParseError(f"unknown keyword {tokens[0]!r}", lineno)
-    if directed is None:
-        raise GraphParseError("missing 'graph' header", max(1, text.count("\n") + 1))
-    return FlagLabeledGraph(directed, edges)
 
 
 def serialize_labeled_graph(g: FlagLabeledGraph) -> str:

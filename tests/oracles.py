@@ -13,7 +13,9 @@ they were when each one rebuilt its own digit homes, graphs and reaches,
 the pair-indexed port graph of ``regular_reachable`` with the
 method-interning ``FlagLabeledGraph`` constructor, the simple-path
 pipeline that binarized and built its skew instances anew on every query,
-the reach that ran one DFS per start (``dfs_reachable_from``), and the
+the reach that ran one DFS per start (``dfs_reachable_from``), the graph
+file parser that listed string tuples before interning them and the slot
+assignment by ``np.unique`` and ``np.lexsort``, and the
 references that once shipped in the package: the quadratic gadget, the
 gadget reach sweep, the simple-path enumerator and the rescanning peeling.
 """
@@ -32,7 +34,7 @@ from nonrep import engine as nonrep_engine
 from nonrep._kernels import build_csr
 from nonrep.engine import ReachedEdge
 from nonrep.gadget import SwitchGadget, build_switch_gadget
-from nonrep.labeled_graph import FlagLabeledGraph
+from nonrep.labeled_graph import FlagLabeledGraph, GraphParseError
 from nonrep.matching import (
     FORBIDDEN,
     MANDATORY,
@@ -2558,6 +2560,93 @@ class DfsReachResult:
         steps = ex._walk_to_node(self._parent, int(tail))
         steps.append(reached)
         return steps
+
+
+# ---------------------------------------------------------------------------
+# The graph file parser and the expansion's slot assignment, kept verbatim
+# from the version in which ``parse_labeled_graph`` collected every edge line
+# as a tuple of strings and interned the list afterwards, and
+# ``LabelSwitchDigraph`` found its slots with ``np.unique`` and ``np.lexsort``
+# (``unique_lexsort_slots`` returns the arrays that code stored).  The package
+# parser must give equal graphs and equal errors, and the package expansion
+# equal ``vp_ptr``, ``slot_label`` and ``flag_slot``.  This parser builds its
+# graph with the package constructor, whose interning is checked against
+# ``OldFlagLabeledGraph``'s on its own.
+# ---------------------------------------------------------------------------
+
+
+def parse_labeled_graph(text: str) -> FlagLabeledGraph:
+    """Parse the line-oriented graph file format.
+
+    The first non-comment line is ``graph directed`` or ``graph undirected``;
+    every further line is ``edge <u> <v> <label>`` or
+    ``flagedge <u> <v> <labelAtU> <labelAtV>``.  ``#`` starts a comment and
+    tokens are whitespace-delimited.
+    """
+    directed: bool | None = None
+    edges: list[tuple] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] == "graph":
+            if directed is not None:
+                raise GraphParseError("duplicate graph header", lineno)
+            if len(tokens) != 2 or tokens[1] not in ("directed", "undirected"):
+                raise GraphParseError(
+                    "graph header must be 'graph directed' or 'graph undirected'",
+                    lineno,
+                )
+            directed = tokens[1] == "directed"
+        elif tokens[0] == "edge":
+            if directed is None:
+                raise GraphParseError("edge line before graph header", lineno)
+            if len(tokens) != 4:
+                raise GraphParseError("edge line needs '<u> <v> <label>'", lineno)
+            edges.append((tokens[1], tokens[2], tokens[3]))
+        elif tokens[0] == "flagedge":
+            if directed is None:
+                raise GraphParseError("flagedge line before graph header", lineno)
+            if len(tokens) != 5:
+                raise GraphParseError(
+                    "flagedge line needs '<u> <v> <labelAtU> <labelAtV>'", lineno
+                )
+            edges.append((tokens[1], tokens[2], tokens[3], tokens[4]))
+        else:
+            raise GraphParseError(f"unknown keyword {tokens[0]!r}", lineno)
+    if directed is None:
+        raise GraphParseError("missing 'graph' header", max(1, text.count("\n") + 1))
+    return FlagLabeledGraph(directed, edges)
+
+
+def unique_lexsort_slots(graph: FlagLabeledGraph):
+    """(``vp_ptr``, ``slot_label``, ``flag_slot``) of the expansion of ``graph``."""
+    n = graph.num_vertices
+    m = graph.num_edges
+    ends = np.array(graph.edges, dtype=np.int64).reshape(m, 4)
+
+    # Flag 2*eid + end sits at vertex ends[eid, end] with label
+    # ends[eid, 2 + end].  A vertex's slots are its distinct flag labels
+    # in first-occurrence order over its flags (edge id order), which is
+    # the order of ``graph.vertex_label_ids``.
+    flag_vertex = ends[:, :2].ravel()
+    flag_label = ends[:, 2:].ravel()
+    width = int(flag_label.max()) + 1 if m else 1
+    keys, first, slot_of_key = np.unique(
+        flag_vertex * width + flag_label, return_index=True, return_inverse=True
+    )
+    by_slot = np.lexsort((first, keys // width))
+    slot_vertex = keys[by_slot] // width
+    slot_label = keys[by_slot] % width
+    slot_of_flag = np.empty(len(keys), dtype=np.int64)
+    slot_of_flag[by_slot] = np.arange(len(keys), dtype=np.int64)
+    slot_of_flag = slot_of_flag[slot_of_key]
+
+    label_count = np.bincount(slot_vertex, minlength=n)
+    vp_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(label_count, out=vp_ptr[1:])
+    return vp_ptr, slot_label, slot_of_flag.reshape(m, 2)
 
 
 # ---------------------------------------------------------------------------

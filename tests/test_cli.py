@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nonrep import _kernels
+from nonrep import _kernels, cli
 from nonrep.cli import run
 from nonrep.engine import LabelSwitchDigraph
 from nonrep.labeled_graph import parse_labeled_graph, serialize_labeled_graph
@@ -22,9 +24,6 @@ TRIANGLE = "graph directed\nedge a b L1\nedge b c L2\nedge c a L3\n"
 
 def _run(argv, stdin=""):
     """Invoke the CLI in-process, capturing stdout/stderr."""
-    import contextlib
-    import io
-
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
     sys.stdin = io.StringIO(stdin)
@@ -318,6 +317,53 @@ def test_graph_walk_commands_print_what_the_replaced_engine_printed():
             path = old.shortest_path(src, dst)
             want = (1, "", "no nonrepetitive path\n") if path is None else (0, lines(path), "")
             assert _run(["graph", "shortest", "--from", src, "--to", dst, "-"], stdin=text) == want
+
+
+class _RecordedWrites(io.StringIO):
+    """A stdout that records how many lines each write carries."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines_per_write = []
+
+    def write(self, text):
+        self.lines_per_write.append(text.count("\n"))
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "chunk, rows", [(4, 3), (4, 4), (4, 5), (4, 9), (None, cli.CHUNK_LINES + 1)]
+)
+def test_graph_output_is_written_in_chunks_with_unchanged_stdout(monkeypatch, chunk, rows):
+    """``cycles``, ``reach`` and ``simple-cycles`` print what one joined
+    string of their lines gives, ``CHUNK_LINES`` lines per write, for row
+    counts below, at and above one chunk."""
+    if chunk is not None:
+        monkeypatch.setattr(cli, "CHUNK_LINES", chunk)
+    chunk = cli.CHUNK_LINES
+    # A ring whose labels all differ: every edge is on the closed walk, and
+    # the reach from (v0, L0) finds every edge.
+    ring = [(f"v{i}", f"v{(i + 1) % rows}", f"L{i}") for i in range(rows)]
+    walks = "".join(f"edge {i}: {u} -> {v} label {x}\n" for i, (u, v, x) in enumerate(ring))
+    edges = "".join(f"edge {i}: {u} -- {v} label {x}\n" for i, (u, v, x) in enumerate(ring))
+    commands = [
+        ("graph directed", ["cycles"], walks),
+        ("graph directed", ["reach", "--start", "v0", "--label", "L0"], walks),
+        ("graph undirected", ["simple-cycles"], edges),
+    ]
+    # simple-cycles takes seconds on a ring of thousands of edges
+    for header, argv, want in commands[: 3 if rows < 100 else 2]:
+        text = header + "\n" + "".join(f"edge {u} {v} {x}\n" for u, v, x in ring)
+        out, saved = _RecordedWrites(), sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out):
+                assert run(["graph", *argv, "-"]) == 0
+        finally:
+            sys.stdin = saved
+        assert out.getvalue() == want, argv
+        full, rest = divmod(rows, chunk)
+        assert out.lines_per_write == [chunk] * full + [rest] * (rest > 0)
 
 
 # Token soup for the graph commands: mostly well-formed edge lines, so that

@@ -351,6 +351,41 @@ def test_expansion_equals_per_vertex_dict_builder():
     assert hubs >= 20
 
 
+def test_slots_equal_unique_lexsort_reference():
+    """The slots found by one stable sort have the ``vp_ptr``,
+    ``slot_label`` and ``flag_slot`` of the ``np.unique`` and ``np.lexsort``
+    assignment, on graphs with up to 64 flag labels whose first occurrence
+    at a vertex is often not in label-id order, with no edges, and with
+    isolated vertices."""
+    rng = Random(2425)
+    seen = dict(empty=0, isolated=0, reordered=0)
+    for trial in range(400):
+        n = rng.randint(0, 1) if trial % 20 == 0 else rng.randint(2, 40)
+        labels = [f"L{i}" for i in range(rng.randint(1, 64))]
+        rng.shuffle(labels)  # label ids follow first appearance, not the names
+        edges = []
+        for _ in range(0 if n < 2 else rng.randint(1, 150)):
+            u, v = rng.sample(range(n), 2)
+            near = rng.choice(labels)
+            edges.append((u, v, near, rng.choice(labels) if trial % 2 else near))
+        vertices = list(range(n + rng.randint(0, 3)))
+        rng.shuffle(vertices)
+        g = FlagLabeledGraph(trial % 3 == 0, edges, vertices=vertices)
+        ex = LabelSwitchDigraph(g)
+        wants = oracles.unique_lexsort_slots(g)
+        for name, want in zip(("vp_ptr", "slot_label", "flag_slot"), wants):
+            got = getattr(ex, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert (got == want).all(), name
+        vp = ex.vp_ptr.tolist()
+        seen["empty"] += not edges
+        seen["isolated"] += any(vp[v] == vp[v + 1] for v in range(g.num_vertices)) and bool(edges)
+        seen["reordered"] += any(
+            (np.diff(ex.slot_label[vp[v] : vp[v + 1]]) < 0).any() for v in range(g.num_vertices)
+        )
+    assert min(seen.values()) >= 20, seen
+
+
 def _entry_cost(ex: LabelSwitchDigraph) -> np.ndarray:
     """The node costs of ``shortest_path``'s 0/1 BFS: 1 on slot entry nodes."""
     cost = np.zeros(ex.num_nodes, dtype=bool)

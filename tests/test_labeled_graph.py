@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import string
+from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from nonrep import (
     parse_labeled_graph,
     serialize_labeled_graph,
 )
+import oracles
 from oracles import OldFlagLabeledGraph
 
 
@@ -170,3 +173,107 @@ def test_constructor_equals_method_interning_reference(spec):
     assert new.edges == old.edges
     for v in range(old.num_vertices):
         assert new.incident(v) == old.incident(v)
+
+
+# Line breaks ``str.splitlines`` honours, and separators ``str.split`` does:
+# \x1c-\x1e are both, and \xa0 is whitespace only.
+_OTHER_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_BREAKS = ["\n"] * 6 + ["\r\n"] * 3 + _OTHER_BREAKS
+_GAPS = [" "] * 6 + ["  ", "\t", " \t ", "\xa0"]
+_NAMES = ["a", "b", "c", "0", "1", "x", "y", "edge", "graph", "flagedge", "directed", "é"]
+
+
+def _random_graph_text(rng: Random) -> str:
+    """A graph file, well-formed about half the time.  Lines are joined by
+    assorted line breaks and their tokens by assorted whitespace; any line
+    may carry a trailing comment."""
+
+    def line(*tokens) -> str:
+        gap = rng.choice(_GAPS)
+        text = gap.join(tokens)
+        if rng.random() < 0.2:
+            text = rng.choice(["", " ", "\t"]) + text + rng.choice(["", " ", "\t"])
+        if rng.random() < 0.2:
+            text += rng.choice(["#", " #", "\t# x", "# edge a b c", "#graph directed"])
+        return text
+
+    def names(k):
+        return [rng.choice(_NAMES) for _ in range(k)]
+
+    def blank():
+        return rng.choice(["", " ", "\t", " \t ", "#", "# comment", "  # edge a b"])
+
+    def edge():
+        if rng.random() < 0.5:
+            return line("edge", *names(3))
+        return line("flagedge", *names(4))
+
+    def noise():
+        keyword = rng.choice(["edge", "flagedge", "graph", "node", "Edge", "edges", "x"])
+        return line(keyword, *names(rng.choice([0, 1, 2, 3, 4, 5, 6])))
+
+    def header():
+        if rng.random() < 0.9:
+            return line("graph", rng.choice(["directed", "undirected"]))
+        return line("graph", *names(rng.choice([0, 1, 2])))
+
+    lines = [blank() for _ in range(rng.randint(0, 2))]
+    mode = rng.random()
+    if mode < 0.4:  # well-formed
+        lines.append(line("graph", rng.choice(["directed", "undirected"])))
+        lines += [edge() if rng.random() < 0.8 else blank() for _ in range(rng.randint(0, 12))]
+    elif mode < 0.8:  # a header, then mostly edges and some noise
+        lines.append(header())
+        kinds = [edge] * 6 + [blank, blank, noise, header]
+        lines += [rng.choice(kinds)() for _ in range(rng.randint(0, 10))]
+    else:  # anything anywhere, headers missing or repeated
+        kinds = [header, header, edge, edge, edge, blank, noise]
+        lines += [rng.choice(kinds)() for _ in range(rng.randint(0, 10))]
+    breaks = [rng.choice(_BREAKS) for _ in lines]
+    if lines and rng.random() < 0.3:
+        breaks[-1] = ""  # no break after the last line
+    return "".join(text + brk for text, brk in zip(lines, breaks))
+
+
+def _parse_outcome(parse, text):
+    """Everything a parse result shows: the graph's fields, or the error."""
+    try:
+        g = parse(text)
+    except GraphParseError as exc:
+        return "error", str(exc), exc.line
+    return (
+        "graph",
+        g.directed,
+        g.edges,
+        g.vertex_names,
+        g.label_names,
+        list(g._vertex_ids.items()),
+        list(g._label_ids.items()),
+    )
+
+
+def test_parser_equals_list_building_reference_on_random_texts():
+    """The parser that interns each line as it reads it gives the graph,
+    names and ids of the one that listed string tuples first, and on
+    malformed files the same error message and line."""
+    rng = Random(2424)
+    seen = Counter()
+    for _ in range(2500):
+        text = _random_graph_text(rng)
+        got = _parse_outcome(parse_labeled_graph, text)
+        assert got == _parse_outcome(oracles.parse_labeled_graph, text), repr(text)
+        if got[0] == "error":
+            message = got[1].split(": ", 1)[1]
+            seen["unknown keyword" if message.startswith("unknown keyword") else message] += 1
+            continue
+        same = [lu == lv for *_, lu, lv in got[2]]
+        names = got[3] + got[4]
+        seen["valid"] += 1
+        seen["valid, edge and flagedge labels"] += True in same and False in same
+        seen["valid, keyword names"] += not {"edge", "graph", "flagedge"}.isdisjoint(names)
+        seen["valid, comments"] += "#" in text
+        seen["valid, tabs"] += "\t" in text
+        seen["valid, \\r\\n"] += "\r\n" in text
+        seen["valid, other breaks"] += any(brk in text for brk in _OTHER_BREAKS)
+    # eight error messages and seven kinds of valid text
+    assert len(seen) == 15 and min(seen.values()) >= 20, seen
