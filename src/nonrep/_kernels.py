@@ -208,18 +208,16 @@ def scc_csr(indptr, indices):
         pivot = int(np.argmax(out_degree * in_degree))
         forward, left = _sweep(indptr, indices, (pivot,))
         if not len(left):
-            return _scc_from(pivot, forward, indptr, indices, in_degree)
+            return _scc_from(pivot, forward, indptr, indices)
     return np.array(_tarjan(indptr.tolist(), indices.tolist()), np.int64)
 
 
-def _scc_from(pivot, forward, indptr, indices, in_degree):
+def _scc_from(pivot, forward, indptr, indices):
     """``scc_csr`` past its forward sweep: ``forward`` is what ``pivot``
     reaches."""
     n = len(indptr) - 1
     tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    rptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(in_degree, out=rptr[1:])
-    rest = ~(forward & sweep_csr(rptr, tails[np.argsort(indices, kind="stable")], (pivot,)))
+    rest = ~(forward & sweep_csr(*build_csr(n, indices, tails), (pivot,)))
     comp = np.zeros(n, dtype=np.int64)
     ncomp = 1
     inner = rest[tails] & rest[indices]
@@ -235,14 +233,13 @@ def _scc_from(pivot, forward, indptr, indices, in_degree):
         rest[peeled] = False
         inner = rest[tails] & rest[heads]
         tails, heads = tails[inner], heads[inner]
-    # The arcs left are in CSR order, so renumbering the nodes left in order
-    # gives a CSR of the remainder with each node's arcs in their old order.
+    # Renumbering the nodes left in order keeps each node's arcs in their
+    # old order in the CSR of the remainder.
     nodes = np.flatnonzero(rest)
     local = np.zeros(n, dtype=np.int64)
     local[nodes] = np.arange(len(nodes))
-    ip = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(local[tails], minlength=len(nodes)), out=ip[1:])
-    comp[nodes] = ncomp + np.array(_tarjan(ip.tolist(), local[heads].tolist()), np.int64)
+    ip, ix = build_csr(len(nodes), local[tails], local[heads])
+    comp[nodes] = ncomp + np.array(_tarjan(ip.tolist(), ix.tolist()), np.int64)
     return comp
 
 
@@ -494,8 +491,10 @@ def blossom_matching(n, edges, require_perfect, start=None):
     records the nodes it labels; only those are reset for the next root.
     A blossom base keeps the nodes of its blossom.  Contracting a blossom
     relabels only the members of the bases it joins, and queues those not
-    yet queued in index order, as a scan over all n nodes would.  So a
-    search costs what it touches, not n per root and per blossom.
+    yet queued in index order, as a scan over all n nodes would.  Its lca is
+    found by walking up from both sides in turn, so the walks stop within
+    twice the blossom's reach.  So a search costs what it touches, not n
+    per root and per blossom.
     """
     adj = [[] for _ in range(n)]
     for u, v in edges:
@@ -522,6 +521,8 @@ def blossom_matching(n, edges, require_perfect, start=None):
     base = list(range(n))
     used = [False] * n
     members = [None] * n  # the nodes of each blossom, at its base
+    mark = [0] * n  # the lca walks mark a base with their stamp
+    stamp = 0
     for root in range(n):
         if mate[root] != -1:
             continue
@@ -538,16 +539,18 @@ def blossom_matching(n, edges, require_perfect, start=None):
                     continue
                 if to == root or (mate[to] != -1 and p[mate[to]] != -1):
                     # Odd cycle: contract the blossom around the tree lca.
-                    above = set()
-                    a = base[v]
+                    # Both sides walk up in turn, marking the bases they
+                    # pass; the first base a walk finds marked is the lca.
+                    stamp += 1
+                    a, b = base[v], base[to]
                     while True:
-                        above.add(a)
-                        if mate[a] == -1:
-                            break
-                        a = base[p[mate[a]]]
-                    lca = base[to]
-                    while lca not in above:
-                        lca = base[p[mate[lca]]]
+                        if a != -1:
+                            if mark[a] == stamp:
+                                break
+                            mark[a] = stamp
+                            a = base[p[mate[a]]] if mate[a] != -1 else -1
+                        a, b = b, a
+                    lca = a
                     in_blossom = set()
                     for x, child in ((v, to), (to, v)):
                         while base[x] != lca:

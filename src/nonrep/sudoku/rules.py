@@ -24,13 +24,13 @@ are exactly the nonrepetitive walks that the label-switch engine enumerates.
 Every rule reads a digit's homes in a group off the candidate masks of the
 group's empty cells, in group order.  Every rule takes a ``_BoardState``: the
 board plus what the rules derive from it, each piece computed on first use
-and at most once.  It holds the OR of the candidate masks where each line
-meets each box (read by the tier-1 rules), the bilocation graph with its
-label-switch expansion, the expansion of the bipartite bivalue graph, the
-start pairs of both graphs and one reach result per (expansion, start vertex,
-first label).  So the rules that run on one board state share these instead
-of rebuilding them.  Rules never mutate the state, its board or anything it
-holds.
+and at most once.  It holds, where each line meets each box, the digits
+confined there within the line and within the box (read by the tier-1
+rules), the bilocation graph with its label-switch expansion, the expansion
+of the bipartite bivalue graph, the start pairs of both graphs and one reach
+result per (expansion, start vertex, first label).  So the rules that run on
+one board state share these instead of rebuilding them.  Rules never mutate
+the state, its board or anything it holds.
 
 A state also holds a memo of matching results, which ``solve`` shares across
 all the states of one solve (``rule_deductions`` gives each state its own).
@@ -125,18 +125,36 @@ class _BoardState:
         self._reaches: dict[tuple, ReachResult] = {}
 
     @cached_property
-    def line_box_masks(self) -> list[int]:
-        """Per ``_line_box_pairs`` entry, the OR of the candidate masks of the
-        empty cells where its line meets its box."""
-        values, cand = self.board.values, self.board.cand
+    def confined(self) -> tuple[list[int], list[int]]:
+        """Per ``_line_box_pairs`` entry, two masks of the digits with a home
+        where its line meets its box: those with no other home in the line,
+        and those with no other home in the box.
+
+        Each line folds the candidate masks of its intersections once and
+        twice, and so does each box, its rows apart from its columns, since
+        either set alone covers the box.  Fold f is line f for f < 2n; a
+        box's rows fold at its group id and its columns fold n further on."""
+        values, cand, n = self.board.values, self.board.cand, self.board.n
+        pairs = _line_box_pairs(self.board.box)[0]
+        once = [0] * (4 * n)
+        twice = [0] * (4 * n)
         masks = []
-        for _line, _bg, inter, _along_line, _along_box in _line_box_pairs(self.board.box):
+        box_folds = []
+        for line, bg, inter in pairs:
             m = 0
             for c in inter:
                 if not values[c]:
                     m |= cand[c]
             masks.append(m)
-        return masks
+            f = bg + n if line >= n else bg
+            box_folds.append(f)
+            twice[line] |= once[line] & m
+            once[line] |= m
+            twice[f] |= once[f] & m
+            once[f] |= m
+        in_line = [m & ~twice[line] for (line, _bg, _i), m in zip(pairs, masks)]
+        in_box = [m & ~twice[f] for m, f in zip(masks, box_folds)]
+        return in_line, in_box
 
     @cached_property
     def bilocation(self) -> BilocationGraph:
@@ -235,35 +253,24 @@ def naked_singles(state: _BoardState) -> Iterator[Deduction]:
 
 
 @cache
-def _line_box_pairs(box: int) -> tuple[tuple[Any, ...], ...]:
-    """(line, box group, the cells where they meet, the other pairs of the
-    line, the other pairs of the box with lines parallel to this one) for
-    every line and box that meet, lines in group order and each line's boxes
-    in order; pairs are referred to by their index here."""
+def _line_box_pairs(box: int):
+    """(pairs, group pairs).  A pair is (line, box group, the cells where
+    they meet), for every line and box that meet, lines in group order and
+    each line's boxes in order; ``group_pairs[g]`` lists the indices of the
+    pairs of group g in that order, so a box lists its rows, then its
+    columns."""
     geo = geometry(box)
     pairs = []
     for line in range(2 * geo.n):
         line_cells = geo.group_cells[line]
-        boxes = sorted({geo.groups_of_cell[c][2] for c in line_cells})
-        for bg in boxes:
+        for bg in sorted({geo.groups_of_cell[c][2] for c in line_cells}):
             inter = tuple(c for c in line_cells if geo.groups_of_cell[c][2] == bg)
-            if len(inter) == box:
-                pairs.append((line, bg, inter))
-    rows = geo.n
-    return tuple(
-        (
-            line,
-            bg,
-            inter,
-            tuple(j for j, (l2, _b, _i) in enumerate(pairs) if l2 == line and j != i),
-            tuple(
-                j
-                for j, (l2, b2, _i) in enumerate(pairs)
-                if b2 == bg and (l2 < rows) == (line < rows) and j != i
-            ),
-        )
-        for i, (line, bg, inter) in enumerate(pairs)
-    )
+            pairs.append((line, bg, inter))
+    group_pairs = [[] for _ in geo.group_cells]
+    for i, (line, bg, _inter) in enumerate(pairs):
+        group_pairs[line].append(i)
+        group_pairs[bg].append(i)
+    return tuple(pairs), tuple(map(tuple, group_pairs))
 
 
 def intersection_triples(state: _BoardState) -> Iterator[Deduction]:
@@ -271,23 +278,17 @@ def intersection_triples(state: _BoardState) -> Iterator[Deduction]:
     line meets the box must fill exactly those cells: other digits leave the
     intersection, and the confined digits leave the rest of both groups.
 
-    A digit is confined to the free intersection cells of a group when it is
-    a candidate of one of them (``inside``) and of no other empty cell of the
-    group (``outside``): the group's other intersections with boxes, or with
-    lines parallel to this one, all read off ``line_box_masks``."""
+    The digits confined within the line, then within the box, are read off
+    ``_BoardState.confined``; a group fires when their count equals the
+    number of free intersection cells."""
     board, geo = state.board, state.geo
     values, cand = board.values, board.cand
-    masks = state.line_box_masks
-    for i, (line, bg, inter, along_line, along_box) in enumerate(_line_box_pairs(board.box)):
+    in_line, in_box = state.confined
+    for i, (line, bg, inter) in enumerate(_line_box_pairs(board.box)[0]):
         free = [c for c in inter if values[c] == 0]
         if len(free) < 2:
             continue
-        inside = masks[i]
-        for src, other, siblings in ((line, bg, along_line), (bg, line, along_box)):
-            outside = 0
-            for j in siblings:
-                outside |= masks[j]
-            confined_mask = inside & ~outside
+        for src, other, confined_mask in ((line, bg, in_line[i]), (bg, line, in_box[i])):
             if confined_mask.bit_count() != len(free):
                 continue
             confined = _digits(confined_mask)
@@ -311,68 +312,37 @@ def intersection_triples(state: _BoardState) -> Iterator[Deduction]:
                 )
 
 
-@cache
-def _box_line_parts(box: int):
-    """Per group, the lists of parts a confinement is looked for in, in the
-    order they are tried: a line has one list, the boxes it meets; a box has
-    two, the rows it meets and then the columns.  A part is (index into
-    ``_line_box_pairs``, the group it meets, that group's cells outside)."""
-    geo = geometry(box)
-    n = geo.n
-    pairs = _line_box_pairs(box)
-
-    def part(i, target, group):
-        inside = set(geo.group_cells[group])
-        return i, target, tuple(c for c in geo.group_cells[target] if c not in inside)
-
-    lines = [
-        ([part(i, pair[1], g) for i, pair in enumerate(pairs) if pair[0] == g],)
-        for g in range(2 * n)
-    ]
-    boxes = [
-        tuple(
-            [
-                part(i, pair[0], g)
-                for i, pair in enumerate(pairs)
-                if pair[1] == g and lo <= pair[0] < hi
-            ]
-            for lo, hi in ((0, n), (n, 2 * n))
-        )
-        for g in range(2 * n, 3 * n)
-    ]
-    return tuple(lines + boxes)
-
-
 def box_line(state: _BoardState) -> Iterator[Deduction]:
     """Digit homes of a box confined to one line clear the rest of the line,
     and homes of a line confined to one box clear the rest of the box.
 
-    Each line/box intersection ORs the candidate masks of its empty cells.
-    A digit in exactly one of a line's box intersections is confined to that
-    box; in exactly one of a box's row intersections, to that row, else in
-    exactly one of its column intersections, to that column.  Firings come
-    in group order, then digit order."""
+    A line reads the digits confined within it to each of its box
+    intersections, a box those confined within it to each of its rows and
+    then each of its columns, all off ``_BoardState.confined``; a digit
+    confined to both a row and a column of a box goes by the row.  Firings
+    come in group order, then digit order."""
     board, geo = state.board, state.geo
     values, cand = board.values, board.cand
-    inter = state.line_box_masks
-    for g, part_lists in enumerate(_box_line_parts(board.box)):
-        confined = []
-        for parts in part_lists:
-            once = twice = 0
-            for i, _target, _rest in parts:
-                twice |= once & inter[i]
-                once |= inter[i]
-            confined.append(once & ~twice)
+    pairs, group_pairs = _line_box_pairs(board.box)
+    in_line, in_box = state.confined
+    lines = 2 * board.n
+    for g, ids in enumerate(group_pairs):
+        masks = in_line if g < lines else in_box
         pending = 0
-        for m in confined:
-            pending |= m
+        for i in ids:
+            pending |= masks[i]
         while pending:
             bit = pending & -pending
             pending ^= bit
-            parts = next(p for p, m in zip(part_lists, confined) if m & bit)
-            _i, target, rest = next(p for p in parts if inter[p[0]] & bit)
+            i = next(i for i in ids if masks[i] & bit)
+            line, bg, inter = pairs[i]
+            target = bg if g < lines else line
             d = bit.bit_length()
-            elims = tuple((c, d) for c in rest if not values[c] and cand[c] & bit)
+            elims = tuple(
+                (c, d)
+                for c in geo.group_cells[target]
+                if not values[c] and cand[c] & bit and c not in inter
+            )
             if elims:
                 yield Deduction(
                     "box_line",

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonrep.sudoku import rules
-from nonrep.sudoku.board import Board, apply_deduction, geometry, parse_board
+from nonrep.sudoku.board import Board, Deduction, apply_deduction, geometry, parse_board
 from nonrep.sudoku.generate import dense_bivalue_fixture, generate, solved_grid
 from nonrep.sudoku.rules import (
     RULES,
@@ -60,6 +60,40 @@ def test_box_line_eliminates_outside_box():
     deds = [d for d in rule_deductions(board, "box_line") if d.witness == "box 1->row 1[5]"]
     assert deds
     assert set(deds[0].eliminations) == {(c, 5) for c in range(3, 9)}
+
+
+def test_confined_masks_equal_brute_force_on_pruned_boards():
+    """Per line/box pair, the digits with a home where the line meets the
+    box and no other home in the line, or in the box, equal a scan of every
+    digit's homes, on generated puzzles of box size 2 and 3 whose
+    candidates were then pruned at random."""
+    rng = Random(2025)
+    nonempty = Counter()
+    for box in (2, 3):
+        geo = geometry(box)
+        pairs, _group_pairs = rules._line_box_pairs(box)
+        for _ in range(12):
+            board = generate(box, rng.randrange(2**32)).puzzle
+            for _ in range(rng.randrange(4 * board.n)):
+                cell = rng.randrange(board.n * board.n)
+                digits = board.candidates(cell)
+                if board.values[cell] == 0 and len(digits) > 1:
+                    ded = Deduction("prune", eliminations=((cell, rng.choice(digits)),))
+                    board = apply_deduction(board, ded)
+            in_line, in_box = rules._BoardState(board).confined
+
+            def homes(d, cells):
+                return {c for c in cells if not board.values[c] and board.admits(c, d)}
+
+            for i, (line, bg, inter) in enumerate(pairs):
+                for got, group in ((in_line[i], line), (in_box[i], bg)):
+                    want = 0
+                    for d in range(1, board.n + 1):
+                        if homes(d, inter) and not homes(d, geo.group_cells[group]) - set(inter):
+                            want |= 1 << (d - 1)
+                    assert got == want, (box, i, group)
+                    nonempty[group == line] += got != 0
+    assert min(nonempty[True], nonempty[False]) >= 20, nonempty
 
 
 def test_matching_digit_contradiction():
