@@ -12,7 +12,8 @@ uses the package's ``build_csr`` and linear gadget builder), the recursive
 they were when each one rebuilt its own digit homes, graphs and reaches,
 the pair-indexed port graph of ``regular_reachable`` with the
 method-interning ``FlagLabeledGraph`` constructor, the simple-path
-pipeline that binarized and built its skew instances anew on every query,
+pipeline that binarized and built its skew instances anew on every query
+with the edge-list blossom kernel that both of them call,
 the reach that ran one DFS per start (``dfs_reachable_from``), the graph
 file parser that listed string tuples before interning them and the slot
 assignment by ``np.unique`` and ``np.lexsort``, and the
@@ -41,7 +42,6 @@ from nonrep.matching import (
     OPTIONAL,
     BipartiteInstance,
     EdgeClassification,
-    perfect_matching_mate,
 )
 from nonrep.simple_paths import BinarizedGraph, SkewSymmetricGraph, _binary_bit
 from nonrep.sudoku.board import Board, Contradiction, Deduction, cell_name, geometry
@@ -2054,7 +2054,7 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
     h_edges = list(edge_arc)
     h_edges.extend((2 * i, 2 * i + 1) for i in range(num_pairs))
 
-    mate, perfect = perfect_matching_mate(2 * num_pairs + 2, h_edges)
+    mate, perfect = edge_list_blossom_matching(2 * num_pairs + 2, h_edges, True)
     if not perfect:
         return None
 
@@ -2088,10 +2088,150 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
 # ``nonrepetitive_simple_path`` call binarized the whole graph again and
 # built four complete skew-symmetric instances, each with its own port graph.
 # Only the names carry the ``per_query_`` prefix.  It uses the package's
-# ``BinarizedGraph`` and ``SkewSymmetricGraph`` as plain records and the
-# package's ``perfect_matching_mate``; the package's per-graph preparation
-# must give the same witnesses and cycle edges.
+# ``BinarizedGraph`` and ``SkewSymmetricGraph`` as plain records, and the
+# edge-list blossom kernel below in place of the package's
+# ``perfect_matching_mate``; the package's per-graph preparation must give
+# the same witnesses and cycle edges.
+#
+# ``edge_list_blossom_matching`` is the package's ``blossom_matching`` kept
+# verbatim (only the name differs) from the version that built its
+# neighbour lists from the edge list on every call and checked every start,
+# so that these references share no code with the matcher they check.  The
+# pair-indexed ``regular_reachable`` above calls it as well.
 # ---------------------------------------------------------------------------
+
+
+def edge_list_blossom_matching(n, edges, require_perfect, start=None):
+    """Maximum matching in a general graph (Edmonds' blossom contraction).
+
+    ``edges`` lists undirected (u, v) pairs, and each vertex scans its
+    neighbours in edge order.  Unless a ``start`` matching is given (a mate
+    list, -1 for an exposed vertex; it is copied, not changed), a greedy
+    pass first matches each exposed vertex, in index order, to its first
+    exposed neighbour.  Then every vertex still exposed, in index order,
+    roots one breadth-first search for an augmenting path.  Returns (mate
+    list, perfect).  With ``require_perfect`` set, the search stops as soon
+    as some exposed vertex admits no augmenting path: such a vertex stays
+    exposed in some maximum matching, so no perfect matching exists.  A
+    start that leaves two vertices exposed is thus decided by one search
+    (Berge; Edmonds 1965).
+
+    The searches share one parent, base, queued and member list, and each
+    records the nodes it labels; only those are reset for the next root.
+    A blossom base keeps the nodes of its blossom.  Contracting a blossom
+    relabels only the members of the bases it joins, and queues those not
+    yet queued in index order, as a scan over all n nodes would.  Its lca is
+    found by walking up from both sides in turn, so the walks stop within
+    twice the blossom's reach.  So a search costs what it touches, not n
+    per root and per blossom.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    if start is None:
+        mate = [-1] * n
+        for v in range(n):
+            if mate[v] != -1:
+                continue
+            for u in adj[v]:
+                if u != v and mate[u] == -1:
+                    mate[v] = u
+                    mate[u] = v
+                    break
+    else:
+        mate = list(start)
+        if len(mate) != n:
+            raise ValueError("the start is not a matching of the graph")
+        for v, u in enumerate(mate):
+            if u != -1 and not (0 <= u < n and u != v and mate[u] == v and u in adj[v]):
+                raise ValueError("the start is not a matching of the graph")
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    members = [None] * n  # the nodes of each blossom, at its base
+    mark = [0] * n  # the lca walks mark a base with their stamp
+    stamp = 0
+    for root in range(n):
+        if mate[root] != -1:
+            continue
+        used[root] = True
+        queue = [root]
+        touched = [root]
+        qh = 0
+        finish = -1
+        while qh < len(queue) and finish == -1:
+            v = queue[qh]
+            qh += 1
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and p[mate[to]] != -1):
+                    # Odd cycle: contract the blossom around the tree lca.
+                    # Both sides walk up in turn, marking the bases they
+                    # pass; the first base a walk finds marked is the lca.
+                    stamp += 1
+                    a, b = base[v], base[to]
+                    while True:
+                        if a != -1:
+                            if mark[a] == stamp:
+                                break
+                            mark[a] = stamp
+                            a = base[p[mate[a]]] if mate[a] != -1 else -1
+                        a, b = b, a
+                    lca = a
+                    in_blossom = set()
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != lca:
+                            in_blossom.add(base[x])
+                            in_blossom.add(base[mate[x]])
+                            p[x] = child
+                            child = mate[x]
+                            x = p[child]
+                    merged = members[lca] or [lca]
+                    joined = []
+                    for b in in_blossom:
+                        if b == lca:
+                            continue  # its nodes are labeled and queued
+                        inner = members[b] or [b]
+                        merged += inner
+                        for i in inner:
+                            base[i] = lca
+                            if not used[i]:
+                                used[i] = True
+                                joined.append(i)
+                    members[lca] = merged
+                    joined.sort()
+                    queue += joined
+                elif p[to] == -1:
+                    p[to] = v
+                    touched.append(to)
+                    if mate[to] == -1:
+                        finish = to
+                        break
+                    nxt = mate[to]
+                    if not used[nxt]:
+                        used[nxt] = True
+                        queue.append(nxt)
+                        touched.append(nxt)
+        if finish == -1:
+            if require_perfect:
+                return mate, False
+        else:
+            v = finish
+            while v != -1:
+                pv = p[v]
+                nxt = mate[pv]
+                mate[v] = pv
+                mate[pv] = v
+                v = nxt
+        for i in touched:
+            p[i] = -1
+            base[i] = i
+            used[i] = False
+            members[i] = None
+    return mate, -1 not in mate
+
 
 
 def per_query_binarize_labels(g: FlagLabeledGraph) -> BinarizedGraph:
@@ -2202,7 +2342,7 @@ def per_query_regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
         (x, sig[x]) for x in range(ssg.num_nodes) if x < sig[x] and x not in (s, t)
     )
 
-    mate, perfect = perfect_matching_mate(ssg.num_nodes, h_edges)
+    mate, perfect = edge_list_blossom_matching(ssg.num_nodes, h_edges, True)
     if not perfect:
         return None
 
