@@ -472,20 +472,51 @@ def bipartite_forbidden(num_left, num_right, edges):
     return size, mate_l, mate_r, forbidden
 
 
-def blossom_matching(n, edges, require_perfect, start=None):
+def neighbour_lists(n, edges):
+    """Each vertex's neighbours over the undirected ``edges``, in edge order."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def greedy_mate(adj):
+    """The mate list of the greedy matching ``blossom_matching`` starts from:
+    each vertex still exposed at its turn, in index order, takes its first
+    exposed neighbour."""
+    mate = [-1] * len(adj)
+    for v, near in enumerate(adj):
+        if mate[v] != -1:
+            continue
+        for u in near:
+            if u != v and mate[u] == -1:
+                mate[v] = u
+                mate[u] = v
+                break
+    return mate
+
+
+def blossom_matching(n, edges, require_perfect, start=None, adj=None):
     """Maximum matching in a general graph (Edmonds' blossom contraction).
 
     ``edges`` lists undirected (u, v) pairs, and each vertex scans its
-    neighbours in edge order.  Unless a ``start`` matching is given (a mate
-    list, -1 for an exposed vertex; it is copied, not changed), a greedy
-    pass first matches each exposed vertex, in index order, to its first
-    exposed neighbour.  Then every vertex still exposed, in index order,
-    roots one breadth-first search for an augmenting path.  Returns (mate
-    list, perfect).  With ``require_perfect`` set, the search stops as soon
-    as some exposed vertex admits no augmenting path: such a vertex stays
-    exposed in some maximum matching, so no perfect matching exists.  A
-    start that leaves two vertices exposed is thus decided by one search
-    (Berge; Edmonds 1965).
+    neighbours in edge order (``neighbour_lists``).  Unless a ``start``
+    matching is given (a mate list, -1 for an exposed vertex; it is copied,
+    not changed), a greedy pass first matches each exposed vertex, in index
+    order, to its first exposed neighbour (``greedy_mate``).  Then every
+    vertex still exposed, in index order, roots one breadth-first search for
+    an augmenting path.  Returns (mate list, perfect).  With
+    ``require_perfect`` set, the search stops as soon as some exposed vertex
+    admits no augmenting path: such a vertex stays exposed in some maximum
+    matching, so no perfect matching exists.  A start that leaves two
+    vertices exposed is thus decided by one search (Berge; Edmonds 1965).
+
+    A start is checked against the edges.  A caller that keeps the
+    neighbour lists of its graph passes them as ``adj`` instead of
+    ``edges``, which is then not read; it vouches for the lists and for any
+    start, and neither is built or checked.  ``simple_paths`` keeps those of
+    a prepared graph's port graph and derives each instance's from them.
 
     The searches share one parent, base, queued and member list, and each
     records the nodes it labels; only those are reset for the next root.
@@ -496,36 +527,38 @@ def blossom_matching(n, edges, require_perfect, start=None):
     twice the blossom's reach.  So a search costs what it touches, not n
     per root and per blossom.
     """
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    checked = adj is None
+    if checked:
+        adj = neighbour_lists(n, edges)
     if start is None:
-        mate = [-1] * n
-        for v in range(n):
-            if mate[v] != -1:
-                continue
-            for u in adj[v]:
-                if u != v and mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
-    else:
-        mate = list(start)
+        return _augmented(adj, greedy_mate(adj), require_perfect)
+    mate = list(start)
+    if checked:
         if len(mate) != n:
             raise ValueError("the start is not a matching of the graph")
         for v, u in enumerate(mate):
             if u != -1 and not (0 <= u < n and u != v and mate[u] == v and u in adj[v]):
                 raise ValueError("the start is not a matching of the graph")
+    return _augmented(adj, mate, require_perfect)
+
+
+def _augmented(adj, mate, require_perfect):
+    """The search of ``blossom_matching`` over the neighbour lists ``adj``,
+    from the matching ``mate``, which it augments in place."""
+    n = len(adj)
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
     members = [None] * n  # the nodes of each blossom, at its base
     mark = [0] * n  # the lca walks mark a base with their stamp
     stamp = 0
-    for root in range(n):
-        if mate[root] != -1:
-            continue
+    perfect = True
+    root = -1
+    while True:
+        try:
+            root = mate.index(-1, root + 1)
+        except ValueError:
+            return mate, perfect
         used[root] = True
         queue = [root]
         touched = [root]
@@ -534,15 +567,18 @@ def blossom_matching(n, edges, require_perfect, start=None):
         while qh < len(queue) and finish == -1:
             v = queue[qh]
             qh += 1
+            bv = base[v]
+            mv = mate[v]
             for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
+                if bv == base[to] or to == mv:
                     continue
-                if to == root or (mate[to] != -1 and p[mate[to]] != -1):
+                mt = mate[to]
+                if to == root or (mt != -1 and p[mt] != -1):
                     # Odd cycle: contract the blossom around the tree lca.
                     # Both sides walk up in turn, marking the bases they
                     # pass; the first base a walk finds marked is the lca.
                     stamp += 1
-                    a, b = base[v], base[to]
+                    a, b = bv, base[to]
                     while True:
                         if a != -1:
                             if mark[a] == stamp:
@@ -574,20 +610,21 @@ def blossom_matching(n, edges, require_perfect, start=None):
                     members[lca] = merged
                     joined.sort()
                     queue += joined
+                    bv = lca
                 elif p[to] == -1:
                     p[to] = v
                     touched.append(to)
-                    if mate[to] == -1:
+                    if mt == -1:
                         finish = to
                         break
-                    nxt = mate[to]
-                    if not used[nxt]:
-                        used[nxt] = True
-                        queue.append(nxt)
-                        touched.append(nxt)
+                    if not used[mt]:
+                        used[mt] = True
+                        queue.append(mt)
+                        touched.append(mt)
         if finish == -1:
             if require_perfect:
                 return mate, False
+            perfect = False
         else:
             v = finish
             while v != -1:
@@ -601,7 +638,6 @@ def blossom_matching(n, edges, require_perfect, start=None):
             base[i] = i
             used[i] = False
             members[i] = None
-    return mate, -1 not in mate
 
 # ---------------------------------------------------------------------------
 # Sudoku kernels

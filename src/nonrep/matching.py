@@ -83,10 +83,11 @@ def max_general_matching(num_vertices: int, edges) -> list[tuple[int, int]]:
     return [(v, mate[v]) for v in range(num_vertices) if v < mate[v]]
 
 
-def perfect_matching_mate(num_vertices: int, edges, start=None):
+def perfect_matching_mate(num_vertices: int, edges, start=None, adj=None):
     """(mate list, perfect) of a maximum matching in a general graph; the
     search stops early once some vertex provably cannot be matched (no
     perfect matching exists).  ``start``, a mate list of a matching of the
-    graph, replaces the greedy first matching (see
-    ``_kernels.blossom_matching``)."""
-    return _kernels.blossom_matching(num_vertices, edges, True, start)
+    graph, replaces the greedy first matching, and ``adj``, the graph's
+    neighbour lists, replaces ``edges``; with ``adj`` neither is checked
+    (see ``_kernels.blossom_matching``)."""
+    return _kernels.blossom_matching(num_vertices, edges, True, start, adj)

@@ -10,11 +10,15 @@ in a general graph (``regular_reachable``).
 Of this work, only the four source and sink arcs, their port edges and the
 matching depend on the endpoints.  So each graph is prepared once, on its
 first path or cycle query: the self-loops are dropped, the rest is
-binarized, and the endpoint-free skew graph is built with the port graph of
-its arcs.  The preparation is kept on the graph object, so it is dropped
-with the graph, and equal but distinct graphs each prepare their own.
-Every instance then adds only its four endpoint arcs to that shared base,
-and their port edges to the shared port graph.  A path query asks up to
+binarized, and the endpoint-free skew graph (the base) is built.  The base
+keeps the port graph of its arcs: the edges, each node's neighbour list
+(arc edges, then the idle edge), and the greedy and idle matchings.  The
+preparation is kept on the graph object, so it is dropped with the graph,
+and equal but distinct graphs each prepare their own.  An instance is the
+base plus its four endpoint arcs.  Their port edges join s and t to the
+two endpoint nodes x1 and x2, so an instance copies the outer neighbour
+list and rebuilds only the lists of those four nodes, in the order port
+edges, endpoint edges, idle edge.  A path query asks up to
 four instances, one per (start label, end label) between the two centers,
 in the order 00, 01, 10, 11, and keeps the first shortest witness.  It
 first finds the fewest edges of a nonrepetitive walk between the two
@@ -36,10 +40,11 @@ adds the idle edge {x, sigma(x)}.  A perfect matching exists iff a regular
 source-to-mirror path does.  The witness is traced from s: standing at x,
 the mate of port sigma(x) (of s at the start) names the matched arc, which
 leads to the next node.  A path query's matching starts from a greedy one,
-which fixes the witness it reports.  A cycle edge's starts from the idle
-edges, which leave only s and t exposed, so one augmenting search from s
-decides it (Berge; Edmonds 1965; the regular-reachability view of Goldberg
-and Karzanov, Combinatorica 16, 1996).
+which fixes the witness it reports: the base's, unless x1 or x2 found no
+free port neighbour at its turn and so would take s.  A cycle edge's starts
+from the idle edges, which leave only s and t exposed, so one augmenting
+search from s decides it (Berge; Edmonds 1965; the regular-reachability
+view of Goldberg and Karzanov, Combinatorica 16, 1996).
 
 The directed versions of these questions are NP-complete and deliberately
 not offered.
@@ -51,6 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
+from ._kernels import greedy_mate, neighbour_lists
 from .labeled_graph import FlagLabeledGraph
 from .matching import perfect_matching_mate
 
@@ -77,12 +83,8 @@ def binarize_labels(g: FlagLabeledGraph) -> BinarizedGraph:
         raise ValueError("binarization is defined for undirected graphs")
     if g.has_self_loops():
         raise ValueError("self-loops are not supported")
-    vertices = []
-    center = {}
-    for vid in range(g.num_vertices):
-        name = g.vertex_name(vid)
-        center[name] = ("c", name)
-        vertices.append(("c", name))
+    vertices = [("c", g.vertex_name(vid)) for vid in range(g.num_vertices)]
+    center = {token[1]: token for token in vertices}
     edges: list[tuple] = []
     for eid in range(g.num_edges):
         u, v = g.endpoints(eid)
@@ -97,9 +99,7 @@ def binarize_labels(g: FlagLabeledGraph) -> BinarizedGraph:
             edges.append((("c", name), ("p", name, lab, 0), 1))
             edges.append((("c", name), ("p", name, lab, 1), 0))
             edges.append((("p", name, lab, 0), ("p", name, lab, 1), 1))
-    origin = tuple(
-        list(range(g.num_edges)) + [None] * (len(edges) - g.num_edges)
-    )
+    origin = tuple(list(range(g.num_edges)) + [None] * (len(edges) - g.num_edges))
     return BinarizedGraph(FlagLabeledGraph(False, edges, vertices=vertices), center, origin)
 
 
@@ -150,13 +150,19 @@ class SkewSymmetricGraph:
                 raise ValueError(f"mirror of arc ({a},{b}) is missing")
 
     @cached_property
-    def _ports(self) -> tuple[dict[tuple[int, int], int], list[tuple[int, int]]]:
-        """The port graph of these arcs: (edge -> first arc index, idle edges)."""
+    def _matcher(self) -> tuple[dict, list[list[int]], list[int], list[int]]:
+        """The port graph of these arcs: (edge -> first arc index, neighbour
+        lists, greedy mate list, idle mate list).  A node lists its arc
+        edges, then its idle edge."""
         sig = self.sigma
         s = self.source
         t = sig[s]
+        edge_arc = _port_edges(self, 0, {})
         idle = [(x, sig[x]) for x in range(self.num_nodes) if x < sig[x] and x not in (s, t)]
-        return _port_edges(self, 0, {}), idle
+        adj = neighbour_lists(self.num_nodes, [*edge_arc, *idle])
+        idle_mate = list(sig)
+        idle_mate[s] = idle_mate[t] = -1
+        return edge_arc, adj, greedy_mate(adj), idle_mate
 
     @cached_property
     def _components(self) -> list[int]:
@@ -196,10 +202,8 @@ def _port_edges(ssg: SkewSymmetricGraph, first: int, known: dict) -> dict:
 
 
 def _binary_bit(token) -> int:
-    if token in (0, "0"):
-        return 0
-    if token in (1, "1"):
-        return 1
+    if token in (0, 1, "0", "1"):
+        return int(token)
     raise ValueError(f"label {token!r} is not binary")
 
 
@@ -216,12 +220,8 @@ def _skew_base(g: FlagLabeledGraph, arc_origin: tuple) -> SkewSymmetricGraph:
         # Traversing a b-labeled edge is allowed after arriving on 1-b.
         arcs.append((2 * u + (1 - bit), 2 * v + bit))
         arcs.append((2 * v + (1 - bit), 2 * u + bit))
-    sigma = []
-    for v in range(n + 1):
-        sigma.extend((2 * v + 1, 2 * v))
-    return SkewSymmetricGraph(
-        2 * n + 2, tuple(arcs), tuple(sigma), 2 * n, arc_origin=arc_origin
-    )
+    sigma = tuple(x ^ 1 for x in range(2 * n + 2))
+    return SkewSymmetricGraph(2 * n + 2, tuple(arcs), sigma, 2 * n, arc_origin=arc_origin)
 
 
 def build_skew_instance(
@@ -260,14 +260,9 @@ def build_skew_instance(
         (2 * qid + end_label, t),
         (2 * pid + start_label, t),
     )
-    origin = base.arc_origin
+    origin = None if base.arc_origin is None else base.arc_origin + (None,) * len(ends)
     return SkewSymmetricGraph(
-        base.num_nodes,
-        base.arcs + ends,
-        base.sigma,
-        s,
-        arc_origin=None if origin is None else origin + (None,) * len(ends),
-        _base=base,
+        base.num_nodes, base.arcs + ends, base.sigma, s, arc_origin=origin, _base=base
     )
 
 
@@ -275,10 +270,8 @@ def regular_reachable(ssg: SkewSymmetricGraph) -> Optional[list[int]]:
     """Arc indices of a source-to-mirror path using one node per sigma-pair.
 
     Returns None when no such path exists.  Decided via a perfect matching in
-    the port graph described in the module docstring.  An instance derived
-    from a base reuses the base's port graph and adds the edges of its own
-    arcs between the base's arc edges and the idle edges, which is where a
-    port graph built from scratch would have them.
+    the port graph described in the module docstring, which an instance
+    derived from a base shares with the base.
     """
     return _traced_witness(ssg, False)
 
@@ -290,16 +283,26 @@ def _traced_witness(ssg: SkewSymmetricGraph, idle_start: bool) -> Optional[list[
     s = ssg.source
     t = sig[s]
     base = ssg if ssg._base is None else ssg._base
-    edge_arc, idle = base._ports
+    edge_arc, adj, greedy, idle = base._matcher
     extra = _port_edges(ssg, len(base.arcs), edge_arc)
-
-    start = None
-    if idle_start:
-        start = list(sig)
-        start[s] = start[t] = -1
-    mate, perfect = perfect_matching_mate(
-        ssg.num_nodes, [*edge_arc, *extra, *idle], start
-    )
+    start = idle if idle_start else greedy
+    near: dict[int, list[int]] = {}
+    for u, v in extra:
+        near.setdefault(u, []).append(v)
+        near.setdefault(v, []).append(u)
+    adj = list(adj) if near else adj
+    for x, ends in near.items():
+        own = adj[x]
+        if x == s or x == t:
+            adj[x] = own + ends
+            continue
+        adj[x] = own[:-1] + ends + own[-1:]
+        # Each endpoint edge joins x to s or t, the last nodes.  So x picks
+        # its base greedy partner unless it found no free port neighbour:
+        # then it took its idle partner or stayed exposed.
+        if not idle_start and (greedy[x] == -1 or greedy[x] == sig[x] > x):
+            start = None
+    mate, perfect = perfect_matching_mate(ssg.num_nodes, None, start, adj)
     if not perfect:
         return None
 
@@ -308,9 +311,7 @@ def _traced_witness(ssg: SkewSymmetricGraph, idle_start: bool) -> Optional[list[
     while True:
         other = mate[port]
         key = (port, other) if port < other else (other, port)
-        arc_idx = edge_arc.get(key)
-        if arc_idx is None:
-            arc_idx = extra[key]
+        arc_idx = edge_arc[key] if key in edge_arc else extra[key]
         a, b = ssg.arcs[arc_idx]
         if a == cur:
             nxt = b
@@ -365,10 +366,8 @@ def nonrepetitive_simple_path(g: FlagLabeledGraph, p, q) -> Optional[list[int]]:
     an instance.  Otherwise the tries stop at the first witness of that
     length: a later one would replace it only if it were strictly shorter.
 
-    The first query on ``g`` prepares it: the loopless, binarized,
-    endpoint-free skew base and its port graph.  ``g`` keeps the preparation
-    until it is itself dropped, so later queries on the same object skip
-    that work; the instances of every query share it.
+    The first query on ``g`` prepares it (see the module docstring), and
+    ``g`` keeps the preparation for its later queries.
     """
     if g.directed:
         raise ValueError(

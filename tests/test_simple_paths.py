@@ -427,9 +427,9 @@ def test_graph_is_prepared_once_and_matched_four_times_per_query(monkeypatch):
         calls["binarize"] += 1
         return binarize(g)
 
-    def counted_match(num_vertices, edges, start=None):
+    def counted_match(*args, **kwargs):
         calls["match"] += 1
-        return match(num_vertices, edges, start)
+        return match(*args, **kwargs)
 
     def counted_subgraph(self, edge_ids):
         calls["subgraph"] += 1
@@ -479,9 +479,9 @@ def test_walk_distance_stops_each_query_at_the_first_shortest_witness(monkeypatc
     asked = [0]
     match = simple_paths.perfect_matching_mate
 
-    def counted_match(num_vertices, edges, start=None):
+    def counted_match(*args, **kwargs):
         asked[0] += 1
-        return match(num_vertices, edges, start)
+        return match(*args, **kwargs)
 
     monkeypatch.setattr(simple_paths, "perfect_matching_mate", counted_match)
     rng = Random(2323)
