@@ -180,8 +180,12 @@ class FlagLabeledGraph:
         """Same vertex set, edges restricted to ``edge_ids`` (in id order).
 
         Returns the new graph and the list mapping new edge ids to old ones.
+        An id outside ``0..num_edges - 1`` raises ``ValueError``.
         """
         keep = sorted(set(edge_ids))
+        for e in keep[:1] + keep[-1:]:
+            if not 0 <= e < len(self.edges):
+                raise ValueError(f"edge id {e} is not one of the {len(self.edges)} edges")
         names = self._vertex_names
         lnames = self._label_names
         edges = [

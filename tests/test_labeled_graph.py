@@ -139,6 +139,24 @@ def test_subgraph_preserves_vertices_and_maps_ids():
     assert sub.endpoints(1) == ("c", "a")
 
 
+def test_subgraph_refuses_a_negative_edge_id():
+    """-1 would index the last edge from the end and keep it as id -1."""
+    g = FlagLabeledGraph(False, [("a", "b", "1"), ("b", "c", "2"), ("c", "a", "3")])
+    with pytest.raises(ValueError, match="edge id -1"):
+        g.subgraph([-1])
+    with pytest.raises(ValueError, match="edge id -3"):
+        g.subgraph([0, -3, 2])
+
+
+def test_subgraph_refuses_an_edge_id_past_the_last_edge():
+    g = FlagLabeledGraph(False, [("a", "b", "1"), ("b", "c", "2"), ("c", "a", "3")])
+    with pytest.raises(ValueError, match="edge id 3"):
+        g.subgraph([0, 3])
+    with pytest.raises(ValueError, match="edge id 0"):
+        FlagLabeledGraph(False, [], vertices=["a"]).subgraph([0])
+    assert g.subgraph([])[1] == [] and g.subgraph(range(3))[1] == [0, 1, 2]
+
+
 # Tokens of several types, including equal keys of different types (1, 1.0
 # and True), which keep the first one interned.
 _mixed_token = st.sampled_from(
