@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from nonrep import FlagLabeledGraph, simple_paths
+from nonrep import FlagLabeledGraph, _kernels, simple_paths
 from nonrep.simple_paths import (
     SkewSymmetricGraph,
     binarize_labels,
@@ -353,6 +353,132 @@ def test_benchmark_pool_equals_per_query_reference():
         assert _new_answers(g, combinations) == _per_query_answers(g, combinations)
 
 
+def _port_graph_edges(ssg: SkewSymmetricGraph) -> list[tuple[int, int]]:
+    """The port graph of ``ssg`` (see the ``simple_paths`` docstring) as one
+    edge list made from all its arcs: the arc edges by first arc, then the
+    idle edges."""
+    sig, s = ssg.sigma, ssg.source
+    t = sig[s]
+    arc_edges: dict[tuple[int, int], None] = {}
+    for a, b in ssg.arcs:
+        port = s if a == s else sig[a]
+        if a != b and a != t and b != s and port != b:
+            arc_edges.setdefault((min(port, b), max(port, b)), None)
+    idle = [(x, sig[x]) for x in range(ssg.num_nodes) if x < sig[x] and x not in (s, t)]
+    return [*arc_edges, *idle]
+
+
+class _MatchingRecorder:
+    """Wraps ``simple_paths.perfect_matching_mate`` and ``build_skew_instance``
+    and records, per matching, the last instance built, the result, and
+    whether ``_kernels.greedy_mate`` ran inside it."""
+
+    def __init__(self, monkeypatch):
+        self.records: list[tuple] = []
+        self.instance = None
+        self.greedy_runs = 0
+        match = simple_paths.perfect_matching_mate
+        build = simple_paths.build_skew_instance
+        greedy = _kernels.greedy_mate
+
+        def recorded_match(*args, **kwargs):
+            before = self.greedy_runs
+            result = match(*args, **kwargs)
+            self.records.append((self.instance, result, self.greedy_runs > before))
+            return result
+
+        def recorded_build(*args):
+            self.instance = build(*args)
+            return self.instance
+
+        def counted_greedy(adj):
+            self.greedy_runs += 1
+            return greedy(adj)
+
+        monkeypatch.setattr(simple_paths, "perfect_matching_mate", recorded_match)
+        monkeypatch.setattr(simple_paths, "build_skew_instance", recorded_build)
+        monkeypatch.setattr(_kernels, "greedy_mate", counted_greedy)
+
+    def check(self, idle_start: bool) -> int:
+        """Compare every recorded matching with ``blossom_matching`` on the
+        instance's whole edge list, from greedy or from the checked idle
+        start.  Returns how many path instances ran greedy anew, which must
+        be exactly those whose x1 or x2 found no free port neighbour at its
+        turn in the base's greedy matching."""
+        fallbacks = 0
+        records, self.records = self.records, []
+        for ssg, (mate, perfect), ran_greedy in records:
+            sig, s = ssg.sigma, ssg.source
+            edges = _port_graph_edges(ssg)
+            start = None
+            if idle_start:
+                start = list(sig)
+                start[s] = start[sig[s]] = -1
+            assert (mate, perfect) == _kernels.blossom_matching(ssg.num_nodes, edges, True, start)
+            base = ssg._base
+            greedy = _kernels.greedy_mate(
+                _kernels.neighbour_lists(base.num_nodes, _port_graph_edges(base))
+            )
+            x1, x2 = sig[ssg.arcs[-1][0]], sig[ssg.arcs[-2][0]]
+            left = [x for x in (x1, x2) if greedy[x] == -1 or greedy[x] == sig[x] > x]
+            assert ran_greedy == (bool(left) and not idle_start)
+            fallbacks += ran_greedy
+        return fallbacks
+
+
+def test_shared_port_graph_and_trusted_starts_equal_edge_list_matching(monkeypatch):
+    """A path instance matches on neighbour lists derived from its base's,
+    from the base's greedy matching when greedy would give it, and a cycle
+    instance from the base's idle matching, unchecked.  Each must give the
+    mates and perfect flag of ``blossom_matching`` on the instance's whole
+    edge list.  On random mixed graphs, instances whose x1 took its idle
+    partner or stayed exposed in the base's greedy matching are built on
+    purpose, and must run greedy anew; the benchmark pool has none."""
+    rec = _MatchingRecorder(monkeypatch)
+    rng = Random(2626)
+    trusted = fallbacks = cycles = idle_kind = 0
+    for _ in range(150):
+        g = _mixed_graph(rng)
+        base = simple_paths._prepared(g)
+        vertices = base.num_nodes // 2 - 1
+        greedy = _kernels.greedy_mate(
+            _kernels.neighbour_lists(base.num_nodes, _port_graph_edges(base))
+        )
+        # One instance per vertex node x, whose x1 (node 2p + 1 - start
+        # label) is x.
+        for x in range(2 * vertices):
+            p = x >> 1
+            q = rng.choice([v for v in range(vertices) if v != p])
+            ssg = simple_paths.build_skew_instance(base, p, q, 1 - (x & 1), rng.randrange(2))
+            regular_reachable(ssg)
+            idle_kind += greedy[x] == -1 or greedy[x] == base.sigma[x] > x
+        added = rec.check(False)
+        fallbacks += added
+        trusted += 2 * vertices - added
+        for arc in range(0, len(base.arcs), 2):
+            a, b = base.arcs[arc]
+            simple_paths._traced_witness(simple_paths.build_skew_instance(base, a >> 1, b >> 1, 1, 1), True)
+            cycles += 1
+        rec.check(True)
+    # 922 instances have an x1 of that kind; the other fallbacks come from x2.
+    assert (fallbacks, trusted, cycles, idle_kind) == (1567, 1963, 2070, 922)
+
+    pool = _benchmark_pool()
+    for g in pool:
+        for p, q in combinations(g.vertex_names, 2):
+            nonrepetitive_simple_path(g, p, q)
+    assert len(rec.records) == 5533
+    assert rec.check(False) == 0
+    for g in pool:
+        simple_cycle_edges(g)
+    assert len(rec.records) == 879
+    rec.check(True)
+    with pytest.raises(ValueError, match="not a matching"):
+        _kernels.blossom_matching(3, [(0, 1), (1, 2)], True, [2, -1, 0])
+    with pytest.raises(ValueError, match="not a matching"):
+        simple_paths.perfect_matching_mate(4, [(0, 1), (2, 3)], [1, 0, 3, -1])
+
+
 def _split_flag_graph(rng: Random) -> FlagLabeledGraph:
     """2..11 vertices, small counts likelier, in one to three groups, and up
     to 3n (at most 29) edges inside the groups, so the graph often has
@@ -585,6 +711,22 @@ def test_cycle_edges_of_800_edges_take_seconds_not_minutes():
     elapsed = time.perf_counter() - started
     assert len(found) == 797
     assert elapsed < 10.0, f"simple_cycle_edges took {elapsed:.2f}s at 800 edges"
+
+
+def test_cycle_edges_of_3200_edges_take_a_few_seconds():
+    """3,200 random 3-labeled edges between distinct vertices of 800.  When
+    every instance rebuilt the port graph's neighbour lists, checked its
+    idle start and scanned all nodes for exposed roots, this took about
+    12 s on a 2-core host under CPython 3.11; sharing the base's lists and
+    starts, 1.6-2.5 s there."""
+    rng = Random(1)
+    edges = [(*rng.sample(range(800), 2), rng.randrange(3)) for _ in range(3200)]
+    g = FlagLabeledGraph(False, edges, vertices=range(800))
+    started = time.perf_counter()
+    found = simple_cycle_edges(g)
+    elapsed = time.perf_counter() - started
+    assert len(found) == 3168
+    assert elapsed < 6.0, f"simple_cycle_edges took {elapsed:.2f}s at 3,200 edges"
 
 
 @pytest.mark.parametrize("labels", [8190, 3], ids=["all_differ", "three_in_turn"])
