@@ -21,7 +21,8 @@ and the expansion runs ``reach_csr`` only for witness walks.  The matching
 kernels take edge lists and return Python lists, since their instances are
 too small for numpy to pay off; they append each vertex's successors in edge
 order, the order ``build_csr`` gives, and share the strong-component and DFS
-loops (``_tarjan``, ``_dfs``) with the traversal kernels.  The Sudoku
+loops (``_tarjan``, ``_dfs``) with the traversal kernels.  ``blossom_matching``
+also takes neighbour lists its caller keeps, in that order.  The Sudoku
 kernels take the grid as a list of ints and keep digit sets as Python-int
 bitmasks (bit d = digit d+1).
 

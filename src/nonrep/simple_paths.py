@@ -83,8 +83,12 @@ def binarize_labels(g: FlagLabeledGraph) -> BinarizedGraph:
         raise ValueError("binarization is defined for undirected graphs")
     if g.has_self_loops():
         raise ValueError("self-loops are not supported")
-    vertices = [("c", g.vertex_name(vid)) for vid in range(g.num_vertices)]
-    center = {token[1]: token for token in vertices}
+    vertices = []
+    center = {}
+    for vid in range(g.num_vertices):
+        name = g.vertex_name(vid)
+        center[name] = ("c", name)
+        vertices.append(("c", name))
     edges: list[tuple] = []
     for eid in range(g.num_edges):
         u, v = g.endpoints(eid)
@@ -154,14 +158,11 @@ class SkewSymmetricGraph:
         """The port graph of these arcs: (edge -> first arc index, neighbour
         lists, greedy mate list, idle mate list).  A node lists its arc
         edges, then its idle edge."""
-        sig = self.sigma
-        s = self.source
-        t = sig[s]
+        idle_mate = list(self.sigma)
+        idle_mate[self.source] = idle_mate[self.sigma[self.source]] = -1
         edge_arc = _port_edges(self, 0, {})
-        idle = [(x, sig[x]) for x in range(self.num_nodes) if x < sig[x] and x not in (s, t)]
+        idle = [(x, y) for x, y in enumerate(idle_mate) if x < y]
         adj = neighbour_lists(self.num_nodes, [*edge_arc, *idle])
-        idle_mate = list(sig)
-        idle_mate[s] = idle_mate[t] = -1
         return edge_arc, adj, greedy_mate(adj), idle_mate
 
     @cached_property
@@ -202,8 +203,10 @@ def _port_edges(ssg: SkewSymmetricGraph, first: int, known: dict) -> dict:
 
 
 def _binary_bit(token) -> int:
-    if token in (0, 1, "0", "1"):
-        return int(token)
+    if token in (0, "0"):
+        return 0
+    if token in (1, "1"):
+        return 1
     raise ValueError(f"label {token!r} is not binary")
 
 
@@ -286,22 +289,20 @@ def _traced_witness(ssg: SkewSymmetricGraph, idle_start: bool) -> Optional[list[
     edge_arc, adj, greedy, idle = base._matcher
     extra = _port_edges(ssg, len(base.arcs), edge_arc)
     start = idle if idle_start else greedy
-    near: dict[int, list[int]] = {}
-    for u, v in extra:
-        near.setdefault(u, []).append(v)
-        near.setdefault(v, []).append(u)
-    adj = list(adj) if near else adj
-    for x, ends in near.items():
-        own = adj[x]
-        if x == s or x == t:
-            adj[x] = own + ends
-            continue
-        adj[x] = own[:-1] + ends + own[-1:]
-        # Each endpoint edge joins x to s or t, the last nodes.  So x picks
-        # its base greedy partner unless it found no free port neighbour:
-        # then it took its idle partner or stayed exposed.
-        if not idle_start and (greedy[x] == -1 or greedy[x] == sig[x] > x):
-            start = None
+    adj = list(adj) if extra else adj
+    for edge in extra:
+        for x, y in (edge, edge[::-1]):
+            own = adj[x]
+            if x == s or x == t:
+                adj[x] = [*own, y]
+                continue
+            # The idle edge stays last.  Each endpoint edge joins x to s or
+            # t, the last nodes, so x picks its base greedy partner unless it
+            # found no free port neighbour: then it took its idle partner or
+            # stayed exposed.
+            adj[x] = [*own[:-1], y, own[-1]]
+            if not idle_start and (greedy[x] == -1 or greedy[x] == sig[x] > x):
+                start = None
     mate, perfect = perfect_matching_mate(ssg.num_nodes, None, start, adj)
     if not perfect:
         return None
