@@ -400,11 +400,12 @@ class _MatchingRecorder:
         monkeypatch.setattr(_kernels, "greedy_mate", counted_greedy)
 
     def check(self, idle_start: bool) -> int:
-        """Compare every recorded matching with ``blossom_matching`` on the
-        instance's whole edge list, from greedy or from the checked idle
-        start.  Returns how many path instances ran greedy anew, which must
-        be exactly those whose x1 or x2 found no free port neighbour at its
-        turn in the base's greedy matching."""
+        """Compare every recorded matching with ``blossom_matching`` and its
+        edge-list reference copy on the instance's whole edge list, from
+        greedy or from the checked idle start.  Returns how many path
+        instances ran greedy anew, which must be exactly those whose x1 or
+        x2 found no free port neighbour at its turn in the base's greedy
+        matching."""
         fallbacks = 0
         records, self.records = self.records, []
         for ssg, (mate, perfect), ran_greedy in records:
@@ -414,11 +415,15 @@ class _MatchingRecorder:
             if idle_start:
                 start = list(sig)
                 start[s] = start[sig[s]] = -1
-            assert (mate, perfect) == _kernels.blossom_matching(ssg.num_nodes, edges, True, start)
+            want = _kernels.blossom_matching(ssg.num_nodes, edges, True, start)
+            assert (mate, perfect) == want
+            assert want == oracles.edge_list_blossom_matching(ssg.num_nodes, edges, True, start)
             base = ssg._base
             greedy = _kernels.greedy_mate(
                 _kernels.neighbour_lists(base.num_nodes, _port_graph_edges(base))
             )
+            # The last two arcs run from 2p + start label and 2q + end label
+            # to t; x1 and x2 are their tails' mirrors.
             x1, x2 = sig[ssg.arcs[-1][0]], sig[ssg.arcs[-2][0]]
             left = [x for x in (x1, x2) if greedy[x] == -1 or greedy[x] == sig[x] > x]
             assert ran_greedy == (bool(left) and not idle_start)
